@@ -74,17 +74,7 @@ class RMatrix:
 def _operator_matrix(
     dim: int, params: ParamSet, column: Callable[[int, int], Sequence[Scalar]]
 ) -> Matrix:
-    size = dim * dim
-    zero = Scalar.zero(params)
-    data = [zero] * (size * size)
-    for i in range(dim):
-        for j in range(dim):
-            col = column(i, j)
-            c = i * dim + j
-            for r, entry in enumerate(col):
-                if entry.terms:
-                    data[r * size + c] = entry
-    return Matrix(size, size, params, data)
+    return Matrix.from_cols(params, (column(i, j) for i in range(dim) for j in range(dim)))
 
 
 def _require_param(structure: HomStructure, value: Scalar, what: str) -> Scalar:

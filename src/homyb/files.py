@@ -30,6 +30,11 @@ def _require(condition: bool, message: str) -> None:
         raise StructureError(message)
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer; `true` and `false` are not, although bool subclasses int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _get_list(doc: dict, key: str, length: int | None = None) -> list:
     _require(key in doc, f"{key}: missing")
     value = doc[key]
@@ -82,13 +87,16 @@ def _coord_table(doc: dict, key: str, dim: int, params: ParamSet) -> list[list[l
 def structure_from_dict(doc: dict) -> HomStructure:
     _require(isinstance(doc, dict), "structure file: expected a JSON object")
     version = doc.get("format_version", FORMAT_VERSION)
-    _require(version == FORMAT_VERSION, f"format_version: unsupported value {version!r}")
+    _require(
+        _is_int(version) and version == FORMAT_VERSION,
+        f"format_version: unsupported value {version!r}",
+    )
     kind = doc.get("kind")
     _require(kind in STRUCTURE_KINDS, f"kind: expected one of {STRUCTURE_KINDS}, got {kind!r}")
     name = doc.get("name", "")
     _require(isinstance(name, str), "name: expected a string")
     dim = doc.get("dim")
-    _require(isinstance(dim, int) and dim > 0, "dim: expected a positive integer")
+    _require(_is_int(dim) and dim > 0, "dim: expected a positive integer")
 
     basis_raw = _get_list(doc, "basis", dim)
     _require(all(isinstance(b, str) for b in basis_raw), "basis: expected strings")
@@ -128,7 +136,7 @@ def structure_from_dict(doc: dict) -> HomStructure:
                 )
                 j, k, expr = triple
                 _require(
-                    isinstance(j, int) and isinstance(k, int) and 0 <= j < dim and 0 <= k < dim,
+                    _is_int(j) and _is_int(k) and 0 <= j < dim and 0 <= k < dim,
                     f"comult[{i}][{t}]: indices out of range",
                 )
                 out.append((j, k, _parse_at(expr, params, f"comult[{i}][{t}]")))
@@ -248,7 +256,7 @@ def load_operator(path: str | Path) -> tuple[Matrix, dict]:
     except ValueError as exc:
         raise StructureError(f"parameters: {exc}") from None
     dim = doc.get("dim")
-    _require(isinstance(dim, int) and dim > 0, "dim: expected a positive integer")
+    _require(_is_int(dim) and dim > 0, "dim: expected a positive integer")
     size = dim * dim
     matrix = _string_matrix(doc, "matrix", size, size, params)
     return matrix, doc

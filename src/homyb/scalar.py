@@ -75,6 +75,13 @@ class ParamSet:
         return ParamSet(names)
 
 
+def _coefficient(value) -> Fraction:
+    """An exact rational; floats are refused rather than read as binary fractions."""
+    if isinstance(value, float):
+        raise TypeError(f"float {value!r} is not an exact coefficient; use an int or a Fraction")
+    return Fraction(value)
+
+
 class Scalar:
     """A Laurent polynomial in the parameters of a ParamSet.
 
@@ -87,7 +94,8 @@ class Scalar:
         clean: dict[tuple[int, ...], Fraction] = {}
         width = len(params)
         for exps, coeff in terms.items():
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = _coefficient(coeff)
             if not coeff:
                 continue
             if len(exps) != width:
@@ -106,7 +114,7 @@ class Scalar:
 
     @classmethod
     def constant(cls, params: ParamSet, value) -> "Scalar":
-        return cls(params, {(0,) * len(params): Fraction(value)})
+        return cls(params, {(0,) * len(params): _coefficient(value)})
 
     @classmethod
     def one(cls, params: ParamSet) -> "Scalar":
@@ -123,7 +131,7 @@ class Scalar:
         exps = [0] * len(params)
         for name, e in exponents.items():
             exps[params.index(name)] = e
-        return cls(params, {tuple(exps): Fraction(coeff)})
+        return cls(params, {tuple(exps): _coefficient(coeff)})
 
     # -- predicates --------------------------------------------------------
 
@@ -242,6 +250,9 @@ class Scalar:
         return self.params == other.params and self.terms == other.terms
 
     def __hash__(self) -> int:
+        # a constant equals its value (see __eq__), so it must hash like it too
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.params, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
@@ -265,7 +276,7 @@ class Scalar:
                 name = names[idx]
                 if name not in assignment:
                     raise EvalError(f"missing assignment for parameter {name!r}")
-                v = Fraction(assignment[name])
+                v = _coefficient(assignment[name])
                 if v == 0 and e < 0:
                     raise EvalError(
                         f"zero assigned to parameter {name!r} at negative exponent"
@@ -282,7 +293,7 @@ class Scalar:
         """
         if not assignment:
             return self
-        positions = {self.params.index(name): Fraction(v) for name, v in assignment.items()}
+        positions = {self.params.index(name): _coefficient(v) for name, v in assignment.items()}
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
             value = coeff

@@ -1,45 +1,74 @@
-"""Dense exact linear algebra over the scalar ring.
+"""Sparse exact linear algebra over the scalar ring.
+
+A Matrix keeps one map per row from column index to Scalar and never stores a
+zero, so every kernel (products, sums, Kronecker products, comparisons) walks
+the nonzero entries only.  The operators the constructions produce, and their
+embeddings on the tensor cube, are almost entirely zeros.
+
+Entries that come from outside -- the constructor, `from_rows` and
+`from_cols` -- are checked to lie over the matrix ParamSet.  Results computed
+here are built over the already-checked entries of their operands and skip
+that check.
 
 Matrices act on coordinate columns, and composition f∘g is the product F·G.
 Tensor legs use the flat-index convention: the basis vector e_i⊗e_j of V⊗W
 (dim V = n, dim W = m) has index i·m + j, and triple products nest the same
 way, so e_i⊗e_j⊗e_k of V⊗W⊗U sits at (i·m + j)·p + k with p = dim U.
-
-Dimensions in this package stay tiny (tensor cubes cap out at 64×64), but the
-multiply below still walks only nonzero entries: the operators produced by the
-constructions are extremely sparse and the exact full-symbolic checks benefit.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionError, ParamMismatchError
 from .scalar import Fraction, ParamSet, Scalar
 
 Vector = tuple[Scalar, ...]
+Row = dict[int, Scalar]
+
+
+def _check_shape(rows: int, cols: int) -> None:
+    if rows <= 0 or cols <= 0:
+        raise DimensionError(f"matrix dimensions must be positive, got {rows}x{cols}")
+
+
+def _sparse_row(entries: Iterable[Scalar], params: ParamSet) -> Row:
+    """The nonzero entries of a dense row, each checked to lie over `params`."""
+    row: Row = {}
+    for j, entry in enumerate(entries):
+        if entry.params != params:
+            raise ParamMismatchError("matrix entries must share the matrix ParamSet")
+        if entry.terms:
+            row[j] = entry
+    return row
 
 
 class Matrix:
-    """Rectangular dense matrix of Scalars sharing one ParamSet."""
+    """Rectangular sparse matrix of Scalars sharing one ParamSet."""
 
-    __slots__ = ("rows", "cols", "params", "data")
+    __slots__ = ("rows", "cols", "params", "_maps")
 
     def __init__(self, rows: int, cols: int, params: ParamSet, data: Sequence[Scalar]):
-        if rows <= 0 or cols <= 0:
-            raise DimensionError(f"matrix dimensions must be positive, got {rows}x{cols}")
+        _check_shape(rows, cols)
         data = list(data)
         if len(data) != rows * cols:
             raise DimensionError(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(data)}"
             )
-        for entry in data:
-            if entry.params != params:
-                raise ParamMismatchError("matrix entries must share the matrix ParamSet")
         self.rows = rows
         self.cols = cols
         self.params = params
-        self.data = data
+        self._maps = [_sparse_row(data[i * cols:(i + 1) * cols], params) for i in range(rows)]
+
+    @classmethod
+    def _new(cls, rows: int, cols: int, params: ParamSet, maps: list[Row]) -> "Matrix":
+        """A matrix over row maps of checked, nonzero entries; nothing is re-checked."""
+        m = object.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.params = params
+        m._maps = maps
+        return m
 
     # -- constructors --------------------------------------------------------
 
@@ -47,57 +76,72 @@ class Matrix:
     def from_rows(cls, params: ParamSet, rows: Sequence[Sequence[Scalar]]) -> "Matrix":
         r = len(rows)
         c = len(rows[0]) if rows else 0
-        flat: list[Scalar] = []
-        for row in rows:
-            if len(row) != c:
-                raise DimensionError("ragged rows in matrix literal")
-            flat.extend(row)
-        return cls(r, c, params, flat)
+        if any(len(row) != c for row in rows):
+            raise DimensionError("ragged rows in matrix literal")
+        _check_shape(r, c)
+        return cls._new(r, c, params, [_sparse_row(row, params) for row in rows])
 
     @classmethod
     def identity(cls, n: int, params: ParamSet) -> "Matrix":
-        zero = Scalar.zero(params)
+        _check_shape(n, n)
         one = Scalar.one(params)
-        data = [zero] * (n * n)
-        for i in range(n):
-            data[i * n + i] = one
-        return cls(n, n, params, data)
+        return cls._new(n, n, params, [{i: one} for i in range(n)])
 
     @classmethod
     def zeros(cls, rows: int, cols: int, params: ParamSet) -> "Matrix":
-        return cls(rows, cols, params, [Scalar.zero(params)] * (rows * cols))
+        _check_shape(rows, cols)
+        return cls._new(rows, cols, params, [{} for _ in range(rows)])
 
     @classmethod
-    def from_cols(cls, params: ParamSet, cols: Sequence[Sequence[Scalar]]) -> "Matrix":
-        c = len(cols)
-        r = len(cols[0])
-        zero = Scalar.zero(params)
-        data = [zero] * (r * c)
+    def from_cols(cls, params: ParamSet, cols: Iterable[Sequence[Scalar]]) -> "Matrix":
+        """The matrix with the given coordinate columns, read one at a time."""
+        maps: list[Row] = []
+        count = 0
         for j, col in enumerate(cols):
-            if len(col) != r:
+            if j == 0:
+                maps = [{} for _ in col]
+            elif len(col) != len(maps):
                 raise DimensionError("ragged columns in matrix literal")
-            for i, entry in enumerate(col):
-                data[i * c + j] = entry
-        return cls(r, c, params, data)
+            for i, entry in _sparse_row(col, params).items():
+                maps[i][j] = entry
+            count = j + 1
+        _check_shape(len(maps), count)
+        return cls._new(len(maps), count, params, maps)
 
     # -- access ---------------------------------------------------------------
 
+    def _check_column(self, j: int) -> None:
+        if not 0 <= j < self.cols:
+            raise DimensionError(f"column {j} out of range for {self.cols} columns")
+
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         i, j = key
-        return self.data[i * self.cols + j]
+        if not 0 <= i < self.rows:
+            raise DimensionError(f"row {i} out of range for {self.rows} rows")
+        self._check_column(j)
+        entry = self._maps[i].get(j)
+        return Scalar.zero(self.params) if entry is None else entry
 
     def column(self, j: int) -> Vector:
-        return tuple(self.data[i * self.cols + j] for i in range(self.rows))
+        self._check_column(j)
+        zero = Scalar.zero(self.params)
+        return tuple(row.get(j, zero) for row in self._maps)
+
+    @property
+    def data(self) -> list[Scalar]:
+        """All entries, zeros included, as a fresh dense row-major list."""
+        zero = Scalar.zero(self.params)
+        cols = range(self.cols)
+        return [row.get(j, zero) for row in self._maps for j in cols]
 
     def nonzero(self) -> Iterator[tuple[int, int, Scalar]]:
-        """Nonzero entries in row-major order."""
-        cols = self.cols
-        for idx, entry in enumerate(self.data):
-            if entry.terms:
-                yield idx // cols, idx % cols, entry
+        """Nonzero entries in row-major order, columns ascending within a row."""
+        for i, row in enumerate(self._maps):
+            for j in sorted(row):
+                yield i, j, row[j]
 
     def is_zero(self) -> bool:
-        return all(not entry.terms for entry in self.data)
+        return not any(self._maps)
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -109,29 +153,41 @@ class Matrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _merge(self, other: "Matrix", negate: bool) -> "Matrix":
+        """self + other, or self - other when `negate`."""
         self._check(other, same_shape=True)
-        return Matrix(
-            self.rows, self.cols, self.params,
-            [a + b for a, b in zip(self.data, other.data)],
-        )
+        maps = []
+        for mine, theirs in zip(self._maps, other._maps):
+            row = dict(mine)
+            for j, b in theirs.items():
+                a = row.pop(j, None)
+                if a is None:
+                    row[j] = -b if negate else b
+                else:
+                    total = a - b if negate else a + b
+                    if total.terms:
+                        row[j] = total
+            maps.append(row)
+        return Matrix._new(self.rows, self.cols, self.params, maps)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._merge(other, negate=False)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check(other, same_shape=True)
-        return Matrix(
-            self.rows, self.cols, self.params,
-            [a - b for a, b in zip(self.data, other.data)],
-        )
+        return self._merge(other, negate=True)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, self.params, [-a for a in self.data])
+        maps = [{j: -a for j, a in row.items()} for row in self._maps]
+        return Matrix._new(self.rows, self.cols, self.params, maps)
 
     def scale(self, c: Scalar | int | Fraction) -> "Matrix":
         if not isinstance(c, Scalar):
             c = Scalar.constant(self.params, c)
         elif c.params != self.params:
             raise ParamMismatchError("scaling factor over a different parameter set")
-        return Matrix(self.rows, self.cols, self.params, [c * a for a in self.data])
+        # Laurent polynomials form an integral domain: c·a is zero only when c is
+        maps = [{j: c * a for j, a in row.items()} if c.terms else {} for row in self._maps]
+        return Matrix._new(self.rows, self.cols, self.params, maps)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check(other, same_shape=False)
@@ -139,45 +195,48 @@ class Matrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        zero = Scalar.zero(self.params)
-        out = [zero] * (self.rows * other.cols)
-        ocols = other.cols
-        # row-compressed view of `other`, skipping zero entries
-        brows: list[list[tuple[int, Scalar]]] = []
-        for k in range(other.rows):
-            base = k * ocols
-            brows.append(
-                [(j, other.data[base + j]) for j in range(ocols) if other.data[base + j].terms]
-            )
-        for i in range(self.rows):
-            abase = i * self.cols
-            obase = i * ocols
-            for k in range(self.cols):
-                a = self.data[abase + k]
-                if not a.terms:
-                    continue
-                for j, b in brows[k]:
-                    out[obase + j] = out[obase + j] + a * b
-        return Matrix(self.rows, other.cols, self.params, out)
+        right = other._maps
+        maps = []
+        for row in self._maps:
+            acc: Row = {}
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    term = a * b
+                    prev = acc.get(j)
+                    acc[j] = term if prev is None else prev + term
+            maps.append({j: v for j, v in acc.items() if v.terms})
+        return Matrix._new(self.rows, other.cols, self.params, maps)
 
     def apply(self, vec: Sequence[Scalar]) -> Vector:
         """Matrix-vector product on a coordinate column."""
         if len(vec) != self.cols:
             raise DimensionError(f"vector of length {len(vec)} against {self.cols} columns")
-        out = [Scalar.zero(self.params)] * self.rows
-        for i in range(self.rows):
-            base = i * self.cols
-            acc = out[i]
-            for j, v in enumerate(vec):
-                if v.terms and self.data[base + j].terms:
-                    acc = acc + self.data[base + j] * v
-            out[i] = acc
+        zero = Scalar.zero(self.params)
+        out = []
+        for row in self._maps:
+            acc = zero
+            for j, a in row.items():
+                v = vec[j]
+                if v.terms:
+                    term = a * v
+                    acc = term if acc is zero else acc + term
+            out.append(acc)
         return tuple(out)
 
     # -- entrywise maps ----------------------------------------------------------
 
     def map(self, fn: Callable[[Scalar], Scalar], params: ParamSet | None = None) -> "Matrix":
-        return Matrix(self.rows, self.cols, params or self.params, [fn(a) for a in self.data])
+        """Apply `fn` entrywise; it must send zero to zero, as only nonzeros are visited."""
+        params = params or self.params
+        if fn(Scalar.zero(self.params)).terms:
+            raise ValueError("Matrix.map needs a function that sends zero to zero")
+        maps: list[Row] = []
+        for row in self._maps:
+            mapped = {j: fn(a) for j, a in row.items()}
+            if any(b.params != params for b in mapped.values()):
+                raise ParamMismatchError("mapped entries must lie over the target ParamSet")
+            maps.append({j: b for j, b in mapped.items() if b.terms})
+        return Matrix._new(self.rows, self.cols, params, maps)
 
     def substitute(self, assignment: Mapping[str, Fraction | int]) -> "Matrix":
         return self.map(lambda s: s.substitute(assignment))
@@ -193,7 +252,7 @@ class Matrix:
         return (
             (self.rows, self.cols) == (other.rows, other.cols)
             and self.params == other.params
-            and self.data == other.data
+            and self._maps == other._maps
         )
 
     def __repr__(self) -> str:
@@ -224,28 +283,22 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     """
     if a.params != b.params:
         raise ParamMismatchError("kron factors over different parameter sets")
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    zero = Scalar.zero(a.params)
-    data = [zero] * (rows * cols)
-    for i, j, av in a.nonzero():
-        roff = i * b.rows
-        coff = j * b.cols
-        for k, l, bv in b.nonzero():
-            data[(roff + k) * cols + (coff + l)] = av * bv
-    return Matrix(rows, cols, a.params, data)
+    m = b.cols
+    maps = [
+        {j * m + l: av * bv for j, av in arow.items() for l, bv in brow.items()}
+        for arow in a._maps
+        for brow in b._maps
+    ]
+    return Matrix._new(a.rows * b.rows, a.cols * m, a.params, maps)
 
 
 def flip(n: int, m: int, params: ParamSet) -> Matrix:
     """The tensor swap V⊗W → W⊗V on coordinates: e_i⊗e_j ↦ e_j⊗e_i."""
-    size = n * m
-    zero = Scalar.zero(params)
+    _check_shape(n, m)
     one = Scalar.one(params)
-    data = [zero] * (size * size)
-    for i in range(n):
-        for j in range(m):
-            data[(j * n + i) * size + (i * m + j)] = one
-    return Matrix(size, size, params, data)
+    # row j·n + i holds the single 1 that picks coordinate i·m + j
+    maps = [{i * m + j: one} for j in range(m) for i in range(n)]
+    return Matrix._new(n * m, n * m, params, maps)
 
 
 def leg12(r: Matrix, alpha_third: Matrix) -> Matrix:
@@ -261,19 +314,34 @@ def leg23(t: Matrix, alpha_first: Matrix) -> Matrix:
 def leg13(s: Matrix, alpha_mid: Matrix, dim_first: int, dim_third: int) -> Matrix:
     """Embed an operator on V⊗V'' as legs 1,3, twisting the middle leg by alpha.
 
-    Realized as (τ⊗id) ∘ (alpha_mid⊗S) ∘ (τ⊗id) with τ the tensor swap of the
-    first two legs.
+    This is (τ⊗id) ∘ (alpha_mid⊗S) ∘ (τ⊗id) with τ the tensor swap of the
+    first two legs, built directly as an index map:
+    R[(i,m,k), (j,l,p)] = alpha_mid[m,l]·S[(i,k), (j,p)].
     """
-    if s.rows != s.cols or s.rows != dim_first * dim_third:
+    if s.rows != s.cols or s.rows != dim_first * dim_third or dim_first <= 0:
         raise DimensionError(
             f"leg13 operator must be square of size {dim_first}*{dim_third}, got {s.rows}x{s.cols}"
         )
-    params = s.params
+    if alpha_mid.rows != alpha_mid.cols:
+        raise DimensionError(
+            f"leg13 twist must be square, got {alpha_mid.rows}x{alpha_mid.cols}"
+        )
+    if s.params != alpha_mid.params:
+        raise ParamMismatchError("leg13 operands over different parameter sets")
     mid = alpha_mid.rows
-    ident3 = Matrix.identity(dim_third, params)
-    swap_in = kron(flip(dim_first, mid, params), ident3)
-    swap_out = kron(flip(mid, dim_first, params), ident3)
-    return swap_out @ kron(alpha_mid, s) @ swap_in
+    # each nonzero S[(i,k), c] with c = j·dim_third + p, as ((j, p), value)
+    split = [[(divmod(c, dim_third), sv) for c, sv in row.items()] for row in s._maps]
+    maps = []
+    for i in range(dim_first):
+        for arow in alpha_mid._maps:
+            for k in range(dim_third):
+                maps.append({
+                    (j * mid + l) * dim_third + p: av * sv
+                    for (j, p), sv in split[i * dim_third + k]
+                    for l, av in arow.items()
+                })
+    size = dim_first * mid * dim_third
+    return Matrix._new(size, size, s.params, maps)
 
 
 # -- coordinate-vector helpers ----------------------------------------------------
@@ -289,16 +357,20 @@ def basis_vector(n: int, i: int, params: ParamSet) -> Vector:
     return tuple(vec)
 
 
+# Like the matrix kernels, these do no arithmetic on zero coordinates: a zero
+# coordinate of an operand is reused as the zero of the result.
+
+
 def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(a + b if a.terms and b.terms else (a if a.terms else b) for a, b in zip(u, v))
 
 
 def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(a - b if b.terms else a for a, b in zip(u, v))
 
 
 def vec_scale(c: Scalar, u: Sequence[Scalar]) -> Vector:
-    return tuple(c * a for a in u)
+    return tuple(c * a if a.terms else a for a in u)
 
 
 def vec_is_zero(u: Sequence[Scalar]) -> bool:
@@ -307,8 +379,10 @@ def vec_is_zero(u: Sequence[Scalar]) -> bool:
 
 def tensor2(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
     """Coordinates of u⊗v: entry p·len(v)+q is u_p·v_q."""
-    out = []
+    out: list[Scalar] = []
     for a in u:
-        for b in v:
-            out.append(a * b)
+        if a.terms:
+            out.extend(a * b if b.terms else b for b in v)
+        else:
+            out.extend([a] * len(v))
     return tuple(out)

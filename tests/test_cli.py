@@ -39,6 +39,35 @@ class TestAxioms:
         err = capsys.readouterr().err
         assert "mult: expected 3" in err
 
+    @pytest.mark.parametrize("key,message", [
+        ("dim", "dim: expected a positive integer"),
+        ("format_version", "format_version: unsupported value True"),
+    ])
+    def test_boolean_integer_field_exits_two(self, tmp_path, capsys, key, message):
+        # `true` would pass as the integer 1, which fits this one-dimensional file
+        doc = {
+            "format_version": 1, "kind": "hom-algebra", "dim": 1, "basis": ["e"],
+            "parameters": [], "alpha": [["1"]], "unit": ["1"], "mult": [[["1"]]],
+        }
+        path = tmp_path / "one-dim.json"
+        path.write_text(json.dumps(doc))
+        assert main(["axioms", str(path)]) == 0
+        doc[key] = True
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["axioms", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_boolean_comult_index_exits_two(self, tmp_path, export, capsys):
+        doc = json.loads(open(export("ex3.3")).read())
+        j, k, expr = doc["comult"][2][0]
+        assert (j, k) == (1, 1)
+        doc["comult"][2][0] = [True, k, expr]  # would read as index 1
+        bad = tmp_path / "bool-index.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["axioms", str(bad)]) == 2
+        assert "comult[2][0]: indices out of range" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["axioms", "/no/such/file.json"]) == 2
 

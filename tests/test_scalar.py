@@ -65,6 +65,40 @@ class TestArithmetic:
         assert S("lam") + 1 == S("lam + 1")
 
 
+class TestExactness:
+    @pytest.mark.parametrize("value", [3, 0, -1, Fraction(1, 2), Fraction(-7, 3)])
+    def test_a_constant_hashes_like_the_value_it_equals(self, value):
+        c = Scalar.constant(PS2, value)
+        assert c == value
+        assert hash(c) == hash(value)
+        assert len({c, value}) == 1
+
+    @settings(max_examples=100)
+    @given(scalars(), scalars())
+    def test_equal_scalars_hash_equally(self, a, b):
+        assert hash(a + b) == hash(b + a)
+        assert hash(a * b) == hash(b * a)
+        assert hash(a - a) == hash(Scalar.zero(PS2)) == hash(0)
+
+    def test_float_coefficients_are_refused(self):
+        with pytest.raises(TypeError):
+            Scalar(PS2, {(0, 0): 0.1})
+        with pytest.raises(TypeError):
+            Scalar.constant(PS2, 0.5)
+        with pytest.raises(TypeError):
+            Scalar.monomial(PS2, 2.0, {"lam": 1})
+
+    def test_float_assignments_are_refused(self):
+        with pytest.raises(TypeError):
+            S("lam").evaluate({"lam": 0.1})
+        with pytest.raises(TypeError):
+            S("lam").substitute({"lam": 0.1})
+
+    def test_exact_coefficients_still_accepted(self):
+        assert Scalar(PS2, {(1, 0): 2, (0, 1): Fraction(1, 3)}) == parse_scalar("2*lam + 1/3*nu", PS2)
+        assert Scalar.constant(PS2, Fraction(1, 10)).terms == {(0, 0): Fraction(1, 10)}
+
+
 class TestEvaluate:
     def test_direct_substitution(self):
         assert S("-lam*l^2").evaluate({"lam": 1, "l": 2}) == -4

@@ -4,11 +4,13 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homyb import (
     DimensionError,
     Matrix,
     ParamMismatchError,
+    Scalar,
     flip,
     kron,
     leg12,
@@ -19,7 +21,7 @@ from homyb import (
     tensor2,
     triple_index,
 )
-from conftest import PS2, PS3, random_assignment, square_matrices
+from conftest import PS2, PS3, random_assignment, scalars, square_matrices
 
 
 def S(text, params=PS3):
@@ -56,6 +58,13 @@ class TestMatrixOps:
     def test_scale(self):
         m = mat([["1", "nu"], ["lam", "0"]])
         assert m.scale(S("l")) == mat([["l", "l*nu"], ["l*lam", "0"]])
+        assert m.scale(0).is_zero()
+
+    def test_map_visits_nonzeros_and_needs_zero_kept(self):
+        m = mat([["1", "nu"], ["lam", "0"]])
+        assert m.substitute({"nu": 0}) == mat([["1", "0"], ["lam", "0"]])
+        with pytest.raises(ValueError):
+            m.map(lambda s: s + 1)
 
 
 class TestKron:
@@ -152,3 +161,137 @@ class TestEvaluationCommutes:
         lhs = (a @ b).substitute(point)
         rhs = a.substitute(point) @ b.substitute(point)
         assert lhs == rhs
+
+
+class TestBounds:
+    def test_entry_indices_out_of_range_raise(self):
+        m = mat([["1", "lam"], ["nu", "l"]])
+        for key in [(0, 2), (1, -1), (2, 0), (-1, 0)]:
+            with pytest.raises(DimensionError):
+                m[key]
+        assert m[1, 1] == S("l")
+
+    def test_column_index_out_of_range_raises(self):
+        m = mat([["1", "lam"], ["nu", "l"]])
+        for j in (2, -1):
+            with pytest.raises(DimensionError):
+                m.column(j)
+        assert m.column(1) == (S("lam"), S("l"))
+
+
+# -- the sparse kernels against a naive dense reference -----------------------------
+
+
+def sparse_matrices(rows, cols, params=PS2):
+    """Matrices of the given shape whose entries are mostly zero."""
+    zero = Scalar.zero(params)
+    entry = st.one_of(st.just(zero), st.just(zero), scalars(params, max_terms=2, exp_range=2))
+    return st.lists(entry, min_size=rows * cols, max_size=rows * cols).map(
+        lambda data: Matrix(rows, cols, params, data)
+    )
+
+
+def dense(m):
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+def reference_matmul(a, b):
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = Scalar.zero(a.params)
+            for k in range(a.cols):
+                acc = acc + a[i, k] * b[k, j]
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+def reference_kron(a, b):
+    out = [[None] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
+    for i in range(a.rows):
+        for j in range(a.cols):
+            for k in range(b.rows):
+                for l in range(b.cols):
+                    out[i * b.rows + k][j * b.cols + l] = a[i, j] * b[k, l]
+    return out
+
+
+def leg13_by_swaps(s, alpha_mid, dim_first, dim_third):
+    """(τ⊗id) ∘ (alpha_mid⊗S) ∘ (τ⊗id), with τ the swap of the first two legs."""
+    params = s.params
+    mid = alpha_mid.rows
+    ident3 = Matrix.identity(dim_third, params)
+    swap_in = kron(flip(dim_first, mid, params), ident3)
+    swap_out = kron(flip(mid, dim_first, params), ident3)
+    return swap_out @ kron(alpha_mid, s) @ swap_in
+
+
+dims = st.integers(1, 3)
+
+
+class TestSparseKernelsAgainstDense:
+    @settings(max_examples=60)
+    @given(st.data(), dims, dims, dims)
+    def test_matmul(self, data, rows, inner, cols):
+        a = data.draw(sparse_matrices(rows, inner))
+        b = data.draw(sparse_matrices(inner, cols))
+        assert dense(a @ b) == reference_matmul(a, b)
+
+    @settings(max_examples=60)
+    @given(st.data(), dims, dims, dims, dims)
+    def test_kron(self, data, r1, c1, r2, c2):
+        a = data.draw(sparse_matrices(r1, c1))
+        b = data.draw(sparse_matrices(r2, c2))
+        assert dense(kron(a, b)) == reference_kron(a, b)
+
+    @settings(max_examples=60)
+    @given(st.data(), dims, dims)
+    def test_add_and_sub(self, data, rows, cols):
+        a = data.draw(sparse_matrices(rows, cols))
+        b = data.draw(sparse_matrices(rows, cols))
+        assert dense(a + b) == [[x + y for x, y in zip(r, q)] for r, q in zip(dense(a), dense(b))]
+        assert dense(a - b) == [[x - y for x, y in zip(r, q)] for r, q in zip(dense(a), dense(b))]
+        assert (a - a).is_zero() and a + (-a) == Matrix.zeros(rows, cols, PS2)
+
+    @settings(max_examples=40)
+    @given(st.data(), dims, dims, dims)
+    def test_leg13_matches_the_swap_construction(self, data, dim_first, mid, dim_third):
+        s = data.draw(sparse_matrices(dim_first * dim_third, dim_first * dim_third))
+        alpha = data.draw(sparse_matrices(mid, mid))
+        assert leg13(s, alpha, dim_first, dim_third) == leg13_by_swaps(s, alpha, dim_first, dim_third)
+
+    @settings(max_examples=40)
+    @given(st.data(), dims, dims)
+    def test_nonzero_is_row_major_with_ascending_columns(self, data, rows, cols):
+        a = data.draw(sparse_matrices(rows, cols))
+        b = data.draw(sparse_matrices(rows, cols))
+        c = data.draw(sparse_matrices(cols, cols))
+        for m in (a, b - a, (a + b) @ c):
+            expected = [
+                (i, j, m[i, j]) for i in range(m.rows) for j in range(m.cols) if m[i, j].terms
+            ]
+            assert list(m.nonzero()) == expected
+
+    @settings(max_examples=40)
+    @given(st.data(), dims, dims)
+    def test_dense_data_round_trips(self, data, rows, cols):
+        a = data.draw(sparse_matrices(rows, cols))
+        assert Matrix(rows, cols, PS2, a.data) == a
+        assert Matrix.from_rows(PS2, dense(a)) == a
+        assert Matrix.from_cols(PS2, [a.column(j) for j in range(cols)]) == a
+
+    @settings(max_examples=40)
+    @given(st.data(), dims, dims, st.booleans())
+    def test_an_entry_over_a_foreign_param_set_raises(self, data, rows, cols, zero):
+        entries = data.draw(sparse_matrices(rows, cols)).data
+        where = data.draw(st.integers(0, rows * cols - 1))
+        entries[where] = Scalar.zero(PS3) if zero else Scalar.one(PS3)
+        table = [entries[i * cols:(i + 1) * cols] for i in range(rows)]
+        with pytest.raises(ParamMismatchError):
+            Matrix(rows, cols, PS2, entries)
+        with pytest.raises(ParamMismatchError):
+            Matrix.from_rows(PS2, table)
+        with pytest.raises(ParamMismatchError):
+            Matrix.from_cols(PS2, [[row[j] for row in table] for j in range(cols)])
