@@ -84,13 +84,25 @@ def _coord_table(doc: dict, key: str, dim: int, params: ParamSet) -> list[list[l
     return table
 
 
-def structure_from_dict(doc: dict) -> HomStructure:
-    _require(isinstance(doc, dict), "structure file: expected a JSON object")
+def _header(doc: Any, what: str) -> ParamSet:
+    """Check what every file shares -- a JSON object, a supported format_version
+    and a list of parameter names -- and return its ParamSet."""
+    _require(isinstance(doc, dict), f"{what}: expected a JSON object")
     version = doc.get("format_version", FORMAT_VERSION)
     _require(
         _is_int(version) and version == FORMAT_VERSION,
         f"format_version: unsupported value {version!r}",
     )
+    params_raw = _get_list(doc, "parameters")
+    _require(all(isinstance(p, str) for p in params_raw), "parameters: expected strings")
+    try:
+        return ParamSet(params_raw)
+    except ValueError as exc:
+        raise StructureError(f"parameters: {exc}") from None
+
+
+def structure_from_dict(doc: dict) -> HomStructure:
+    params = _header(doc, "structure file")
     kind = doc.get("kind")
     _require(kind in STRUCTURE_KINDS, f"kind: expected one of {STRUCTURE_KINDS}, got {kind!r}")
     name = doc.get("name", "")
@@ -101,13 +113,6 @@ def structure_from_dict(doc: dict) -> HomStructure:
     basis_raw = _get_list(doc, "basis", dim)
     _require(all(isinstance(b, str) for b in basis_raw), "basis: expected strings")
     _require(len(set(basis_raw)) == dim, "basis: names must be distinct")
-
-    params_raw = _get_list(doc, "parameters")
-    _require(all(isinstance(p, str) for p in params_raw), "parameters: expected strings")
-    try:
-        params = ParamSet(params_raw)
-    except ValueError as exc:
-        raise StructureError(f"parameters: {exc}") from None
 
     alpha = _string_matrix(doc, "alpha", dim, dim, params)
 
@@ -248,13 +253,8 @@ def load_operator(path: str | Path) -> tuple[Matrix, dict]:
         raise StructureError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise StructureError(f"{path}: invalid JSON: {exc}") from None
-    _require(isinstance(doc, dict), "operator file: expected a JSON object")
+    params = _header(doc, "operator file")
     _require(doc.get("kind") == "operator", "kind: expected 'operator'")
-    params_raw = _get_list(doc, "parameters")
-    try:
-        params = ParamSet(params_raw)
-    except ValueError as exc:
-        raise StructureError(f"parameters: {exc}") from None
     dim = doc.get("dim")
     _require(_is_int(dim) and dim > 0, "dim: expected a positive integer")
     size = dim * dim

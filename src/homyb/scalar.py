@@ -6,14 +6,19 @@ canonical -- no zero coefficient is ever stored -- so two Scalars over the same
 ParamSet are equal iff they denote the same Laurent polynomial.  This makes
 "identity holds for all parameter values" a finite dictionary comparison.
 
-Coefficients are `fractions.Fraction`, which already guarantees the reduced
-numerator/denominator form the rest of the package relies on.
+A coefficient is stored as a Python `int` when it is integral and as a reduced
+`fractions.Fraction` otherwise, so a Fraction with denominator 1 is never
+stored.  Outside values are brought to that form where they enter (the
+constructor, `constant` and `monomial`); the ring operations keep it and build
+their results through the trusted `Scalar._new`, which re-checks nothing.
+`constant_value` and `evaluate` still return Fractions.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping
 
 from .errors import EvalError, NonInvertibleError, ParamMismatchError, ParseError
@@ -75,11 +80,42 @@ class ParamSet:
         return ParamSet(names)
 
 
-def _coefficient(value) -> Fraction:
+def _rational(value) -> Fraction:
     """An exact rational; floats are refused rather than read as binary fractions."""
     if isinstance(value, float):
         raise TypeError(f"float {value!r} is not an exact coefficient; use an int or a Fraction")
     return Fraction(value)
+
+
+def _coefficient(value) -> int | Fraction:
+    """A coefficient in stored form: an int when integral, else a reduced Fraction."""
+    if value.__class__ is int:
+        return value
+    value = _rational(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def add_product(out: dict, left: Mapping, right: Mapping) -> None:
+    """Add the product of the term maps `left` and `right` into the term map `out`.
+
+    This is the kernel of both `Scalar.__mul__` and the fused `Matrix.__matmul__`.
+
+    `out` stays canonical: a term that cancels is removed, and an integral
+    coefficient is stored as an int.
+    """
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            exps = tuple(map(add, e1, e2))
+            c = c1 * c2
+            prev = out.get(exps)
+            if prev is not None:
+                c += prev
+                if not c:
+                    del out[exps]
+                    continue
+            if c.__class__ is not int and c.denominator == 1:
+                c = c.numerator
+            out[exps] = c
 
 
 class Scalar:
@@ -90,12 +126,11 @@ class Scalar:
 
     __slots__ = ("params", "terms")
 
-    def __init__(self, params: ParamSet, terms: Mapping[tuple[int, ...], Fraction]):
-        clean: dict[tuple[int, ...], Fraction] = {}
+    def __init__(self, params: ParamSet, terms: Mapping[tuple[int, ...], int | Fraction]):
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         width = len(params)
         for exps, coeff in terms.items():
-            if type(coeff) is not Fraction:
-                coeff = _coefficient(coeff)
+            coeff = _coefficient(coeff)
             if not coeff:
                 continue
             if len(exps) != width:
@@ -106,15 +141,24 @@ class Scalar:
         self.params = params
         self.terms = clean
 
+    @classmethod
+    def _new(cls, params: ParamSet, terms: dict[tuple[int, ...], int | Fraction]) -> "Scalar":
+        """A Scalar over canonical terms of the right width; nothing is re-checked."""
+        s = object.__new__(cls)
+        s.params = params
+        s.terms = terms
+        return s
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, params: ParamSet) -> "Scalar":
-        return cls(params, {})
+        return cls._new(params, {})
 
     @classmethod
     def constant(cls, params: ParamSet, value) -> "Scalar":
-        return cls(params, {(0,) * len(params): _coefficient(value)})
+        value = _coefficient(value)
+        return cls._new(params, {(0,) * len(params): value} if value else {})
 
     @classmethod
     def one(cls, params: ParamSet) -> "Scalar":
@@ -124,14 +168,14 @@ class Scalar:
     def variable(cls, params: ParamSet, name: str) -> "Scalar":
         exps = [0] * len(params)
         exps[params.index(name)] = 1
-        return cls(params, {tuple(exps): Fraction(1)})
+        return cls._new(params, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, params: ParamSet, coeff, exponents: Mapping[str, int]) -> "Scalar":
         exps = [0] * len(params)
         for name, e in exponents.items():
             exps[params.index(name)] = e
-        return cls(params, {tuple(exps): _coefficient(coeff)})
+        return cls(params, {tuple(exps): coeff})
 
     # -- predicates --------------------------------------------------------
 
@@ -139,7 +183,7 @@ class Scalar:
         return not self.terms
 
     def is_one(self) -> bool:
-        return self.terms == {(0,) * len(self.params): Fraction(1)}
+        return self.terms == {(0,) * len(self.params): 1}
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
@@ -154,13 +198,13 @@ class Scalar:
             return Fraction(0)
         if not self.is_constant():
             raise EvalError(f"{self} is not a constant")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     # -- ring operations ---------------------------------------------------
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.params != self.params:
+            if other.params is not self.params and other.params != self.params:
                 raise ParamMismatchError(
                     f"parameter sets differ: {self.params} vs {other.params}"
                 )
@@ -169,33 +213,43 @@ class Scalar:
             return Scalar.constant(self.params, other)
         return NotImplemented
 
+    def _plus(self, other: "Scalar", negate: bool) -> "Scalar":
+        """self + other, or self - other when `negate`."""
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other if negate else other
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
+            if negate:
+                c = -c
+            prev = out.get(exps)
+            if prev is not None:
+                c += prev
+                if not c:
+                    del out[exps]
+                    continue
+                if c.__class__ is not int and c.denominator == 1:
+                    c = c.numerator
+            out[exps] = c
+        return Scalar._new(self.params, out)
+
     def __add__(self, other) -> "Scalar":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            new = out.get(exps, 0) + coeff
-            if new:
-                out[exps] = new
-            else:
-                out.pop(exps, None)
-        return Scalar(self.params, out)
+        return self._plus(other, False)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.params, {e: -c for e, c in self.terms.items()})
+        return Scalar._new(self.params, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Scalar":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, True)
 
     def __rsub__(self, other) -> "Scalar":
         return (-self) + other
@@ -204,18 +258,19 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms or not other.terms:
-            return Scalar.zero(self.params)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                new = out.get(exps, 0) + c1 * c2
-                if new:
-                    out[exps] = new
-                else:
-                    out.pop(exps, None)
-        return Scalar(self.params, out)
+        left, right = self.terms, other.terms
+        if not left or not right:
+            return Scalar._new(self.params, {})
+        if len(left) == 1 and len(right) == 1:
+            (e1, c1), = left.items()
+            (e2, c2), = right.items()
+            c = c1 * c2
+            if c.__class__ is not int and c.denominator == 1:
+                c = c.numerator
+            return Scalar._new(self.params, {tuple(map(add, e1, e2)): c})
+        out: dict[tuple[int, ...], int | Fraction] = {}
+        add_product(out, left, right)
+        return Scalar._new(self.params, out)
 
     __rmul__ = __mul__
 
@@ -230,7 +285,9 @@ class Scalar:
                     f"negative power of a non-monomial: {self}"
                 )
             (exps, coeff), = self.terms.items()
-            inverse = Scalar(self.params, {tuple(-e for e in exps): Fraction(1) / coeff})
+            inverse = Scalar._new(
+                self.params, {tuple(-e for e in exps): _coefficient(1 / Fraction(coeff))}
+            )
             return inverse ** (-exponent)
         result = Scalar.one(self.params)
         base = self
@@ -276,7 +333,7 @@ class Scalar:
                 name = names[idx]
                 if name not in assignment:
                     raise EvalError(f"missing assignment for parameter {name!r}")
-                v = _coefficient(assignment[name])
+                v = _rational(assignment[name])
                 if v == 0 and e < 0:
                     raise EvalError(
                         f"zero assigned to parameter {name!r} at negative exponent"
@@ -293,7 +350,7 @@ class Scalar:
         """
         if not assignment:
             return self
-        positions = {self.params.index(name): _coefficient(v) for name, v in assignment.items()}
+        positions = {self.params.index(name): _rational(v) for name, v in assignment.items()}
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
             value = coeff
@@ -309,15 +366,11 @@ class Scalar:
                     )
                 value *= v ** e
                 new_exps[idx] = 0
-            if not value:
-                continue
             key = tuple(new_exps)
-            new = out.get(key, 0) + value
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
-        return Scalar(self.params, out)
+            if key in out:
+                value += out[key]
+            out[key] = value
+        return Scalar._new(self.params, {k: _coefficient(c) for k, c in out.items() if c})
 
     def extend(self, params: ParamSet) -> "Scalar":
         """Reinterpret over a larger ParamSet containing all current names."""
@@ -325,13 +378,13 @@ class Scalar:
             return self
         mapping = [params.index(name) for name in self.params.names]
         width = len(params)
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for exps, coeff in self.terms.items():
             new_exps = [0] * width
             for old_idx, e in enumerate(exps):
                 new_exps[mapping[old_idx]] = e
             out[tuple(new_exps)] = coeff
-        return Scalar(params, out)
+        return Scalar._new(params, out)
 
     # -- printing ------------------------------------------------------------
 
@@ -382,6 +435,11 @@ def format_scalar(s: Scalar) -> str:
 # exponent := '-'? INT
 #
 # Implicit multiplication is not accepted; '/' only forms rational literals.
+# The parser recurses once per unary minus and per pair of parentheses, so
+# their nesting is bounded: deeper input is a ParseError rather than an
+# exhausted interpreter recursion limit.
+
+_MAX_NESTING = 50
 
 _INT_RE = re.compile(r"\d+")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -419,6 +477,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.params = params
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -451,11 +510,19 @@ class _Parser:
             else:
                 return value
 
+    def nest(self, pos: int) -> None:
+        if self.depth == _MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {_MAX_NESTING} levels", pos)
+        self.depth += 1
+
     def factor(self) -> Scalar:
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "-":
             self.advance()
-            return -self.factor()
+            self.nest(pos)
+            value = -self.factor()
+            self.depth -= 1
+            return value
         return self.power()
 
     def power(self) -> Scalar:
@@ -498,7 +565,9 @@ class _Parser:
                 raise ParseError(f"unknown parameter {text!r}", pos)
             return Scalar.variable(self.params, text)
         if kind == "op" and text == "(":
+            self.nest(pos)
             value = self.expr()
+            self.depth -= 1
             k2, t2, p2 = self.peek()
             if not (k2 == "op" and t2 == ")"):
                 raise ParseError("expected ')'", p2)

@@ -5,6 +5,11 @@ zero, so every kernel (products, sums, Kronecker products, comparisons) walks
 the nonzero entries only.  The operators the constructions produce, and their
 embeddings on the tensor cube, are almost entirely zeros.
 
+The product `@` is fused: each product of two entries is added term by term
+into one term map per output entry (`scalar.add_product`), and one Scalar is
+built per output entry that does not cancel to zero; no Scalar is made for a
+single product or a partial sum.
+
 Entries that come from outside -- the constructor, `from_rows` and
 `from_cols` -- are checked to lie over the matrix ParamSet.  Results computed
 here are built over the already-checked entries of their operands and skip
@@ -21,7 +26,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionError, ParamMismatchError
-from .scalar import Fraction, ParamSet, Scalar
+from .scalar import Fraction, ParamSet, Scalar, add_product
 
 Vector = tuple[Scalar, ...]
 Row = dict[int, Scalar]
@@ -195,17 +200,21 @@ class Matrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        params = self.params
         right = other._maps
+        new = Scalar._new
         maps = []
         for row in self._maps:
-            acc: Row = {}
+            acc: dict[int, dict] = {}
             for k, a in row.items():
+                left = a.terms
                 for j, b in right[k].items():
-                    term = a * b
-                    prev = acc.get(j)
-                    acc[j] = term if prev is None else prev + term
-            maps.append({j: v for j, v in acc.items() if v.terms})
-        return Matrix._new(self.rows, other.cols, self.params, maps)
+                    terms = acc.get(j)
+                    if terms is None:
+                        terms = acc[j] = {}
+                    add_product(terms, left, b.terms)
+            maps.append({j: new(params, terms) for j, terms in acc.items() if terms})
+        return Matrix._new(self.rows, other.cols, params, maps)
 
     def apply(self, vec: Sequence[Scalar]) -> Vector:
         """Matrix-vector product on a coordinate column."""

@@ -38,6 +38,14 @@ def square_matrices(n: int = 2, params: ParamSet = PS2):
     ).map(lambda data: Matrix(n, n, params, data))
 
 
+def is_canonical(s: Scalar) -> bool:
+    """Every stored coefficient is a nonzero int or a Fraction that is not integral."""
+    return all(
+        (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator > 1)
+        for c in s.terms.values()
+    )
+
+
 def random_assignment(params: ParamSet, rng: random.Random) -> dict[str, Fraction]:
     """A nonzero rational value per parameter, away from the roots 0 and ±1."""
     out = {}

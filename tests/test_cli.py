@@ -58,6 +58,19 @@ class TestAxioms:
         assert main(["axioms", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "expr", ["(" * 3000 + "1" + ")" * 3000, "-" * 3000 + "1"], ids=["parentheses", "minus"]
+    )
+    def test_deeply_nested_expression_exits_two(self, tmp_path, capsys, expr):
+        doc = {
+            "format_version": 1, "kind": "hom-algebra", "dim": 1, "basis": ["e"],
+            "parameters": [], "alpha": [["1"]], "unit": [expr], "mult": [[["1"]]],
+        }
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(doc))
+        assert main(["axioms", str(path)]) == 2
+        assert "unit[0]: expression nested deeper than" in capsys.readouterr().err
+
     def test_boolean_comult_index_exits_two(self, tmp_path, export, capsys):
         doc = json.loads(open(export("ex3.3")).read())
         j, k, expr = doc["comult"][2][0]
@@ -116,6 +129,21 @@ class TestBuild:
         assert main(["build", structure, "--construction", "thm2.1", "--out", str(op_path)]) == 0
         assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe"]) == 0
         assert main(["verify", structure, "--operator", str(op_path), "--check", "alpha"]) == 0
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("parameters", [1], "parameters: expected strings"),
+        ("format_version", 99, "format_version: unsupported value 99"),
+    ])
+    def test_malformed_operator_file_exits_two(self, export, tmp_path, capsys, key, value, message):
+        op_path = tmp_path / "op.json"
+        structure = export("ex2.3")
+        assert main(["build", structure, "--construction", "thm2.1", "--out", str(op_path)]) == 0
+        doc = json.loads(op_path.read_text())
+        doc[key] = value
+        op_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe"]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestVerify:

@@ -16,7 +16,7 @@ from homyb import (
     format_scalar,
     parse_scalar,
 )
-from conftest import PS2, PS3, monomials, random_assignment, scalars
+from conftest import PS2, PS3, is_canonical, monomials, random_assignment, scalars
 
 import random
 
@@ -173,6 +173,16 @@ class TestParser:
         with pytest.raises(ParseError, match="zero denominator"):
             S("1/0")
 
+    def test_nesting_is_bounded(self):
+        for opening in ("(", "-", "-("):
+            closing = ")" * opening.count("(")
+            assert parse_scalar(opening * 25 + "lam" + closing * 25, PS3) in (S("lam"), S("-lam"))
+            with pytest.raises(ParseError, match="nested deeper than 50"):
+                parse_scalar(opening * 3000 + "lam" + closing * 3000, PS3)
+        assert parse_scalar("-" * 50 + "lam", PS3) == S("lam")
+        with pytest.raises(ParseError):
+            parse_scalar("-" * 51 + "lam", PS3)
+
     def test_negative_power_of_sum_rejected_at_parse_time(self):
         with pytest.raises(NonInvertibleError):
             S("(1 + l)^-1")
@@ -214,3 +224,78 @@ class TestProperties:
     @given(scalars(PS3))
     def test_parser_round_trip(self, s):
         assert parse_scalar(format_scalar(s), PS3) == s
+
+
+class TestCanonicalForm:
+    def test_integral_results_are_stored_as_int(self):
+        product = S("1/2*lam") * 2
+        assert product.terms == {(0, 1, 0): 1} and type(product.terms[(0, 1, 0)]) is int
+        total = S("1/3*nu") + S("2/3*nu")
+        assert type(total.terms[(0, 0, 1)]) is int
+        assert S("4/2").terms == {(0, 0, 0): 2} and type(S("4/2").terms[(0, 0, 0)]) is int
+        assert all(type(c) is int for c in (S("1/2*l") ** -1).terms.values())
+        assert Scalar(PS2, {(1, 0): Fraction(6, 3)}).terms == {(1, 0): 2}
+
+    def test_constant_value_is_a_fraction(self):
+        for text in ("3", "0", "1/2", "2/2"):
+            value = S(text).constant_value()
+            assert type(value) is Fraction and value == Fraction(text)
+
+    @settings(max_examples=150)
+    @given(scalars(PS3), scalars(PS3), st.integers(-2, 3), st.integers(0, 2 ** 32))
+    def test_every_operation_keeps_the_stored_form(self, a, b, k, seed):
+        wide = ParamSet(["a", "l", "lam", "nu", "z"])
+        point = random_assignment(ParamSet(["lam"]), random.Random(seed))
+        results = [
+            a, parse_scalar(format_scalar(a), PS3), a + b, a - b, b - a, -a, a * b, a * 2,
+            Fraction(1, 2) * a, 3 - a, a + Fraction(1, 3), a.substitute(point), a.extend(wide),
+        ]
+        if a.is_monomial() or k >= 0:
+            results.append(a ** k)
+        for s in results:
+            assert is_canonical(s)
+
+
+# -- an independent oracle: the same operations in sympy -----------------------------
+
+
+class TestAgainstSympy:
+    @staticmethod
+    def to_sympy(s, symbols):
+        import sympy
+
+        total = sympy.Integer(0)
+        for exps, c in s.terms.items():
+            term = sympy.Rational(c.numerator, c.denominator)
+            for sym, e in zip(symbols, exps):
+                term *= sym ** e
+            total += term
+        return total
+
+    @staticmethod
+    def terms_of(expr, symbols):
+        """The {exponents: Fraction} map of an expanded sympy Laurent polynomial."""
+        import sympy
+
+        out = {}
+        for mono, coeff in sympy.expand(expr).as_coefficients_dict().items():
+            if coeff == 0 or mono == 0:
+                continue
+            powers = mono.as_powers_dict()
+            assert set(powers) <= set(symbols) | {sympy.Integer(1)}
+            exps = tuple(int(powers.get(sym, 0)) for sym in symbols)
+            out[exps] = out.get(exps, 0) + Fraction(int(coeff.p), int(coeff.q))
+        return {e: c for e, c in out.items() if c}
+
+    @settings(max_examples=150, deadline=None)
+    @given(scalars(PS3), scalars(PS3), st.integers(0, 3), monomials(PS3), st.integers(-3, -1))
+    def test_ring_operations_match_sympy(self, a, b, k, m, negative):
+        sympy = pytest.importorskip("sympy")
+        symbols = sympy.symbols(PS3.names)
+        sa, sb, sm = (self.to_sympy(x, symbols) for x in (a, b, m))
+        cases = [
+            (a + b, sa + sb), (a - b, sa - sb), (a * b, sa * sb), (-a, -sa),
+            (a ** k, sa ** k), (m ** negative, sm ** negative),
+        ]
+        for got, expected in cases:
+            assert got.terms == self.terms_of(expected, symbols)

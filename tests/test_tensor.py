@@ -1,6 +1,7 @@
 """Matrices, Kronecker products, the flip operator and leg embeddings."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from homyb import (
     DimensionError,
     Matrix,
     ParamMismatchError,
+    ParamSet,
     Scalar,
     flip,
     kron,
@@ -21,7 +23,7 @@ from homyb import (
     tensor2,
     triple_index,
 )
-from conftest import PS2, PS3, random_assignment, scalars, square_matrices
+from conftest import PS2, PS3, is_canonical, random_assignment, scalars, square_matrices
 
 
 def S(text, params=PS3):
@@ -59,6 +61,13 @@ class TestMatrixOps:
         m = mat([["1", "nu"], ["lam", "0"]])
         assert m.scale(S("l")) == mat([["l", "l*nu"], ["l*lam", "0"]])
         assert m.scale(0).is_zero()
+
+    def test_entries_that_cancel_are_not_stored(self):
+        row = mat([["lam", "lam"]])
+        assert (row @ mat([["1"], ["-1"]])).is_zero()
+        assert list((row @ mat([["1"], ["-1"]])).nonzero()) == []
+        product = mat([["lam", "1"], ["nu", "0"]]) @ mat([["1", "nu"], ["1 - lam", "-lam*nu"]])
+        assert list(product.nonzero()) == [(0, 0, S("1")), (1, 0, S("nu")), (1, 1, S("nu^2"))]
 
     def test_map_visits_nonzeros_and_needs_zero_kept(self):
         m = mat([["1", "nu"], ["lam", "0"]])
@@ -196,14 +205,18 @@ def dense(m):
 
 
 def reference_matmul(a, b):
+    """The product as dense rows of {exponents: Fraction} maps, in plain dict arithmetic."""
     out = []
     for i in range(a.rows):
         row = []
         for j in range(b.cols):
-            acc = Scalar.zero(a.params)
+            acc = {}
             for k in range(a.cols):
-                acc = acc + a[i, k] * b[k, j]
-            row.append(acc)
+                for e1, c1 in a[i, k].terms.items():
+                    for e2, c2 in b[k, j].terms.items():
+                        exps = tuple(x + y for x, y in zip(e1, e2))
+                        acc[exps] = acc.get(exps, Fraction(0)) + Fraction(c1) * Fraction(c2)
+            row.append({e: c for e, c in acc.items() if c})
         out.append(row)
     return out
 
@@ -237,7 +250,7 @@ class TestSparseKernelsAgainstDense:
     def test_matmul(self, data, rows, inner, cols):
         a = data.draw(sparse_matrices(rows, inner))
         b = data.draw(sparse_matrices(inner, cols))
-        assert dense(a @ b) == reference_matmul(a, b)
+        assert [[x.terms for x in row] for row in dense(a @ b)] == reference_matmul(a, b)
 
     @settings(max_examples=60)
     @given(st.data(), dims, dims, dims, dims)
@@ -295,3 +308,19 @@ class TestSparseKernelsAgainstDense:
             Matrix.from_rows(PS2, table)
         with pytest.raises(ParamMismatchError):
             Matrix.from_cols(PS2, [[row[j] for row in table] for j in range(cols)])
+
+    @settings(max_examples=25)
+    @given(st.data(), dims, dims, st.integers(0, 2 ** 32))
+    def test_every_kernel_keeps_the_stored_form(self, data, rows, cols, seed):
+        a = data.draw(sparse_matrices(rows, cols))
+        b = data.draw(sparse_matrices(rows, cols))
+        c = data.draw(sparse_matrices(cols, rows))
+        alpha = data.draw(sparse_matrices(2, 2))
+        s = data.draw(sparse_matrices(rows * rows, rows * rows))
+        point = random_assignment(ParamSet(["nu"]), random.Random(seed))
+        wide = ParamSet(["a", "lam", "nu"])
+        for m in (
+            a + b, a - b, -a, a @ c, kron(a, c), leg13(s, alpha, rows, rows),
+            a.scale(Fraction(2, 3)), a.substitute(point), a.extend(wide),
+        ):
+            assert all(is_canonical(x) for _, _, x in m.nonzero())
