@@ -85,8 +85,11 @@ def _coord_table(doc: dict, key: str, dim: int, params: ParamSet) -> list[list[l
 
 
 def _header(doc: Any, what: str) -> ParamSet:
-    """Check what every file shares -- a JSON object, a supported format_version
-    and a list of parameter names -- and return its ParamSet."""
+    """The file's ParamSet, after the checks every file kind shares.
+
+    The document must be a JSON object with a supported `format_version` and a
+    list of valid, distinct parameter names.
+    """
     _require(isinstance(doc, dict), f"{what}: expected a JSON object")
     version = doc.get("format_version", FORMAT_VERSION)
     _require(
