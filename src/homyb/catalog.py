@@ -17,38 +17,30 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .constructions import (
+    INVERSE,
+    RECIPES,
+    SYSTEMS,
     Construction,
     SolutionOperator,
-    algebra_solution,
-    algebra_solution_inverse,
+    build,
+    build_many,
     chybe_r,
-    coalgebra_solution,
-    coalgebra_solution_inverse,
-    lie_solution,
-    lie_solution_inverse,
-    system_algebra,
-    system_coalgebra,
 )
 from .errors import ConstructionWarning, UnknownEntryError
 from .scalar import ParamSet, Scalar, parse_scalar
-from .structures import (
-    HomAlgebra,
-    HomCoalgebra,
-    HomLieAlgebra,
-    HomStructure,
-    validate,
-)
+from .structures import HomAlgebra, HomCoalgebra, HomLieAlgebra, HomStructure, validate
 from .tensor import Vector, vec_is_zero, vec_sub, zero_vector
 from .verify import (
     DEFAULT_WITNESS_CAP,
     VerificationReport,
     Witness,
-    _clip,
-    _combine,
     chybe_holds,
+    clip,
+    combine,
     commutes_with_alpha,
     hybe_holds,
     inverse_holds,
@@ -58,20 +50,34 @@ from .verify import (
 # printed table: (left basis name, right basis name) -> summands (p, q, coeff expr)
 PrintedTable = dict[tuple[str, str], list[tuple[str, str, str]]]
 
+# the checks every entry with an operator runs first
+_OPERATOR_CHECKS = ("axioms", "table", "alpha-commute", "hybe")
+
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A published structure, its operator recipe and the checks verify_entry runs on it.
+
+    `checks` names entries of `_CHECKS`, in report order.  The inverse check
+    runs where α is involutive: after the substitution `involutive_at`, which
+    its reported name then carries.
+    """
+
     id: str
     description: str
-    kind: str
     structure: HomStructure
-    variant: Construction | None
-    expected_table: PrintedTable | None
-    documented_mismatches: frozenset[tuple[str, str]]
-    expected_failures: frozenset[str]
     notes: tuple[str, ...]
+    variant: Construction | None = None
+    expected_table: PrintedTable | None = None
+    documented_mismatches: frozenset[tuple[str, str]] = frozenset()
+    expected_failures: frozenset[str] = frozenset()
     u: tuple[str, ...] | None = None
     involutive_at: dict[str, str] = field(default_factory=dict)
+    checks: tuple[str, ...] = ("axioms",)
+
+    @property
+    def kind(self) -> str:
+        return self.structure.kind
 
     def lam(self) -> Scalar:
         return parse_scalar("lam", self.structure.params)
@@ -79,8 +85,9 @@ class CatalogEntry:
     def nu(self) -> Scalar:
         return parse_scalar("nu", self.structure.params)
 
-    def u_vector(self) -> Vector:
-        assert self.u is not None
+    def u_vector(self) -> Vector | None:
+        if self.u is None:
+            return None
         return tuple(parse_scalar(s, self.structure.params) for s in self.u)
 
     def expectations(self) -> dict[str, bool]:
@@ -88,22 +95,8 @@ class CatalogEntry:
         return {name: name not in self.expected_failures for name in self.check_names()}
 
     def check_names(self) -> tuple[str, ...]:
-        names = ["axioms"]
-        if self.variant is None:
-            return tuple(names)
-        names += ["table", "alpha-commute", "hybe"]
-        if self.kind in ("hom-algebra", "hom-coalgebra"):
-            names.append("system")
-        if self.involutive_at:
-            subst = ",".join(f"{k}={v}" for k, v in self.involutive_at.items())
-            names.append(f"inverse@{subst}")
-        else:
-            names.append("inverse")
-        if self.id == "ex2.3":
-            names.append("inverse-symbolic")
-        if self.kind == "hom-lie":
-            names += ["hybe-inverse", "chybe"]
-        return tuple(names)
+        at = ",".join(f"{k}={v}" for k, v in self.involutive_at.items())
+        return tuple(f"inverse@{at}" if c == "inverse" and at else c for c in self.checks)
 
 
 @dataclass
@@ -148,11 +141,9 @@ def _entry_ex23() -> CatalogEntry:
     return CatalogEntry(
         id="ex2.3",
         description="3-dim twisted algebra with parameter l; algebra operator, first variant",
-        kind="hom-algebra",
         structure=structure,
         variant=Construction.ALG21,
         expected_table=table,
-        documented_mismatches=frozenset(),
         expected_failures=frozenset({"inverse-symbolic"}),
         notes=(
             "alpha = diag(1,1,l) is involutive only at l = 1; the closed-form "
@@ -160,6 +151,7 @@ def _entry_ex23() -> CatalogEntry:
             "with every residual divisible by (l^2 - 1).",
         ),
         involutive_at={"l": "1"},
+        checks=_OPERATOR_CHECKS + ("system", "inverse", "inverse-symbolic"),
     )
 
 
@@ -211,11 +203,7 @@ def _entry_ex25(verbatim: bool) -> CatalogEntry:
         return CatalogEntry(
             id="ex2.5-verbatim",
             description="4-dim twisted algebra, multiplication table exactly as printed (broken)",
-            kind="hom-algebra",
             structure=structure,
-            variant=None,
-            expected_table=None,
-            documented_mismatches=frozenset(),
             expected_failures=frozenset({"axioms"}),
             notes=(
                 "With the printed mu(g,g)=g and mu(x,g)=kk*y the twisted "
@@ -225,14 +213,12 @@ def _entry_ex25(verbatim: bool) -> CatalogEntry:
     return CatalogEntry(
         id="ex2.5",
         description="4-dim twisted algebra (corrected gg=1, xg=-kk*y); algebra operator, second variant",
-        kind="hom-algebra",
         structure=structure,
         variant=Construction.ALG24,
         expected_table=table,
         documented_mismatches=frozenset(
             {("1", "y"), ("x", "g"), ("y", "g"), ("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")}
         ),
-        expected_failures=frozenset(),
         notes=(
             "Corrections relative to the printed table: gg = 1 (the printed "
             "B(g⊗g) and the axioms force it) and xg = -kk*y (the axioms and the "
@@ -242,6 +228,7 @@ def _entry_ex25(verbatim: bool) -> CatalogEntry:
             "operator has -nu*kk; the four -kk^2 rows drop the nu factor.",
         ),
         involutive_at={"kk": "1"},
+        checks=_OPERATOR_CHECKS + ("system", "inverse"),
     )
 
 
@@ -277,18 +264,17 @@ def _entry_ex33() -> CatalogEntry:
     return CatalogEntry(
         id="ex3.3",
         description="3-dim twisted coalgebra on {1, a, a2}; coalgebra operator, first variant",
-        kind="hom-coalgebra",
         structure=structure,
         variant=Construction.COALG31,
         expected_table=table,
         documented_mismatches=frozenset({("a2", "a"), ("a2", "a2")}),
-        expected_failures=frozenset(),
         notes=(
             "The source defines alpha(a)=a2 twice and never alpha(a2); the "
             "counit compatibility forces alpha(a2)=a, which is what is stored.",
             "The printed rows B(a2⊗a) and B(a2⊗a2) are each other's correct "
             "values (swapped in print); both deviations are documented.",
         ),
+        checks=_OPERATOR_CHECKS + ("system", "inverse"),
     )
 
 
@@ -333,20 +319,19 @@ def _entry_ex35() -> CatalogEntry:
     return CatalogEntry(
         id="ex3.5",
         description="4-dim twisted coalgebra on {1, g, x, y}; coalgebra operator, second variant",
-        kind="hom-coalgebra",
         structure=structure,
         variant=Construction.COALG34,
         expected_table=table,
         documented_mismatches=frozenset(
             {("g", "y"), ("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")}
         ),
-        expected_failures=frozenset(),
         notes=(
             "Documented table deviations: B(g⊗y) prints nu*kk on the middle "
             "summand where the operator has lam*kk; the four -kk^2 rows drop "
             "the nu factor.",
         ),
         involutive_at={"kk": "1"},
+        checks=_OPERATOR_CHECKS + ("system", "inverse"),
     )
 
 
@@ -381,11 +366,9 @@ def _entry_ex43() -> CatalogEntry:
     return CatalogEntry(
         id="ex4.3",
         description="3-dim twisted Lie algebra [e1,e2]=e1, alpha = diag(1,1,-1); bracket operator with u=e3",
-        kind="hom-lie",
         structure=structure,
         variant=Construction.LIE41,
         expected_table=table,
-        documented_mismatches=frozenset(),
         expected_failures=frozenset({"alpha-commute", "hybe", "hybe-inverse"}),
         notes=(
             "u = e3 is central but not fixed by alpha (alpha(e3) = -e3), so the "
@@ -400,6 +383,7 @@ def _entry_ex43() -> CatalogEntry:
             "law itself and the classical bracket condition do hold.",
         ),
         u=("0", "0", "1"),
+        checks=_OPERATOR_CHECKS + ("inverse", "hybe-inverse", "chybe"),
     )
 
 
@@ -436,14 +420,9 @@ def catalog_get(entry_id: str) -> CatalogEntry:
 def build_operator(entry: CatalogEntry, structure: HomStructure | None = None) -> SolutionOperator:
     """Run the entry's recipe (suppressing the documented hypothesis warnings)."""
     structure = structure if structure is not None else entry.structure
-    lam, nu = entry.lam(), entry.nu()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConstructionWarning)
-        if entry.kind == "hom-algebra":
-            return algebra_solution(structure, entry.variant, lam, nu)
-        if entry.kind == "hom-coalgebra":
-            return coalgebra_solution(structure, entry.variant, lam, nu)
-        return lie_solution(structure, entry.u_vector(), lam, nu)
+        return build(structure, entry.variant, entry.lam(), entry.nu(), u=entry.u_vector())
 
 
 def _printed_coords(entry: CatalogEntry, summands: list[tuple[str, str, str]]) -> Vector:
@@ -458,14 +437,17 @@ def _printed_coords(entry: CatalogEntry, summands: list[tuple[str, str, str]]) -
     return tuple(out)
 
 
-def compare_table(entry: CatalogEntry) -> list[TableComparison]:
-    """Regenerate the operator and compare column-by-column with the printed table.
+def compare_table(
+    entry: CatalogEntry, op: SolutionOperator | None = None
+) -> list[TableComparison]:
+    """Compare the entry's operator column-by-column with the printed table.
 
-    Mismatches are data, not errors; nothing is patched.
+    The operator is regenerated unless it is given.  Mismatches are data, not
+    errors; nothing is patched.
     """
     if entry.expected_table is None:
         raise UnknownEntryError(f"catalog entry {entry.id} has no printed table")
-    op = build_operator(entry)
+    op = op if op is not None else build_operator(entry)
     structure = entry.structure
     d = structure.dim
     rows: list[TableComparison] = []
@@ -492,174 +474,135 @@ def mismatched_pairs(rows: Sequence[TableComparison]) -> set[tuple[str, str]]:
     return {(r.left_name, r.right_name) for r in rows if not r.match}
 
 
-def _table_report(entry: CatalogEntry, witness_cap: int | None) -> VerificationReport:
-    started = time.perf_counter()
-    rows = compare_table(entry)
-    actual = mismatched_pairs(rows)
-    documented = {(a, b) for a, b in entry.documented_mismatches}
-    unexpected = sorted(actual ^ documented)
-    witnesses = []
-    d = entry.structure.dim
-    for a, b in unexpected:
-        i = entry.structure.basis_index(a)
-        j = entry.structure.basis_index(b)
-        tag = "undocumented mismatch" if (a, b) in actual else "documented row now matches"
-        witnesses.append(
-            Witness(i * d + j, 0, Scalar.one(entry.structure.params), f"B({a}⊗{b}): {tag}")
-        )
-    return VerificationReport(
-        check_name="table",
-        holds=not unexpected,
-        witnesses=_clip(witnesses, witness_cap),
-        elapsed_ms=(time.perf_counter() - started) * 1000.0,
-        metadata={
-            "mismatches": ", ".join(f"({a},{b})" for a, b in sorted(actual)) or "none",
-            "documented": ", ".join(f"({a},{b})" for a, b in sorted(documented)) or "none",
-        },
-    )
-
-
 # -- full verification -----------------------------------------------------------
 
 
-def _rename(report: VerificationReport, name: str) -> VerificationReport:
-    report.check_name = name
-    return report
+class _Run:
+    """One verify_entry call: its entry, its witness cap and the operators built once.
+
+    Each check is a method; `_CHECKS` maps the check names to them.
+    """
+
+    def __init__(self, entry: CatalogEntry, cap: int | None):
+        self.entry = entry
+        self.cap = cap
+        self.structure = entry.structure
+        self.lam, self.nu = entry.lam(), entry.nu()
+        self.u = entry.u_vector()
+
+    @cached_property
+    def op(self) -> SolutionOperator:
+        return build_operator(self.entry)
+
+    @cached_property
+    def pair(self) -> tuple[SolutionOperator, SolutionOperator]:
+        """The operator and its closed-form inverse, where α is involutive."""
+        structure = self.structure
+        if self.entry.involutive_at:
+            structure = structure.substitute(
+                {k: Fraction(v) for k, v in self.entry.involutive_at.items()}
+            )
+        constructions = (self.entry.variant, INVERSE[self.entry.variant])
+        return tuple(build_many(structure, constructions, self.lam, self.nu, u=self.u))
+
+    def axioms(self) -> VerificationReport:
+        lie = isinstance(self.structure, HomLieAlgebra)
+        return validate(self.structure, lie, witness_cap=self.cap)
+
+    def table(self) -> VerificationReport:
+        """Deviations from the printed table, against the documented ones."""
+        started = time.perf_counter()
+        entry, structure = self.entry, self.structure
+        actual = mismatched_pairs(compare_table(entry, self.op))
+        documented = set(entry.documented_mismatches)
+        unexpected = sorted(actual ^ documented)
+        witnesses = []
+        d = structure.dim
+        for a, b in unexpected:
+            i = structure.basis_index(a)
+            j = structure.basis_index(b)
+            tag = "undocumented mismatch" if (a, b) in actual else "documented row now matches"
+            witnesses.append(
+                Witness(i * d + j, 0, Scalar.one(structure.params), f"B({a}⊗{b}): {tag}")
+            )
+        return VerificationReport(
+            check_name="table",
+            holds=not unexpected,
+            witnesses=clip(witnesses, self.cap),
+            elapsed_ms=(time.perf_counter() - started) * 1000.0,
+            metadata={
+                "mismatches": ", ".join(f"({a},{b})" for a, b in sorted(actual)) or "none",
+                "documented": ", ".join(f"({a},{b})" for a, b in sorted(documented)) or "none",
+            },
+        )
+
+    def alpha_commute(self) -> VerificationReport:
+        return commutes_with_alpha(self.op.matrix, self.structure.alpha, witness_cap=self.cap)
+
+    def hybe(self) -> VerificationReport:
+        return hybe_holds(self.op.matrix, self.structure.alpha, witness_cap=self.cap)
+
+    def system(self) -> VerificationReport:
+        """The system of the structure's kind."""
+        kind = type(self.structure)
+        triple = next(t for t in SYSTEMS.values() if RECIPES[t[0]].kind is kind)
+        w, z, x = build_many(self.structure, triple, self.lam, self.nu)
+        return system_holds(w, z, x, self.structure.alpha, witness_cap=self.cap)
+
+    def inverse(self) -> VerificationReport:
+        b, binv = self.pair
+        return inverse_holds(b.matrix, binv.matrix, witness_cap=self.cap)
+
+    def symbolic_inverse(self) -> VerificationReport:
+        """The inverse law with α as it is, which fails where α is not involutive."""
+        inverse = INVERSE[self.entry.variant]
+        binv = build(self.structure, inverse, self.lam, self.nu, u=self.u, unchecked=True)
+        return inverse_holds(self.op.matrix, binv.matrix, witness_cap=self.cap)
+
+    def hybe_inverse(self) -> VerificationReport:
+        binv = self.pair[1]
+        return hybe_holds(binv.matrix, binv.source.alpha, witness_cap=self.cap)
+
+    def chybe(self) -> VerificationReport:
+        s = self.structure
+        r = chybe_r(s, s.basis_vec(0), s.basis_vec(1), self.u, 0, 0)
+        return chybe_holds(r, s, witness_cap=self.cap)
+
+
+# check name, as an entry lists it -> the check
+_CHECKS: dict[str, Callable[[_Run], VerificationReport]] = {
+    "axioms": _Run.axioms,
+    "table": _Run.table,
+    "alpha-commute": _Run.alpha_commute,
+    "hybe": _Run.hybe,
+    "system": _Run.system,
+    "inverse": _Run.inverse,
+    "inverse-symbolic": _Run.symbolic_inverse,
+    "hybe-inverse": _Run.hybe_inverse,
+    "chybe": _Run.chybe,
+}
 
 
 def verify_entry(
     entry: CatalogEntry, *, witness_cap: int | None = DEFAULT_WITNESS_CAP
 ) -> VerificationReport:
-    """Run the entry's whole suite: axioms, table, operator identities.
+    """Run the entry's checks in order, each operator built at most once.
 
     The report's subreports carry raw verdicts; compare them against
     `entry.expectations()` to decide whether the entry behaves as documented.
     """
     started = time.perf_counter()
-    structure = entry.structure
-    parts: list[VerificationReport] = []
-
-    parts.append(
-        _rename(
-            validate(structure, entry.kind == "hom-lie", witness_cap=witness_cap),
-            "axioms",
-        )
-    )
-
-    if entry.variant is not None:
-        lam, nu = entry.lam(), entry.nu()
-        op = build_operator(entry)
-        parts.append(_table_report(entry, witness_cap))
-        parts.append(
-            _rename(
-                commutes_with_alpha(op.matrix, structure.alpha, witness_cap=witness_cap),
-                "alpha-commute",
-            )
-        )
-        parts.append(
-            _rename(hybe_holds(op.matrix, structure.alpha, witness_cap=witness_cap), "hybe")
-        )
-
-        if entry.kind == "hom-algebra":
-            w, z, x = system_algebra(structure, lam, nu)
-            parts.append(
-                _rename(
-                    system_holds(w, z, x, structure.alpha, witness_cap=witness_cap),
-                    "system",
-                )
-            )
-            parts.append(_algebra_inverse_report(entry, witness_cap))
-            if entry.id == "ex2.3":
-                parts.append(_symbolic_inverse_report(entry, witness_cap))
-        elif entry.kind == "hom-coalgebra":
-            w, z, x = system_coalgebra(structure, lam, nu)
-            parts.append(
-                _rename(
-                    system_holds(w, z, x, structure.alpha, witness_cap=witness_cap),
-                    "system",
-                )
-            )
-            parts.append(_coalgebra_inverse_report(entry, witness_cap))
-        else:
-            parts.extend(_lie_reports(entry, witness_cap))
-
-    report = _combine(entry.id, parts, started, witness_cap=witness_cap)
+    run = _Run(entry, witness_cap)
+    parts = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConstructionWarning)
+        for check, name in zip(entry.checks, entry.check_names()):
+            report = _CHECKS[check](run)
+            report.check_name = name
+            parts.append(report)
+    report = combine(entry.id, parts, started, witness_cap=witness_cap)
     report.metadata["notes"] = " | ".join(entry.notes)
     return report
-
-
-def _inverse_pair_name(entry: CatalogEntry) -> str:
-    if entry.involutive_at:
-        subst = ",".join(f"{k}={v}" for k, v in entry.involutive_at.items())
-        return f"inverse@{subst}"
-    return "inverse"
-
-
-def _algebra_inverse_report(entry: CatalogEntry, cap: int | None) -> VerificationReport:
-    structure = entry.structure
-    if entry.involutive_at:
-        structure = structure.substitute(
-            {k: Fraction(v) for k, v in entry.involutive_at.items()}
-        )
-    lam, nu = entry.lam(), entry.nu()
-    forward = entry.variant
-    backward = (
-        Construction.ALG_INV22 if forward is Construction.ALG21 else Construction.ALG_INV24
-    )
-    b = algebra_solution(structure, forward, lam, nu)
-    binv = algebra_solution_inverse(structure, backward, lam, nu)
-    return _rename(
-        inverse_holds(b.matrix, binv.matrix, witness_cap=cap), _inverse_pair_name(entry)
-    )
-
-
-def _coalgebra_inverse_report(entry: CatalogEntry, cap: int | None) -> VerificationReport:
-    structure = entry.structure
-    if entry.involutive_at:
-        structure = structure.substitute(
-            {k: Fraction(v) for k, v in entry.involutive_at.items()}
-        )
-    lam, nu = entry.lam(), entry.nu()
-    forward = entry.variant
-    backward = (
-        Construction.COALG_INV32
-        if forward is Construction.COALG31
-        else Construction.COALG_INV34
-    )
-    b = coalgebra_solution(structure, forward, lam, nu)
-    binv = coalgebra_solution_inverse(structure, backward, lam, nu)
-    return _rename(
-        inverse_holds(b.matrix, binv.matrix, witness_cap=cap), _inverse_pair_name(entry)
-    )
-
-
-def _symbolic_inverse_report(entry: CatalogEntry, cap: int | None) -> VerificationReport:
-    """The inverse pair on ex2.3 with symbolic l: documented to fail."""
-    lam, nu = entry.lam(), entry.nu()
-    b = algebra_solution(entry.structure, Construction.ALG21, lam, nu)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConstructionWarning)
-        binv = algebra_solution_inverse(
-            entry.structure, Construction.ALG_INV22, lam, nu, unchecked=True
-        )
-    return _rename(inverse_holds(b.matrix, binv.matrix, witness_cap=cap), "inverse-symbolic")
-
-
-def _lie_reports(entry: CatalogEntry, cap: int | None) -> list[VerificationReport]:
-    structure = entry.structure
-    lam = entry.lam()
-    u = entry.u_vector()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ConstructionWarning)
-        b_nu1 = lie_solution(structure, u, lam, Scalar.one(structure.params))
-        binv = lie_solution_inverse(structure, u, lam)
-        r = chybe_r(structure, structure.basis_vec(0), structure.basis_vec(1), u, 0, 0)
-    out = [
-        _rename(inverse_holds(b_nu1.matrix, binv.matrix, witness_cap=cap), "inverse"),
-        _rename(hybe_holds(binv.matrix, structure.alpha, witness_cap=cap), "hybe-inverse"),
-        _rename(chybe_holds(r, structure, witness_cap=cap), "chybe"),
-    ]
-    return out
 
 
 def verify_all(*, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> list[VerificationReport]:
@@ -669,10 +612,8 @@ def verify_all(*, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> list[Verific
 
 def all_as_expected(reports: Sequence[VerificationReport]) -> bool:
     """True iff every subcheck verdict matches the entry's documented expectation."""
-    for report in reports:
-        entry = catalog_get(report.check_name)
-        expected = entry.expectations()
-        for sub in report.subreports:
-            if sub.holds != expected.get(sub.check_name, True):
-                return False
-    return True
+    return all(
+        sub.holds == catalog_get(report.check_name).expectations().get(sub.check_name, True)
+        for report in reports
+        for sub in report.subreports
+    )

@@ -21,27 +21,17 @@ import warnings
 from . import catalog as cat
 from . import files
 from .constructions import (
+    INVERSE,
+    RECIPES,
+    SYSTEMS,
     Construction,
-    algebra_solution,
-    algebra_solution_inverse,
+    build_many,
     chybe_r,
-    coalgebra_solution,
-    coalgebra_solution_inverse,
-    lie_solution,
-    lie_solution_inverse,
-    system_algebra,
-    system_coalgebra,
+    is_involutive,
 )
 from .errors import ConstructionWarning, HomybError
 from .scalar import Scalar, expression_names, parse_scalar
-from .structures import (
-    HomAlgebra,
-    HomCoalgebra,
-    HomLieAlgebra,
-    HomStructure,
-    validate,
-)
-from .tensor import Matrix
+from .structures import HomLieAlgebra, HomStructure, validate
 from .verify import (
     VerificationReport,
     chybe_holds,
@@ -51,35 +41,10 @@ from .verify import (
     system_holds,
 )
 
-_KIND_NAMES = {
-    HomAlgebra: "hom-algebra",
-    HomCoalgebra: "hom-coalgebra",
-    HomLieAlgebra: "hom-lie",
-}
-
-# construction name -> (enum member, required structure kind)
-_SINGLE = {
-    "thm2.1": (Construction.ALG21, "hom-algebra"),
-    "thm2.4": (Construction.ALG24, "hom-algebra"),
-    "cor2.2": (Construction.ALG_INV22, "hom-algebra"),
-    "thm2.4-inverse": (Construction.ALG_INV24, "hom-algebra"),
-    "thm3.1": (Construction.COALG31, "hom-coalgebra"),
-    "thm3.4": (Construction.COALG34, "hom-coalgebra"),
-    "cor3.2": (Construction.COALG_INV32, "hom-coalgebra"),
-    "thm3.4-inverse": (Construction.COALG_INV34, "hom-coalgebra"),
-    "thm4.1": (Construction.LIE41, "hom-lie"),
-    "cor4.2": (Construction.LIE_INV42, "hom-lie"),
-}
-_SYSTEMS = {"thm5.2": "hom-algebra", "thm5.3": "hom-coalgebra"}
-
-# inverse-check name -> the forward construction it inverts
-_INVERSE_OF = {
-    "cor2.2": "thm2.1",
-    "thm2.4-inverse": "thm2.4",
-    "cor3.2": "thm3.1",
-    "thm3.4-inverse": "thm3.4",
-    "cor4.2": "thm4.1",
-}
+_IN_SYSTEMS = {c for triple in SYSTEMS.values() for c in triple}
+# --construction names: the single operators, then the systems
+_CONSTRUCTIONS = sorted(c.value for c in Construction if c not in _IN_SYSTEMS) + sorted(SYSTEMS)
+_INVERSES = sorted(c.value for c in INVERSE.values())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -112,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build an operator matrix and write it as JSON")
     p.add_argument("file")
-    p.add_argument("--construction", required=True, choices=sorted(_SINGLE) + sorted(_SYSTEMS))
+    p.add_argument("--construction", required=True, choices=_CONSTRUCTIONS)
     p.add_argument("--lambda", dest="lam", default="lam", help="lambda expression (default: lam)")
     p.add_argument("--nu", default="nu", help="nu expression (default: nu)")
     p.add_argument("--u", help="comma-separated coordinates of the central element u")
@@ -129,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check", required=True, choices=("alpha", "hybe", "inverse", "system", "chybe")
     )
-    p.add_argument("--construction", choices=sorted(_SINGLE) + sorted(_SYSTEMS))
+    p.add_argument("--construction", choices=_CONSTRUCTIONS)
     p.add_argument("--operator", help="operator JSON file (alpha/hybe checks only)")
     p.add_argument("--lambda", dest="lam", default="lam")
     p.add_argument("--nu", default="nu")
@@ -154,10 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- helpers ---------------------------------------------------------------------
 
 
-def _load(path: str) -> HomStructure:
-    return files.load_structure(path)
-
-
 def _extended(structure: HomStructure, exprs: list[str]) -> HomStructure:
     """Extend the structure's ParamSet by names used in CLI expressions.
 
@@ -176,6 +137,14 @@ def _extended(structure: HomStructure, exprs: list[str]) -> HomStructure:
     return structure.extend(target)
 
 
+def _load(args, vectors: list[str | None]) -> tuple[HomStructure, Scalar, Scalar]:
+    """The structure file over every parameter the expression arguments name, λ and ν."""
+    structure = files.load_structure(args.file)
+    structure = _extended(structure, [args.lam, args.nu] + [v for v in vectors if v])
+    params = structure.params
+    return structure, parse_scalar(args.lam, params), parse_scalar(args.nu, params)
+
+
 def _vector_arg(text: str, structure: HomStructure, what: str) -> tuple[Scalar, ...]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != structure.dim:
@@ -183,53 +152,29 @@ def _vector_arg(text: str, structure: HomStructure, what: str) -> tuple[Scalar, 
     return tuple(parse_scalar(p, structure.params) for p in parts)
 
 
-def _emit_warnings(caught) -> None:
-    seen = set()
-    for warning in caught:
-        text = str(warning.message)
-        if text not in seen:
-            seen.add(text)
-            print(f"warning: {text}", file=sys.stderr)
+def _with_warnings(run):
+    """Call `run()`, then print each distinct construction warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ConstructionWarning)
+        result = run()
+    for text in dict.fromkeys(str(warning.message) for warning in caught):
+        print(f"warning: {text}", file=sys.stderr)
+    return result
 
 
-def _build_single(structure, name, lam, nu, u, unchecked):
-    variant, kind = _SINGLE[name]
-    actual = _KIND_NAMES[type(structure)]
-    if actual != kind:
-        raise HomybError(f"construction {name} requires a {kind} structure, file is {actual}")
-    if kind == "hom-lie":
-        if u is None:
-            raise HomybError(f"construction {name} requires --u")
-        uvec = _vector_arg(u, structure, "--u")
-        if variant is Construction.LIE41:
-            return lie_solution(structure, uvec, lam, nu, unchecked=unchecked)
-        return lie_solution_inverse(structure, uvec, lam, unchecked=unchecked)
-    if kind == "hom-algebra":
-        if variant in (Construction.ALG21, Construction.ALG24):
-            return algebra_solution(structure, variant, lam, nu, unchecked=unchecked)
-        return algebra_solution_inverse(structure, variant, lam, nu, unchecked=unchecked)
-    if variant in (Construction.COALG31, Construction.COALG34):
-        return coalgebra_solution(structure, variant, lam, nu, unchecked=unchecked)
-    return coalgebra_solution_inverse(structure, variant, lam, nu, unchecked=unchecked)
+def _build(args, structure, lam, nu, unchecked, constructions=None):
+    """The operators --construction names: one, a system's three, or the given ones."""
+    if constructions is None:
+        name = args.construction
+        constructions = SYSTEMS[name] if name in SYSTEMS else (Construction(name),)
+    lie = isinstance(structure, HomLieAlgebra)
+    u = _vector_arg(args.u, structure, "--u") if args.u and lie else None
+    return build_many(structure, constructions, lam, nu, u=u, unchecked=unchecked)
 
 
-def _build_system(structure, name, lam, nu, unchecked):
-    kind = _SYSTEMS[name]
-    actual = _KIND_NAMES[type(structure)]
-    if actual != kind:
-        raise HomybError(f"construction {name} requires a {kind} structure, file is {actual}")
-    if kind == "hom-algebra":
-        return system_algebra(structure, lam, nu, unchecked=unchecked)
-    return system_coalgebra(structure, lam, nu, unchecked=unchecked)
-
-
-def _print_report(report: VerificationReport, indent: int = 0, expected: bool | None = None) -> None:
+def _print_report(report: VerificationReport, indent: int = 0) -> None:
     pad = "  " * indent
-    verdict = "PASS" if report.holds else "FAIL"
-    suffix = ""
-    if expected is not None:
-        suffix = f"  (expected {'PASS' if expected else 'FAIL'})"
-    print(f"{pad}{report.check_name}: {verdict}{suffix}")
+    print(f"{pad}{report.check_name}: {'PASS' if report.holds else 'FAIL'}")
     if not report.holds and report.witnesses and not report.subreports:
         print(f"{pad}  witnesses: {report.witness_summary()}")
     for sub in report.subreports:
@@ -240,7 +185,7 @@ def _print_report(report: VerificationReport, indent: int = 0, expected: bool | 
 
 
 def cmd_axioms(args) -> int:
-    structure = _load(args.file)
+    structure = files.load_structure(args.file)
     report = validate(structure, args.require_multiplicative)
     _print_report(report)
     if args.json_path:
@@ -249,22 +194,12 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_build(args) -> int:
-    structure = _load(args.file)
-    exprs = [args.lam, args.nu] + ([args.u] if args.u else [])
-    structure = _extended(structure, exprs)
-    lam = parse_scalar(args.lam, structure.params)
-    nu = parse_scalar(args.nu, structure.params)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ConstructionWarning)
-        if args.construction in _SYSTEMS:
-            triple = _build_system(structure, args.construction, lam, nu, args.unchecked)
-            doc = files.system_to_dict(triple)
-        else:
-            op = _build_single(
-                structure, args.construction, lam, nu, args.u, args.unchecked
-            )
-            doc = files.operator_to_dict(op)
-    _emit_warnings(caught)
+    structure, lam, nu = _load(args, [args.u])
+    ops = _with_warnings(lambda: _build(args, structure, lam, nu, args.unchecked))
+    if args.construction in SYSTEMS:
+        doc = files.system_to_dict(ops)
+    else:
+        doc = files.operator_to_dict(ops[0])
     text = files.dump_json(doc, args.out)
     if not args.out:
         sys.stdout.write(text)
@@ -272,20 +207,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    structure = _load(args.file)
-    exprs = [args.lam, args.nu]
-    for extra in (args.u, args.x, args.y):
-        if extra:
-            exprs.append(extra)
-    structure = _extended(structure, exprs)
-    lam = parse_scalar(args.lam, structure.params)
-    nu = parse_scalar(args.nu, structure.params)
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ConstructionWarning)
-        report = _run_check(args, structure, lam, nu)
-    _emit_warnings(caught)
-
+    structure, lam, nu = _load(args, [args.u, args.x, args.y])
+    report = _with_warnings(lambda: _run_check(args, structure, lam, nu))
     _print_report(report)
     if args.json_path:
         doc = files.report_to_dict(report)
@@ -309,33 +232,27 @@ def _run_check(args, structure, lam, nu) -> VerificationReport:
             structure = structure.extend(target) if target != structure.params else structure
             matrix = matrix.extend(target) if target != matrix.params else matrix
         elif args.construction:
-            if args.construction in _SYSTEMS:
+            if args.construction in SYSTEMS:
                 raise HomybError(f"--check {check} needs a single-operator construction")
-            op = _build_single(structure, args.construction, lam, nu, args.u, True)
-            matrix = op.matrix
+            matrix = _build(args, structure, lam, nu, True)[0].matrix
         else:
             raise HomybError(f"--check {check} needs --construction or --operator")
         checker = commutes_with_alpha if check == "alpha" else hybe_holds
         return checker(matrix, structure.alpha)
 
     if check == "inverse":
-        if args.construction not in _INVERSE_OF:
+        if args.construction not in _INVERSES:
             raise HomybError(
-                "--check inverse needs --construction among "
-                + ", ".join(sorted(_INVERSE_OF))
+                "--check inverse needs --construction among " + ", ".join(_INVERSES)
             )
-        forward = _INVERSE_OF[args.construction]
-        nu_forward = nu
-        if args.construction == "cor4.2":
-            nu_forward = Scalar.one(structure.params)  # the pair is defined at nu = 1
-        b = _build_single(structure, forward, lam, nu_forward, args.u, True)
-        binv = _build_single(structure, args.construction, lam, nu, args.u, True)
+        inverse = Construction(args.construction)
+        b, binv = _build(args, structure, lam, nu, True, (RECIPES[inverse].inverts, inverse))
         return inverse_holds(b.matrix, binv.matrix)
 
     if check == "system":
-        if args.construction not in _SYSTEMS:
-            raise HomybError("--check system needs --construction thm5.2 or thm5.3")
-        w, z, x = _build_system(structure, args.construction, lam, nu, True)
+        if args.construction not in SYSTEMS:
+            raise HomybError("--check system needs --construction " + " or ".join(SYSTEMS))
+        w, z, x = _build(args, structure, lam, nu, True)
         return system_holds(w, z, x, structure.alpha)
 
     # chybe
@@ -348,13 +265,12 @@ def _run_check(args, structure, lam, nu) -> VerificationReport:
     u = _vector_arg(args.u, structure, "--u")
     alpha_inverse = None
     if args.m < 0 or args.n < 0:
-        if structure.alpha @ structure.alpha == Matrix.identity(structure.dim, structure.params):
-            alpha_inverse = structure.alpha
-        else:
+        if not is_involutive(structure):
             raise HomybError(
                 "negative twist powers need an invertible alpha; "
                 "this alpha is not involutive"
             )
+        alpha_inverse = structure.alpha
     r = chybe_r(structure, x, y, u, args.m, args.n, alpha_inverse=alpha_inverse)
     return chybe_holds(r, structure)
 
@@ -378,19 +294,16 @@ def cmd_catalog(args) -> int:
     reports = cat.verify_all()
     all_ok = True
     json_entries = []
+    verdict = {True: "PASS", False: "FAIL"}
     for report in reports:
         entry = cat.catalog_get(report.check_name)
         expected = entry.expectations()
         print(report.check_name)
-        entry_ok = True
+        entry_ok = all(sub.holds == expected[sub.check_name] for sub in report.subreports)
         for sub in report.subreports:
-            want = expected.get(sub.check_name, True)
-            ok = sub.holds == want
-            entry_ok &= ok
-            flag = "" if ok else "  <-- UNEXPECTED"
-            verdict = "PASS" if sub.holds else "FAIL"
-            wanted = "PASS" if want else "FAIL"
-            print(f"  {sub.check_name}: {verdict} (expected {wanted}){flag}")
+            want = expected[sub.check_name]
+            flag = "" if sub.holds == want else "  <-- UNEXPECTED"
+            print(f"  {sub.check_name}: {verdict[sub.holds]} (expected {verdict[want]}){flag}")
         for note in entry.notes:
             print(f"  note: {note}")
         all_ok &= entry_ok
@@ -398,7 +311,7 @@ def cmd_catalog(args) -> int:
             {
                 "entry": report.check_name,
                 "as_expected": entry_ok,
-                "expected": {k: v for k, v in expected.items()},
+                "expected": expected,
                 "notes": list(entry.notes),
                 "report": files.report_to_dict(report),
             }

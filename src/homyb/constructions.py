@@ -1,9 +1,19 @@
 """Builders that turn a validated structure into explicit solution operators.
 
-Each builder assembles the dim²×dim² matrix of one closed-form operator,
-column by column: column (i·dim + j) holds the coordinates of the image of
-e_i⊗e_j.  Builders are deterministic and make no claims -- the identities the
-operators are supposed to satisfy are checked downstream by `verify`.
+Every operator here is one formula on basis pairs,
+
+    B(a⊗b) = first·L(a,b) + second·R(a,b) − twist·T(a,b),
+
+with L and R taken from the structure's kind: μ(a,b)⊗1 and 1⊗μ(a,b) for
+algebras, ε(a)Δ(b) and ε(b)Δ(a) for coalgebras, [a,b]⊗u and α(u)⊗[a,b] for Lie
+algebras.  T is α(a)⊗α(b), or the flipped α(b)⊗α(a).  `RECIPES` records, for
+each `Construction`, its kind, its three coefficients as powers of λ and ν,
+whether T is flipped and which construction it inverts.  `build` and
+`build_many` read it; the named builders are thin wrappers over `build`.
+
+The matrix is dim²×dim²: column (i·dim + j) holds the coordinates of the image
+of e_i⊗e_j.  Builders are deterministic and make no claims -- the identities
+the operators are supposed to satisfy are checked downstream by `verify`.
 """
 
 from __future__ import annotations
@@ -11,10 +21,10 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import ConstructionWarning, DimensionError, PreconditionError
-from .scalar import ParamSet, Scalar
+from .scalar import Scalar
 from .structures import (
     HomAlgebra,
     HomCoalgebra,
@@ -24,7 +34,10 @@ from .structures import (
     is_central,
     validate,
 )
-from .tensor import Matrix, Vector, tensor2, vec_add, vec_scale, vec_sub
+from .tensor import Matrix, Vector, tensor2, vec_add, vec_scale
+
+# chybe_r applies the twist |m| + |n| times; larger powers are refused
+MAX_TWIST_POWER = 100
 
 
 class Construction(enum.Enum):
@@ -46,6 +59,68 @@ class Construction(enum.Enum):
     SYS_W53 = "thm5.3-W"
     SYS_Z53 = "thm5.3-Z"
     SYS_X53 = "thm5.3-X"
+
+
+# a coefficient λ^a·ν^b, written as its exponents (a, b)
+Power = tuple[int, int]
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """B(a⊗b) = first·L + second·R − twist·T on one kind of structure.
+
+    A `None` coefficient drops its term.  Preconditions: the structure's
+    axioms; an involutive α for an inverse; a monomial λ or ν where it has a
+    negative power; a central u for the Lie kind.  `nu_is_one` builds at
+    ν = 1, together with whatever is built alongside it.
+    """
+
+    kind: type
+    first: Power | None
+    second: Power | None
+    twist: Power
+    flipped: bool = False
+    inverts: Construction | None = None
+    nu_is_one: bool = False
+
+
+_LAM, _NU, _ONE, _INV_LAM, _INV_NU = (1, 0), (0, 1), (0, 0), (-1, 0), (0, -1)
+_C = Construction
+
+RECIPES: dict[Construction, Recipe] = {
+    _C.ALG21: Recipe(HomAlgebra, _LAM, _NU, _LAM),
+    _C.ALG24: Recipe(HomAlgebra, _LAM, _NU, _NU),
+    _C.ALG_INV22: Recipe(HomAlgebra, _INV_NU, _INV_LAM, _INV_LAM, inverts=_C.ALG21),
+    _C.ALG_INV24: Recipe(HomAlgebra, _INV_NU, _INV_LAM, _INV_NU, inverts=_C.ALG24),
+    _C.COALG31: Recipe(HomCoalgebra, _LAM, _NU, _LAM),
+    _C.COALG34: Recipe(HomCoalgebra, _LAM, _NU, _NU),
+    _C.COALG_INV32: Recipe(HomCoalgebra, _INV_NU, _INV_LAM, _INV_LAM, inverts=_C.COALG31),
+    _C.COALG_INV34: Recipe(HomCoalgebra, _INV_NU, _INV_LAM, _INV_NU, inverts=_C.COALG34),
+    _C.LIE41: Recipe(HomLieAlgebra, _LAM, None, _NU, flipped=True),
+    # λ·α(u)⊗[x,y] − α(y)⊗α(x): where α fixes u, the published closed form; α
+    # on the u-leg is what inverts B in general (forced by α² = id and the
+    # bracket multiplicativity of α; the catalog's ex4.3 has α(u) = −u)
+    _C.LIE_INV42: Recipe(
+        HomLieAlgebra, None, _LAM, _ONE, flipped=True, inverts=_C.LIE41, nu_is_one=True
+    ),
+    _C.SYS_W52: Recipe(HomAlgebra, _ONE, _LAM, _ONE, flipped=True),
+    _C.SYS_Z52: Recipe(HomAlgebra, _NU, _ONE, _ONE, flipped=True),
+    _C.SYS_X52: Recipe(HomAlgebra, _ONE, _ONE, _ONE, flipped=True),
+    _C.SYS_W53: Recipe(HomCoalgebra, _LAM, _ONE, _ONE, flipped=True),
+    _C.SYS_Z53: Recipe(HomCoalgebra, _ONE, _NU, _ONE, flipped=True),
+    _C.SYS_X53: Recipe(HomCoalgebra, _ONE, _ONE, _ONE, flipped=True),
+}
+
+# system name -> its (W, Z, X) constructions
+SYSTEMS: dict[str, tuple[Construction, Construction, Construction]] = {
+    "thm5.2": (_C.SYS_W52, _C.SYS_Z52, _C.SYS_X52),
+    "thm5.3": (_C.SYS_W53, _C.SYS_Z53, _C.SYS_X53),
+}
+
+# forward construction -> the construction that inverts it
+INVERSE: dict[Construction, Construction] = {
+    r.inverts: c for c, r in RECIPES.items() if r.inverts is not None
+}
 
 
 @dataclass(frozen=True)
@@ -71,60 +146,172 @@ class RMatrix:
     source: HomLieAlgebra
 
 
-def _operator_matrix(
-    dim: int, params: ParamSet, column: Callable[[int, int], Sequence[Scalar]]
-) -> Matrix:
-    return Matrix.from_cols(params, (column(i, j) for i in range(dim) for j in range(dim)))
+def is_involutive(structure: HomStructure) -> bool:
+    """α² = id exactly."""
+    return structure.alpha @ structure.alpha == Matrix.identity(structure.dim, structure.params)
 
 
-def _require_param(structure: HomStructure, value: Scalar, what: str) -> Scalar:
-    if value.params != structure.params:
-        value = value.extend(structure.params)
-    return value
+def _require(holds: bool, unchecked: bool, error: str, warning: str) -> None:
+    """Raise PreconditionError(error) unless `holds`; with `unchecked`, warn instead."""
+    if holds:
+        return
+    if not unchecked:
+        raise PreconditionError(error)
+    warnings.warn(warning, ConstructionWarning, stacklevel=4)
 
 
-def _require_valid(structure: HomStructure, unchecked: bool, multiplicative: bool = False) -> None:
+def _require_valid(structure: HomStructure, unchecked: bool, multiplicative: bool) -> None:
     report = validate(structure, multiplicative)
-    if report.holds:
-        return
     failing = ", ".join(sub.check_name for sub in report.subreports if not sub.holds)
-    if unchecked:
-        warnings.warn(
-            f"building on a structure that fails axioms ({failing})",
-            ConstructionWarning,
-            stacklevel=3,
-        )
-        return
-    raise PreconditionError(
+    _require(
+        report.holds,
+        unchecked,
         f"structure {structure.name or '<unnamed>'} fails axioms ({failing}); "
-        "pass unchecked=True to build anyway"
+        "pass unchecked=True to build anyway",
+        f"building on a structure that fails axioms ({failing})",
     )
 
 
-def _require_involutive(structure: HomStructure, unchecked: bool) -> None:
-    square = structure.alpha @ structure.alpha
-    if square == Matrix.identity(structure.dim, structure.params):
-        return
-    if unchecked:
-        warnings.warn("alpha is not involutive", ConstructionWarning, stacklevel=3)
-        return
-    raise PreconditionError("alpha is not involutive (alpha^2 != identity)")
-
-
-def _require_monomial(value: Scalar, name: str, unchecked: bool) -> None:
-    if value.is_monomial():
-        return
-    if unchecked:
+def _central_u(lie: HomLieAlgebra, u: Sequence[Scalar] | None, construction: str) -> Vector:
+    if u is None:
+        raise PreconditionError(f"construction {construction} requires a central element u")
+    u = tuple(s.extend(lie.params) for s in u)
+    if len(u) != lie.dim:
+        raise DimensionError(f"u must have length {lie.dim}, got {len(u)}")
+    if not is_central(lie, u):
+        raise PreconditionError("u is not central: some bracket [u, e_i] is nonzero")
+    if not is_alpha_invariant(lie, u):
         warnings.warn(
-            f"{name} is not a monomial; its inverse does not exist in the Laurent ring",
+            "u is not alpha-invariant (alpha(u) != u); the stated hypothesis is "
+            "violated and the twist-compatibility of the operator is not guaranteed",
             ConstructionWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
-        return
-    raise PreconditionError(f"{name} = {value} is not an invertible (monomial) scalar")
+    return u
 
 
-# -- twisted-algebra operators (tensor of products with the unit) -------------------
+def _two_term_operator(
+    structure: HomStructure,
+    coefficients: tuple[Scalar | None, Scalar | None, Scalar],
+    flipped: bool,
+    u: Vector | None,
+) -> Matrix:
+    """The matrix of B(a⊗b) = first·L(a,b) + second·R(a,b) − twist·T(a,b)."""
+    first, second, twist = coefficients
+    dim = structure.dim
+    # L and R on e_i⊗e_j
+    if isinstance(structure, HomCoalgebra):
+        eps = structure.counit
+        deltas = [structure.comult_coords(i) for i in range(dim)]
+        legs = (
+            lambda i, j: _scaled(eps[i], deltas[j]),
+            lambda i, j: _scaled(eps[j], deltas[i]),
+        )
+    else:
+        # μ(a,b)⊗1 and 1⊗μ(a,b), or [a,b]⊗u and α(u)⊗[a,b]
+        if isinstance(structure, HomAlgebra):
+            table, x, y = structure.mult, structure.unit, structure.unit
+        else:
+            table, x, y = structure.bracket_table, u, structure.apply_alpha(u)
+        legs = (lambda i, j: tensor2(table[i][j], x), lambda i, j: tensor2(y, table[i][j]))
+    terms = [(c, leg) for c, leg in zip((first, second), legs) if c is not None]
+    alpha_cols = [structure.alpha.column(i) for i in range(dim)]
+    minus_twist = -twist
+
+    def column(i: int, j: int) -> Vector:
+        p, q = (j, i) if flipped else (i, j)
+        out = _scaled(minus_twist, tensor2(alpha_cols[p], alpha_cols[q]))
+        for coeff, leg in terms:
+            out = vec_add(out, _scaled(coeff, leg(i, j)))
+        return out
+
+    columns = (column(i, j) for i in range(dim) for j in range(dim))
+    return Matrix.from_cols(structure.params, columns)
+
+
+def _scaled(c: Scalar, vec: Vector) -> Vector:
+    return vec if c.is_one() else vec_scale(c, vec)
+
+
+def build_many(
+    structure: HomStructure,
+    constructions: Sequence[Construction],
+    lam: Scalar,
+    nu: Scalar,
+    *,
+    u: Sequence[Scalar] | None = None,
+    unchecked: bool = False,
+) -> list[SolutionOperator]:
+    """Operators built together: a system's triple, or a pair (B, its inverse).
+
+    The structure is validated once; then each construction's own
+    preconditions are checked in turn, before it is built.  `unchecked` turns
+    every violated precondition except a missing or non-central u into a
+    warning.  If one construction is defined at ν = 1, all are built there.
+    `u` is the central element of the Lie constructions; others ignore it.
+    """
+    recipes = [RECIPES[c] for c in constructions]
+    for c, recipe in zip(constructions, recipes):
+        if not isinstance(structure, recipe.kind):
+            actual = getattr(structure, "kind", type(structure).__name__)
+            raise PreconditionError(
+                f"construction {c.value} requires a {recipe.kind.kind} structure, not {actual}"
+            )
+    if any(recipe.nu_is_one for recipe in recipes):
+        nu = Scalar.one(structure.params)
+    lam, nu = lam.extend(structure.params), nu.extend(structure.params)
+    lie = isinstance(structure, HomLieAlgebra)
+    _require_valid(structure, unchecked, multiplicative=lie)
+    ops = []
+    for c, recipe in zip(constructions, recipes):
+        powers = [p for p in (recipe.first, recipe.second, recipe.twist) if p is not None]
+        for k, (name, value) in enumerate((("lambda", lam), ("nu", nu))):
+            if all(p[k] >= 0 for p in powers):
+                continue  # only a negative power needs an inverse in the Laurent ring
+            _require(
+                value.is_monomial(),
+                unchecked,
+                f"{name} = {value} is not an invertible (monomial) scalar",
+                f"{name} is not a monomial; its inverse does not exist in the Laurent ring",
+            )
+        if recipe.inverts is not None:
+            _require(
+                is_involutive(structure),
+                unchecked,
+                "alpha is not involutive (alpha^2 != identity)",
+                "alpha is not involutive",
+            )
+        coefficients = tuple(
+            None if p is None else lam ** p[0] * nu ** p[1]
+            for p in (recipe.first, recipe.second, recipe.twist)
+        )
+        central = _central_u(structure, u, c.value) if lie else None
+        matrix = _two_term_operator(structure, coefficients, recipe.flipped, central)
+        ops.append(SolutionOperator(matrix, c, lam, nu, structure))
+    return ops
+
+
+def build(
+    structure: HomStructure,
+    construction: Construction,
+    lam: Scalar,
+    nu: Scalar,
+    *,
+    u: Sequence[Scalar] | None = None,
+    unchecked: bool = False,
+) -> SolutionOperator:
+    """The operator of one construction; see `build_many` for the preconditions."""
+    return build_many(structure, (construction,), lam, nu, u=u, unchecked=unchecked)[0]
+
+
+# -- the named builders -------------------------------------------------------------
+
+
+def _among(variant: Construction, *allowed: Construction) -> Construction:
+    if variant not in allowed:
+        expected = " or ".join(c.value for c in allowed)
+        raise PreconditionError(f"expected construction {expected}, got {variant.value}")
+    return variant
 
 
 def algebra_solution(
@@ -136,22 +323,7 @@ def algebra_solution(
     unchecked: bool = False,
 ) -> SolutionOperator:
     """B(a⊗b) = λ·ab⊗1 + ν·1⊗ab − c·α(a)⊗α(b), with c = λ or ν by variant."""
-    if variant not in (Construction.ALG21, Construction.ALG24):
-        raise PreconditionError(f"not an algebra solution variant: {variant.value}")
-    lam = _require_param(a, lam, "lambda")
-    nu = _require_param(a, nu, "nu")
-    _require_valid(a, unchecked)
-    twist_coeff = lam if variant is Construction.ALG21 else nu
-    alpha_cols = [a.alpha.column(i) for i in range(a.dim)]
-
-    def column(i: int, j: int) -> Vector:
-        prod = a.mult[i][j]
-        out = vec_scale(lam, tensor2(prod, a.unit))
-        out = vec_add(out, vec_scale(nu, tensor2(a.unit, prod)))
-        return vec_sub(out, vec_scale(twist_coeff, tensor2(alpha_cols[i], alpha_cols[j])))
-
-    matrix = _operator_matrix(a.dim, a.params, column)
-    return SolutionOperator(matrix, variant, lam, nu, a)
+    return build(a, _among(variant, _C.ALG21, _C.ALG24), lam, nu, unchecked=unchecked)
 
 
 def algebra_solution_inverse(
@@ -168,30 +340,8 @@ def algebra_solution_inverse(
     `unchecked` those become warnings so the failure of the inverse law can be
     exhibited downstream.
     """
-    if variant not in (Construction.ALG_INV22, Construction.ALG_INV24):
-        raise PreconditionError(f"not an algebra inverse variant: {variant.value}")
-    lam = _require_param(a, lam, "lambda")
-    nu = _require_param(a, nu, "nu")
-    _require_valid(a, unchecked)
-    _require_monomial(lam, "lambda", unchecked)
-    _require_monomial(nu, "nu", unchecked)
-    _require_involutive(a, unchecked)
-    inv_lam = lam ** -1
-    inv_nu = nu ** -1
-    twist_coeff = inv_lam if variant is Construction.ALG_INV22 else inv_nu
-    alpha_cols = [a.alpha.column(i) for i in range(a.dim)]
-
-    def column(i: int, j: int) -> Vector:
-        prod = a.mult[i][j]
-        out = vec_scale(inv_nu, tensor2(prod, a.unit))
-        out = vec_add(out, vec_scale(inv_lam, tensor2(a.unit, prod)))
-        return vec_sub(out, vec_scale(twist_coeff, tensor2(alpha_cols[i], alpha_cols[j])))
-
-    matrix = _operator_matrix(a.dim, a.params, column)
-    return SolutionOperator(matrix, variant, lam, nu, a)
-
-
-# -- twisted-coalgebra operators (counit-weighted comultiplications) ------------------
+    variant = _among(variant, _C.ALG_INV22, _C.ALG_INV24)
+    return build(a, variant, lam, nu, unchecked=unchecked)
 
 
 def coalgebra_solution(
@@ -203,15 +353,7 @@ def coalgebra_solution(
     unchecked: bool = False,
 ) -> SolutionOperator:
     """B(a⊗b) = λ·ε(a)Δ(b) + ν·ε(b)Δ(a) − c·α(a)⊗α(b), with c = λ or ν by variant."""
-    if variant not in (Construction.COALG31, Construction.COALG34):
-        raise PreconditionError(f"not a coalgebra solution variant: {variant.value}")
-    lam = _require_param(c, lam, "lambda")
-    nu = _require_param(c, nu, "nu")
-    _require_valid(c, unchecked)
-    twist_coeff = lam if variant is Construction.COALG31 else nu
-    return SolutionOperator(
-        _coalgebra_matrix(c, lam, nu, twist_coeff), variant, lam, nu, c
-    )
+    return build(c, _among(variant, _C.COALG31, _C.COALG34), lam, nu, unchecked=unchecked)
 
 
 def coalgebra_solution_inverse(
@@ -223,53 +365,8 @@ def coalgebra_solution_inverse(
     unchecked: bool = False,
 ) -> SolutionOperator:
     """Closed-form inverse: 1/ν·ε(a)Δ(b) + 1/λ·ε(b)Δ(a) − c·α(a)⊗α(b)."""
-    if variant not in (Construction.COALG_INV32, Construction.COALG_INV34):
-        raise PreconditionError(f"not a coalgebra inverse variant: {variant.value}")
-    lam = _require_param(c, lam, "lambda")
-    nu = _require_param(c, nu, "nu")
-    _require_valid(c, unchecked)
-    _require_monomial(lam, "lambda", unchecked)
-    _require_monomial(nu, "nu", unchecked)
-    _require_involutive(c, unchecked)
-    inv_lam = lam ** -1
-    inv_nu = nu ** -1
-    twist_coeff = inv_lam if variant is Construction.COALG_INV32 else inv_nu
-    return SolutionOperator(
-        _coalgebra_matrix(c, inv_nu, inv_lam, twist_coeff), variant, lam, nu, c
-    )
-
-
-def _coalgebra_matrix(
-    c: HomCoalgebra, first: Scalar, second: Scalar, twist_coeff: Scalar
-) -> Matrix:
-    alpha_cols = [c.alpha.column(i) for i in range(c.dim)]
-    deltas = [c.comult_coords(i) for i in range(c.dim)]
-
-    def column(i: int, j: int) -> Vector:
-        out = vec_scale(first * c.counit[i], deltas[j])
-        out = vec_add(out, vec_scale(second * c.counit[j], deltas[i]))
-        return vec_sub(out, vec_scale(twist_coeff, tensor2(alpha_cols[i], alpha_cols[j])))
-
-    return _operator_matrix(c.dim, c.params, column)
-
-
-# -- twisted-Lie operators (bracket against a central element) ------------------------
-
-
-def _check_u(lie: HomLieAlgebra, u: Sequence[Scalar]) -> Vector:
-    u = tuple(_require_param(lie, s, "u") for s in u)
-    if len(u) != lie.dim:
-        raise DimensionError(f"u must have length {lie.dim}, got {len(u)}")
-    if not is_central(lie, u):
-        raise PreconditionError("u is not central: some bracket [u, e_i] is nonzero")
-    if not is_alpha_invariant(lie, u):
-        warnings.warn(
-            "u is not alpha-invariant (alpha(u) != u); the stated hypothesis is "
-            "violated and the twist-compatibility of the operator is not guaranteed",
-            ConstructionWarning,
-            stacklevel=3,
-        )
-    return u
+    variant = _among(variant, _C.COALG_INV32, _C.COALG_INV34)
+    return build(c, variant, lam, nu, unchecked=unchecked)
 
 
 def lie_solution(
@@ -281,18 +378,7 @@ def lie_solution(
     unchecked: bool = False,
 ) -> SolutionOperator:
     """B(x⊗y) = λ·[x,y]⊗u − ν·α(y)⊗α(x) for a central u."""
-    lam = _require_param(lie, lam, "lambda")
-    nu = _require_param(lie, nu, "nu")
-    _require_valid(lie, unchecked, multiplicative=True)
-    u = _check_u(lie, u)
-    alpha_cols = [lie.alpha.column(i) for i in range(lie.dim)]
-
-    def column(i: int, j: int) -> Vector:
-        out = vec_scale(lam, tensor2(lie.bracket_table[i][j], u))
-        return vec_sub(out, vec_scale(nu, tensor2(alpha_cols[j], alpha_cols[i])))
-
-    matrix = _operator_matrix(lie.dim, lie.params, column)
-    return SolutionOperator(matrix, Construction.LIE41, lam, nu, lie)
+    return build(lie, _C.LIE41, lam, nu, u=u, unchecked=unchecked)
 
 
 def lie_solution_inverse(
@@ -302,28 +388,34 @@ def lie_solution_inverse(
     *,
     unchecked: bool = False,
 ) -> SolutionOperator:
-    """Inverse of the bracket-type operator at ν = 1, for involutive α.
+    """Inverse at ν = 1: B⁻¹(x⊗y) = λ·α(u)⊗[x,y] − α(y)⊗α(x); see `RECIPES`."""
+    return build(lie, _C.LIE_INV42, lam, Scalar.one(lie.params), u=u, unchecked=unchecked)
 
-    Implemented as B⁻¹(x⊗y) = λ·α(u)⊗[x,y] − α(y)⊗α(x).  When α fixes u this
-    is the published closed form; applying α to the u-leg is what actually
-    inverts B in general (it is forced by α² = id and the bracket
-    multiplicativity of α, and the catalog's own twisted-Lie example has
-    α(u) = −u).
+
+def system_algebra(
+    a: HomAlgebra, lam: Scalar, nu: Scalar, *, unchecked: bool = False
+) -> tuple[SolutionOperator, SolutionOperator, SolutionOperator]:
+    """The algebra system triple W, Z, X; note the flipped twist term α(b)⊗α(a).
+
+    W(a⊗b) = ab⊗1 + λ·1⊗ab − α(b)⊗α(a)
+    Z(a⊗b) = ν·ab⊗1 + 1⊗ab − α(b)⊗α(a)
+    X(a⊗b) = ab⊗1 + 1⊗ab − α(b)⊗α(a)
     """
-    lam = _require_param(lie, lam, "lambda")
-    _require_valid(lie, unchecked, multiplicative=True)
-    _require_involutive(lie, unchecked)
-    u = _check_u(lie, u)
-    alpha_u = lie.apply_alpha(u)
-    alpha_cols = [lie.alpha.column(i) for i in range(lie.dim)]
+    return tuple(build_many(a, SYSTEMS["thm5.2"], lam, nu, unchecked=unchecked))
 
-    def column(i: int, j: int) -> Vector:
-        out = vec_scale(lam, tensor2(alpha_u, lie.bracket_table[i][j]))
-        return vec_sub(out, tensor2(alpha_cols[j], alpha_cols[i]))
 
-    matrix = _operator_matrix(lie.dim, lie.params, column)
-    one = Scalar.one(lie.params)
-    return SolutionOperator(matrix, Construction.LIE_INV42, lam, one, lie)
+def system_coalgebra(
+    c: HomCoalgebra, lam: Scalar, nu: Scalar, *, unchecked: bool = False
+) -> tuple[SolutionOperator, SolutionOperator, SolutionOperator]:
+    """The coalgebra system triple W, Z, X with the flipped twist term.
+
+    W(a⊗b) = λ·ε(a)Δ(b) + ε(b)Δ(a) − α(b)⊗α(a), Z and X likewise with the
+    ν-weight on the second term and with both weights 1.
+    """
+    return tuple(build_many(c, SYSTEMS["thm5.3"], lam, nu, unchecked=unchecked))
+
+
+# -- the classical r-matrix ----------------------------------------------------------
 
 
 def chybe_r(
@@ -339,14 +431,17 @@ def chybe_r(
 ) -> RMatrix:
     """The rank-one tensor αᵐ([x,y]) ⊗ αⁿ(u) for a central u.
 
-    Negative powers need an explicit inverse twist matrix.  The vanishing of
-    the middle bracket needs αⁿ(u) central, which does not follow from u being
-    central; it is checked here rather than assumed.
+    Negative powers need an explicit inverse twist matrix, and |m| and |n| are
+    at most `MAX_TWIST_POWER`.  The vanishing of the middle bracket needs αⁿ(u)
+    central, which does not follow from u being central; it is checked here
+    rather than assumed.
     """
-    _require_valid(lie, unchecked)
-    x = tuple(_require_param(lie, s, "x") for s in x)
-    y = tuple(_require_param(lie, s, "y") for s in y)
-    u = tuple(_require_param(lie, s, "u") for s in u)
+    if max(abs(m), abs(n)) > MAX_TWIST_POWER:
+        raise PreconditionError(
+            f"twist powers m = {m}, n = {n} exceed the bound {MAX_TWIST_POWER}"
+        )
+    _require_valid(lie, unchecked, multiplicative=False)
+    x, y, u = (tuple(s.extend(lie.params) for s in vec) for vec in (x, y, u))
     if len(x) != lie.dim or len(y) != lie.dim or len(u) != lie.dim:
         raise DimensionError(f"x, y, u must have length {lie.dim}")
     if not is_central(lie, u):
@@ -373,70 +468,3 @@ def chybe_r(
             f"alpha^{n}(u) is not central, so the middle bracket does not vanish"
         )
     return RMatrix(tensor2(first, second), lie)
-
-
-# -- system triples --------------------------------------------------------------
-
-
-def system_algebra(
-    a: HomAlgebra, lam: Scalar, nu: Scalar, *, unchecked: bool = False
-) -> tuple[SolutionOperator, SolutionOperator, SolutionOperator]:
-    """The algebra system triple W, Z, X; note the flipped twist term α(b)⊗α(a).
-
-    W(a⊗b) = ab⊗1 + λ·1⊗ab − α(b)⊗α(a)
-    Z(a⊗b) = ν·ab⊗1 + 1⊗ab − α(b)⊗α(a)
-    X(a⊗b) = ab⊗1 + 1⊗ab − α(b)⊗α(a)
-    """
-    lam = _require_param(a, lam, "lambda")
-    nu = _require_param(a, nu, "nu")
-    _require_valid(a, unchecked)
-    one = Scalar.one(a.params)
-    alpha_cols = [a.alpha.column(i) for i in range(a.dim)]
-
-    def make(first: Scalar, second: Scalar, tag: Construction) -> SolutionOperator:
-        def column(i: int, j: int) -> Vector:
-            out = vec_scale(first, tensor2(a.mult[i][j], a.unit))
-            out = vec_add(out, vec_scale(second, tensor2(a.unit, a.mult[i][j])))
-            return vec_sub(out, tensor2(alpha_cols[j], alpha_cols[i]))
-
-        return SolutionOperator(
-            _operator_matrix(a.dim, a.params, column), tag, lam, nu, a
-        )
-
-    return (
-        make(one, lam, Construction.SYS_W52),
-        make(nu, one, Construction.SYS_Z52),
-        make(one, one, Construction.SYS_X52),
-    )
-
-
-def system_coalgebra(
-    c: HomCoalgebra, lam: Scalar, nu: Scalar, *, unchecked: bool = False
-) -> tuple[SolutionOperator, SolutionOperator, SolutionOperator]:
-    """The coalgebra system triple W, Z, X with the flipped twist term.
-
-    W(a⊗b) = λ·ε(a)Δ(b) + ε(b)Δ(a) − α(b)⊗α(a), Z and X likewise with the
-    ν-weight on the second term and with both weights 1.
-    """
-    lam = _require_param(c, lam, "lambda")
-    nu = _require_param(c, nu, "nu")
-    _require_valid(c, unchecked)
-    one = Scalar.one(c.params)
-    alpha_cols = [c.alpha.column(i) for i in range(c.dim)]
-    deltas = [c.comult_coords(i) for i in range(c.dim)]
-
-    def make(first: Scalar, second: Scalar, tag: Construction) -> SolutionOperator:
-        def column(i: int, j: int) -> Vector:
-            out = vec_scale(first * c.counit[i], deltas[j])
-            out = vec_add(out, vec_scale(second * c.counit[j], deltas[i]))
-            return vec_sub(out, tensor2(alpha_cols[j], alpha_cols[i]))
-
-        return SolutionOperator(
-            _operator_matrix(c.dim, c.params, column), tag, lam, nu, c
-        )
-
-    return (
-        make(lam, one, Construction.SYS_W53),
-        make(one, nu, Construction.SYS_Z53),
-        make(one, one, Construction.SYS_X53),
-    )

@@ -22,7 +22,7 @@ from .tensor import Matrix
 from .verify import VerificationReport
 
 FORMAT_VERSION = 1
-STRUCTURE_KINDS = ("hom-algebra", "hom-coalgebra", "hom-lie")
+STRUCTURE_KINDS = tuple(cls.kind for cls in (HomAlgebra, HomCoalgebra, HomLieAlgebra))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -66,7 +66,7 @@ def _string_matrix(doc: dict, key: str, rows: int, cols: int, params: ParamSet) 
     return Matrix.from_rows(params, data)
 
 
-def _coord_table(doc: dict, key: str, dim: int, params: ParamSet) -> list[list[list[Scalar]]]:
+def _coord_table(doc: dict, key: str, dim: int, params: ParamSet) -> tuple:
     raw = _get_list(doc, key, dim)
     table = []
     for i, row in enumerate(raw):
@@ -78,10 +78,10 @@ def _coord_table(doc: dict, key: str, dim: int, params: ParamSet) -> list[list[l
                 f"{key}[{i}][{j}]: expected a length-{dim} coordinate vector",
             )
             cells.append(
-                [_parse_at(expr, params, f"{key}[{i}][{j}][{k}]") for k, expr in enumerate(cell)]
+                tuple(_parse_at(e, params, f"{key}[{i}][{j}][{k}]") for k, e in enumerate(cell))
             )
-        table.append(cells)
-    return table
+        table.append(tuple(cells))
+    return tuple(table)
 
 
 def _header(doc: Any, what: str) -> ParamSet:
@@ -118,17 +118,13 @@ def structure_from_dict(doc: dict) -> HomStructure:
     _require(len(set(basis_raw)) == dim, "basis: names must be distinct")
 
     alpha = _string_matrix(doc, "alpha", dim, dim, params)
+    base = {"name": name, "basis": tuple(basis_raw), "params": params, "alpha": alpha}
 
     if kind == "hom-algebra":
-        unit = _string_vector(doc, "unit", dim, params)
-        mult = _coord_table(doc, "mult", dim, params)
         return HomAlgebra(
-            name=name,
-            basis=tuple(basis_raw),
-            params=params,
-            alpha=alpha,
-            unit=tuple(unit),
-            mult=tuple(tuple(tuple(cell) for cell in row) for row in mult),
+            **base,
+            unit=tuple(_string_vector(doc, "unit", dim, params)),
+            mult=_coord_table(doc, "mult", dim, params),
         )
     if kind == "hom-coalgebra":
         counit = _string_vector(doc, "counit", dim, params)
@@ -149,65 +145,44 @@ def structure_from_dict(doc: dict) -> HomStructure:
                 )
                 out.append((j, k, _parse_at(expr, params, f"comult[{i}][{t}]")))
             comult.append(tuple(out))
-        return HomCoalgebra(
-            name=name,
-            basis=tuple(basis_raw),
-            params=params,
-            alpha=alpha,
-            counit=tuple(counit),
-            comult=tuple(comult),
-        )
-    bracket = _coord_table(doc, "bracket", dim, params)
-    return HomLieAlgebra(
-        name=name,
-        basis=tuple(basis_raw),
-        params=params,
-        alpha=alpha,
-        bracket_table=tuple(tuple(tuple(cell) for cell in row) for row in bracket),
-    )
+        return HomCoalgebra(**base, counit=tuple(counit), comult=tuple(comult))
+    return HomLieAlgebra(**base, bracket_table=_coord_table(doc, "bracket", dim, params))
+
+
+def _read_json(path: str | Path) -> Any:
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise StructureError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise StructureError(f"{path}: invalid JSON: {exc}") from None
 
 
 def load_structure(path: str | Path) -> HomStructure:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise StructureError(f"cannot read {path}: {exc}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StructureError(f"{path}: invalid JSON: {exc}") from None
-    return structure_from_dict(doc)
+    return structure_from_dict(_read_json(path))
 
 
 def structure_to_dict(structure: HomStructure) -> dict:
     base = {
         "format_version": FORMAT_VERSION,
-        "kind": {
-            HomAlgebra: "hom-algebra",
-            HomCoalgebra: "hom-coalgebra",
-            HomLieAlgebra: "hom-lie",
-        }[type(structure)],
+        "kind": structure.kind,
         "name": structure.name,
         "dim": structure.dim,
         "basis": list(structure.basis),
         "parameters": list(structure.params.names),
         "alpha": _matrix_strings(structure.alpha),
     }
+    table = lambda rows: [[[format_scalar(s) for s in cell] for cell in row] for row in rows]
     if isinstance(structure, HomAlgebra):
         base["unit"] = [format_scalar(s) for s in structure.unit]
-        base["mult"] = [
-            [[format_scalar(s) for s in cell] for cell in row] for row in structure.mult
-        ]
+        base["mult"] = table(structure.mult)
     elif isinstance(structure, HomCoalgebra):
         base["counit"] = [format_scalar(s) for s in structure.counit]
         base["comult"] = [
             [[j, k, format_scalar(c)] for j, k, c in triples] for triples in structure.comult
         ]
     else:
-        base["bracket"] = [
-            [[format_scalar(s) for s in cell] for cell in row]
-            for row in structure.bracket_table
-        ]
+        base["bracket"] = table(structure.bracket_table)
     return base
 
 
@@ -217,45 +192,36 @@ def _matrix_strings(matrix: Matrix) -> list[list[str]]:
     ]
 
 
-def operator_to_dict(op: SolutionOperator) -> dict:
+def _operator_header(op: SolutionOperator, kind: str, construction: str) -> dict:
     return {
         "format_version": FORMAT_VERSION,
-        "kind": "operator",
-        "construction": op.construction.value,
+        "kind": kind,
+        "construction": construction,
         "structure": op.source.name,
         "dim": op.dim,
         "parameters": list(op.matrix.params.names),
         "lambda": format_scalar(op.lam),
         "nu": format_scalar(op.nu),
-        "matrix": _matrix_strings(op.matrix),
     }
+
+
+def operator_to_dict(op: SolutionOperator) -> dict:
+    doc = _operator_header(op, "operator", op.construction.value)
+    doc["matrix"] = _matrix_strings(op.matrix)
+    return doc
 
 
 def system_to_dict(triple: Sequence[SolutionOperator]) -> dict:
     w, z, x = triple
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "operator-system",
-        "construction": w.construction.value.rsplit("-", 1)[0],
-        "structure": w.source.name,
-        "dim": w.dim,
-        "parameters": list(w.matrix.params.names),
-        "lambda": format_scalar(w.lam),
-        "nu": format_scalar(w.nu),
-        "W": _matrix_strings(w.matrix),
-        "Z": _matrix_strings(z.matrix),
-        "X": _matrix_strings(x.matrix),
-    }
+    doc = _operator_header(w, "operator-system", w.construction.value.rsplit("-", 1)[0])
+    for name, op in (("W", w), ("Z", z), ("X", x)):
+        doc[name] = _matrix_strings(op.matrix)
+    return doc
 
 
 def load_operator(path: str | Path) -> tuple[Matrix, dict]:
     """Read an operator file back as (matrix, metadata)."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise StructureError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise StructureError(f"{path}: invalid JSON: {exc}") from None
+    doc = _read_json(path)
     params = _header(doc, "operator file")
     _require(doc.get("kind") == "operator", "kind: expected 'operator'")
     dim = doc.get("dim")

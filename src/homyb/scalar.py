@@ -437,9 +437,13 @@ def format_scalar(s: Scalar) -> str:
 # Implicit multiplication is not accepted; '/' only forms rational literals.
 # The parser recurses once per unary minus and per pair of parentheses, so
 # their nesting is bounded: deeper input is a ParseError rather than an
-# exhausted interpreter recursion limit.
+# exhausted interpreter recursion limit.  The cost of a power grows with its
+# exponent, so exponents are bounded too, except on a monomial with
+# coefficient ±1 (such as lam^e, which `format_scalar` writes for any e): its
+# power only multiplies the exponents.
 
 _MAX_NESTING = 50
+_MAX_EXPONENT = 32
 
 _INT_RE = re.compile(r"\d+")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -527,10 +531,14 @@ class _Parser:
 
     def power(self) -> Scalar:
         base = self.atom()
-        kind, text, _ = self.peek()
+        kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            return base ** self.exponent()
+            exponent = self.exponent()
+            cheap = base.is_monomial() and abs(next(iter(base.terms.values()))) == 1
+            if abs(exponent) > _MAX_EXPONENT and not cheap:
+                raise ParseError(f"exponent {exponent} exceeds the bound {_MAX_EXPONENT}", pos)
+            return base ** exponent
         return base
 
     def exponent(self) -> int:

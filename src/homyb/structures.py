@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 from .errors import DimensionError, StructureError
 from .scalar import ParamSet, Scalar, parse_scalar
@@ -21,28 +21,26 @@ from .tensor import (
     Matrix,
     Vector,
     basis_vector,
+    tensor2,
     vec_add,
     vec_is_zero,
+    vec_scale,
     vec_sub,
     zero_vector,
 )
-from .verify import (
-    DEFAULT_WITNESS_CAP,
-    VerificationReport,
-    Witness,
-    _clip,
-    _combine,
-)
+from .verify import DEFAULT_WITNESS_CAP, VerificationReport, Witness, combine, leaf_report
 
 
 def _parse_vector(strings: Sequence[str], params: ParamSet) -> Vector:
     return tuple(parse_scalar(s, params) for s in strings)
 
 
-def _parse_matrix(rows: Sequence[Sequence[str]], params: ParamSet) -> Matrix:
-    return Matrix.from_rows(
-        params, [[parse_scalar(s, params) for s in row] for row in rows]
-    )
+def _parse_base(
+    name: str, basis: Sequence[str], params: ParamSet, alpha: Sequence[Sequence[str]]
+) -> dict:
+    """The fields every structure has, with the twist matrix parsed."""
+    matrix = Matrix.from_rows(params, [_parse_vector(row, params) for row in alpha])
+    return {"name": name, "basis": tuple(basis), "params": params, "alpha": matrix}
 
 
 @dataclass(frozen=True)
@@ -70,17 +68,58 @@ class _StructureBase:
                 f"alpha: expected {self.dim}x{self.dim}, got {self.alpha.rows}x{self.alpha.cols}"
             )
 
+    def _check_table(self, table: tuple[tuple[Vector, ...], ...], key: str) -> None:
+        d = self.dim
+        if len(table) != d or any(len(row) != d for row in table):
+            raise StructureError(f"{key}: expected {d}x{d}")
+        if any(len(cell) != d for row in table for cell in row):
+            raise StructureError(f"{key}: coordinate vectors must have length {d}")
+
     def basis_index(self, name: str) -> int:
         try:
             return self.basis.index(name)
         except ValueError:
             raise StructureError(f"unknown basis element {name!r}") from None
 
+    def substitute(self, assignment: Mapping[str, Fraction | int]):
+        """The same structure with the given parameters replaced by values."""
+        return self._map(lambda s: s.substitute(assignment), self.params)
+
+    def extend(self, params: ParamSet):
+        """The same structure over a larger ParamSet."""
+        return self._map(lambda s: s.extend(params), params)
+
+
+def _cells(fn: Callable[[Scalar], Scalar], table: tuple[tuple[Vector, ...], ...]):
+    return tuple(tuple(tuple(fn(s) for s in cell) for cell in row) for row in table)
+
+
+def _bilinear(
+    table: tuple[tuple[Vector, ...], ...],
+    u: Sequence[Scalar],
+    v: Sequence[Scalar],
+    params: ParamSet,
+) -> Vector:
+    """Coordinates of the bilinear extension of a table of basis products, at (u, v)."""
+    out = list(zero_vector(len(table), params))
+    for i, ui in enumerate(u):
+        if not ui.terms:
+            continue
+        for j, vj in enumerate(v):
+            if not vj.terms:
+                continue
+            c = ui * vj
+            for k, w in enumerate(table[i][j]):
+                if w.terms:
+                    out[k] = out[k] + c * w
+    return tuple(out)
+
 
 @dataclass(frozen=True)
 class HomAlgebra(_StructureBase):
     """(A, μ, 1_A, α): multiplication table, unit coordinates, twist matrix."""
 
+    kind: ClassVar[str] = "hom-algebra"
     unit: Vector = ()
     mult: tuple[tuple[Vector, ...], ...] = ()
 
@@ -89,12 +128,7 @@ class HomAlgebra(_StructureBase):
         d = self.dim
         if len(self.unit) != d:
             raise StructureError(f"unit: expected length {d}, got {len(self.unit)}")
-        if len(self.mult) != d or any(len(row) != d for row in self.mult):
-            raise StructureError(f"mult: expected {d}x{d}")
-        for row in self.mult:
-            for cell in row:
-                if len(cell) != d:
-                    raise StructureError(f"mult: coordinate vectors must have length {d}")
+        self._check_table(self.mult, "mult")
 
     @classmethod
     def from_strings(
@@ -107,48 +141,22 @@ class HomAlgebra(_StructureBase):
         alpha: Sequence[Sequence[str]],
     ) -> "HomAlgebra":
         return cls(
-            name=name,
-            basis=tuple(basis),
-            params=params,
-            alpha=_parse_matrix(alpha, params),
+            **_parse_base(name, basis, params, alpha),
             unit=_parse_vector(unit, params),
-            mult=tuple(
-                tuple(_parse_vector(cell, params) for cell in row) for row in mult
-            ),
+            mult=_cells(lambda s: parse_scalar(s, params), mult),
         )
 
     def product(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
         """Coordinates of u·v, extended bilinearly from the structure constants."""
-        out = list(zero_vector(self.dim, self.params))
-        for i, ui in enumerate(u):
-            if not ui.terms:
-                continue
-            for j, vj in enumerate(v):
-                if not vj.terms:
-                    continue
-                c = ui * vj
-                for k, w in enumerate(self.mult[i][j]):
-                    if w.terms:
-                        out[k] = out[k] + c * w
-        return tuple(out)
+        return _bilinear(self.mult, u, v, self.params)
 
-    def substitute(self, assignment: Mapping[str, Fraction | int]) -> "HomAlgebra":
-        sub = lambda v: tuple(s.substitute(assignment) for s in v)
-        return replace(
-            self,
-            alpha=self.alpha.substitute(assignment),
-            unit=sub(self.unit),
-            mult=tuple(tuple(sub(cell) for cell in row) for row in self.mult),
-        )
-
-    def extend(self, params: ParamSet) -> "HomAlgebra":
-        ext = lambda v: tuple(s.extend(params) for s in v)
+    def _map(self, fn: Callable[[Scalar], Scalar], params: ParamSet) -> "HomAlgebra":
         return replace(
             self,
             params=params,
-            alpha=self.alpha.extend(params),
-            unit=ext(self.unit),
-            mult=tuple(tuple(ext(cell) for cell in row) for row in self.mult),
+            alpha=self.alpha.map(fn, params),
+            unit=tuple(fn(s) for s in self.unit),
+            mult=_cells(fn, self.mult),
         )
 
 
@@ -159,6 +167,7 @@ class HomCoalgebra(_StructureBase):
     `comult[i]` lists (j, k, c) triples meaning Δ(e_i) contains c·e_j⊗e_k.
     """
 
+    kind: ClassVar[str] = "hom-coalgebra"
     counit: Vector = ()
     comult: tuple[tuple[tuple[int, int, Scalar], ...], ...] = ()
 
@@ -185,10 +194,7 @@ class HomCoalgebra(_StructureBase):
         alpha: Sequence[Sequence[str]],
     ) -> "HomCoalgebra":
         return cls(
-            name=name,
-            basis=tuple(basis),
-            params=params,
-            alpha=_parse_matrix(alpha, params),
+            **_parse_base(name, basis, params, alpha),
             counit=_parse_vector(counit, params),
             comult=tuple(
                 tuple((int(j), int(k), parse_scalar(c, params)) for j, k, c in triples)
@@ -198,11 +204,7 @@ class HomCoalgebra(_StructureBase):
 
     def comult_coords(self, i: int) -> Vector:
         """Δ(e_i) as a dim² coordinate vector."""
-        d = self.dim
-        out = list(zero_vector(d * d, self.params))
-        for j, k, c in self.comult[i]:
-            out[j * d + k] = out[j * d + k] + c
-        return tuple(out)
+        return self.comult_of(self.basis_vec(i))
 
     def comult_of(self, vec: Sequence[Scalar]) -> Vector:
         d = self.dim
@@ -221,27 +223,13 @@ class HomCoalgebra(_StructureBase):
                 out = out + vi * eps
         return out
 
-    def substitute(self, assignment: Mapping[str, Fraction | int]) -> "HomCoalgebra":
-        return replace(
-            self,
-            alpha=self.alpha.substitute(assignment),
-            counit=tuple(s.substitute(assignment) for s in self.counit),
-            comult=tuple(
-                tuple((j, k, c.substitute(assignment)) for j, k, c in triples)
-                for triples in self.comult
-            ),
-        )
-
-    def extend(self, params: ParamSet) -> "HomCoalgebra":
+    def _map(self, fn: Callable[[Scalar], Scalar], params: ParamSet) -> "HomCoalgebra":
         return replace(
             self,
             params=params,
-            alpha=self.alpha.extend(params),
-            counit=tuple(s.extend(params) for s in self.counit),
-            comult=tuple(
-                tuple((j, k, c.extend(params)) for j, k, c in triples)
-                for triples in self.comult
-            ),
+            alpha=self.alpha.map(fn, params),
+            counit=tuple(fn(s) for s in self.counit),
+            comult=tuple(tuple((j, k, fn(c)) for j, k, c in triples) for triples in self.comult),
         )
 
 
@@ -249,17 +237,12 @@ class HomCoalgebra(_StructureBase):
 class HomLieAlgebra(_StructureBase):
     """(L, [·,·], α): bracket table of coordinate vectors and twist matrix."""
 
+    kind: ClassVar[str] = "hom-lie"
     bracket_table: tuple[tuple[Vector, ...], ...] = ()
 
     def __post_init__(self):
         self._check_base()
-        d = self.dim
-        if len(self.bracket_table) != d or any(len(row) != d for row in self.bracket_table):
-            raise StructureError(f"bracket: expected {d}x{d}")
-        for row in self.bracket_table:
-            for cell in row:
-                if len(cell) != d:
-                    raise StructureError(f"bracket: coordinate vectors must have length {d}")
+        self._check_table(self.bracket_table, "bracket")
 
     @classmethod
     def from_strings(
@@ -271,48 +254,19 @@ class HomLieAlgebra(_StructureBase):
         alpha: Sequence[Sequence[str]],
     ) -> "HomLieAlgebra":
         return cls(
-            name=name,
-            basis=tuple(basis),
-            params=params,
-            alpha=_parse_matrix(alpha, params),
-            bracket_table=tuple(
-                tuple(_parse_vector(cell, params) for cell in row) for row in bracket
-            ),
+            **_parse_base(name, basis, params, alpha),
+            bracket_table=_cells(lambda s: parse_scalar(s, params), bracket),
         )
 
     def bracket_of(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-        out = list(zero_vector(self.dim, self.params))
-        for i, ui in enumerate(u):
-            if not ui.terms:
-                continue
-            for j, vj in enumerate(v):
-                if not vj.terms:
-                    continue
-                c = ui * vj
-                for k, w in enumerate(self.bracket_table[i][j]):
-                    if w.terms:
-                        out[k] = out[k] + c * w
-        return tuple(out)
+        return _bilinear(self.bracket_table, u, v, self.params)
 
-    def substitute(self, assignment: Mapping[str, Fraction | int]) -> "HomLieAlgebra":
-        sub = lambda v: tuple(s.substitute(assignment) for s in v)
-        return replace(
-            self,
-            alpha=self.alpha.substitute(assignment),
-            bracket_table=tuple(
-                tuple(sub(cell) for cell in row) for row in self.bracket_table
-            ),
-        )
-
-    def extend(self, params: ParamSet) -> "HomLieAlgebra":
-        ext = lambda v: tuple(s.extend(params) for s in v)
+    def _map(self, fn: Callable[[Scalar], Scalar], params: ParamSet) -> "HomLieAlgebra":
         return replace(
             self,
             params=params,
-            alpha=self.alpha.extend(params),
-            bracket_table=tuple(
-                tuple(ext(cell) for cell in row) for row in self.bracket_table
-            ),
+            alpha=self.alpha.map(fn, params),
+            bracket_table=_cells(fn, self.bracket_table),
         )
 
 
@@ -330,15 +284,20 @@ def _vector_failures(
     ]
 
 
-def _axiom_report(
-    name: str, failures: list[Witness], cap: int | None, tuples: int
-) -> VerificationReport:
-    return VerificationReport(
-        check_name=name,
-        holds=not failures,
-        witnesses=_clip(failures, cap),
-        metadata={"witness_count": str(len(failures)), "tuples": str(tuples)},
-    )
+def _multiplicative_failures(
+    s: HomAlgebra | HomLieAlgebra, table: tuple[tuple[Vector, ...], ...], label: str
+) -> list[Witness]:
+    """α(e_i·e_j) against α(e_i)·α(e_j) on every basis pair, for a table of products."""
+    d = s.dim
+    alpha_cols = [s.alpha.column(i) for i in range(d)]
+    failures = []
+    for i in range(d):
+        for j in range(d):
+            lhs = s.apply_alpha(table[i][j])
+            rhs = _bilinear(table, alpha_cols[i], alpha_cols[j], s.params)
+            where = f"{label}({s.basis[i]},{s.basis[j]})"
+            failures.extend(_vector_failures(i * d + j, vec_sub(lhs, rhs), where))
+    return failures
 
 
 def validate_hom_algebra(
@@ -355,15 +314,7 @@ def validate_hom_algebra(
     es = [a.basis_vec(i) for i in range(d)]
     alpha_es = [a.apply_alpha(e) for e in es]
 
-    ha1 = []
-    for i in range(d):
-        for j in range(d):
-            lhs = a.apply_alpha(a.mult[i][j])
-            rhs = a.product(alpha_es[i], alpha_es[j])
-            ha1.extend(
-                _vector_failures(i * d + j, vec_sub(lhs, rhs), f"HA1({basis[i]},{basis[j]})")
-            )
-
+    ha1 = _multiplicative_failures(a, a.mult, "HA1")
     ha1_unit = _vector_failures(
         0, vec_sub(a.apply_alpha(a.unit), a.unit), "HA1(unit)"
     )
@@ -385,22 +336,18 @@ def validate_hom_algebra(
 
     ha2_unit = []
     for i in range(d):
-        right = a.product(es[i], a.unit)
-        left = a.product(a.unit, es[i])
-        ha2_unit.extend(
-            _vector_failures(i, vec_sub(right, alpha_es[i]), f"HA2-unit({basis[i]}*1)")
-        )
-        ha2_unit.extend(
-            _vector_failures(i, vec_sub(left, alpha_es[i]), f"HA2-unit(1*{basis[i]})")
-        )
+        for side, value in ((f"{basis[i]}*1", a.product(es[i], a.unit)),
+                            (f"1*{basis[i]}", a.product(a.unit, es[i]))):
+            where = f"HA2-unit({side})"
+            ha2_unit.extend(_vector_failures(i, vec_sub(value, alpha_es[i]), where))
 
     parts = [
-        _axiom_report("HA1-mult", ha1, witness_cap, d * d),
-        _axiom_report("HA1-unit", ha1_unit, witness_cap, 1),
-        _axiom_report("HA2-assoc", ha2, witness_cap, d ** 3),
-        _axiom_report("HA2-unit", ha2_unit, witness_cap, d),
+        leaf_report("HA1-mult", ha1, witness_cap=witness_cap, tuples=str(d * d)),
+        leaf_report("HA1-unit", ha1_unit, witness_cap=witness_cap, tuples="1"),
+        leaf_report("HA2-assoc", ha2, witness_cap=witness_cap, tuples=str(d ** 3)),
+        leaf_report("HA2-unit", ha2_unit, witness_cap=witness_cap, tuples=str(d)),
     ]
-    return _combine("hom-algebra-axioms", parts, started, witness_cap=witness_cap)
+    return combine("hom-algebra-axioms", parts, started, witness_cap=witness_cap)
 
 
 def validate_hom_coalgebra(
@@ -420,46 +367,22 @@ def validate_hom_coalgebra(
     for i in range(d):
         delta_i = c.comult[i]
 
-        # (α⊗α)Δ(e_i) vs Δ(α(e_i))
-        lhs = list(zero_vector(d * d, params))
+        # (α⊗α)Δ(e_i) vs Δ(α(e_i)), and (α⊗Δ)Δ vs (Δ⊗α)Δ on e_i
+        lhs = zero_vector(d * d, params)
+        left = right = zero_vector(d ** 3, params)
         for j, k, coeff in delta_i:
-            for p, ap in enumerate(alpha_cols[j]):
-                if not ap.terms:
-                    continue
-                for q, aq in enumerate(alpha_cols[k]):
-                    if aq.terms:
-                        lhs[p * d + q] = lhs[p * d + q] + coeff * ap * aq
+            lhs = vec_add(lhs, vec_scale(coeff, tensor2(alpha_cols[j], alpha_cols[k])))
+            left = vec_add(left, vec_scale(coeff, tensor2(alpha_cols[j], c.comult_coords(k))))
+            right = vec_add(right, vec_scale(coeff, tensor2(c.comult_coords(j), alpha_cols[k])))
         rhs = c.comult_of(alpha_cols[i])
-        hc1.extend(_vector_failures(i, vec_sub(tuple(lhs), rhs), f"HC1({basis[i]})"))
+        hc1.extend(_vector_failures(i, vec_sub(lhs, rhs), f"HC1({basis[i]})"))
 
         # ε(α(e_i)) vs ε(e_i)
         diff = c.counit_of(alpha_cols[i]) - c.counit[i]
         if diff.terms:
             hc1_counit.append(Witness(i, 0, diff, f"HC1-counit({basis[i]})"))
 
-        # (α⊗Δ)Δ vs (Δ⊗α)Δ on e_i
-        left = list(zero_vector(d ** 3, params))
-        right = list(zero_vector(d ** 3, params))
-        for j, k, coeff in delta_i:
-            dk = c.comult_coords(k)
-            for p, ap in enumerate(alpha_cols[j]):
-                if not ap.terms:
-                    continue
-                pref = coeff * ap
-                for rest, val in enumerate(dk):
-                    if val.terms:
-                        left[p * d * d + rest] = left[p * d * d + rest] + pref * val
-            dj = c.comult_coords(j)
-            for rest, val in enumerate(dj):
-                if not val.terms:
-                    continue
-                pref = coeff * val
-                for q, aq in enumerate(alpha_cols[k]):
-                    if aq.terms:
-                        right[rest * d + q] = right[rest * d + q] + pref * aq
-        hc2.extend(
-            _vector_failures(i, vec_sub(tuple(left), tuple(right)), f"HC2({basis[i]})")
-        )
+        hc2.extend(_vector_failures(i, vec_sub(left, right), f"HC2({basis[i]})"))
 
         # (ε⊗id)Δ = (id⊗ε)Δ = α on e_i
         eps_left = list(zero_vector(d, params))
@@ -467,24 +390,17 @@ def validate_hom_coalgebra(
         for j, k, coeff in delta_i:
             eps_left[k] = eps_left[k] + c.counit[j] * coeff
             eps_right[j] = eps_right[j] + coeff * c.counit[k]
-        hc2_counit.extend(
-            _vector_failures(
-                i, vec_sub(tuple(eps_left), alpha_cols[i]), f"HC2-counit(eps⊗id)({basis[i]})"
-            )
-        )
-        hc2_counit.extend(
-            _vector_failures(
-                i, vec_sub(tuple(eps_right), alpha_cols[i]), f"HC2-counit(id⊗eps)({basis[i]})"
-            )
-        )
+        for side, eps in (("eps⊗id", eps_left), ("id⊗eps", eps_right)):
+            where = f"HC2-counit({side})({basis[i]})"
+            hc2_counit.extend(_vector_failures(i, vec_sub(tuple(eps), alpha_cols[i]), where))
 
     parts = [
-        _axiom_report("HC1-comult", hc1, witness_cap, d),
-        _axiom_report("HC1-counit", hc1_counit, witness_cap, d),
-        _axiom_report("HC2-coassoc", hc2, witness_cap, d),
-        _axiom_report("HC2-counit", hc2_counit, witness_cap, d),
+        leaf_report("HC1-comult", hc1, witness_cap=witness_cap, tuples=str(d)),
+        leaf_report("HC1-counit", hc1_counit, witness_cap=witness_cap, tuples=str(d)),
+        leaf_report("HC2-coassoc", hc2, witness_cap=witness_cap, tuples=str(d)),
+        leaf_report("HC2-counit", hc2_counit, witness_cap=witness_cap, tuples=str(d)),
     ]
-    return _combine("hom-coalgebra-axioms", parts, started, witness_cap=witness_cap)
+    return combine("hom-coalgebra-axioms", parts, started, witness_cap=witness_cap)
 
 
 def validate_hom_lie(
@@ -529,24 +445,17 @@ def validate_hom_lie(
                 )
 
     parts = [
-        _axiom_report("HL1-antisym", hl1, witness_cap, d * d),
-        _axiom_report("HL2-jacobi", hl2, witness_cap, d ** 3),
+        leaf_report("HL1-antisym", hl1, witness_cap=witness_cap, tuples=str(d * d)),
+        leaf_report("HL2-jacobi", hl2, witness_cap=witness_cap, tuples=str(d ** 3)),
     ]
 
     if require_multiplicative:
-        mult = []
-        for i in range(d):
-            for j in range(d):
-                lhs = lie.apply_alpha(lie.bracket_table[i][j])
-                rhs = lie.bracket_of(alpha_cols[i], alpha_cols[j])
-                mult.extend(
-                    _vector_failures(
-                        i * d + j, vec_sub(lhs, rhs), f"alpha-mult({basis[i]},{basis[j]})"
-                    )
-                )
-        parts.append(_axiom_report("alpha-multiplicative", mult, witness_cap, d * d))
+        mult = _multiplicative_failures(lie, lie.bracket_table, "alpha-mult")
+        parts.append(
+            leaf_report("alpha-multiplicative", mult, witness_cap=witness_cap, tuples=str(d * d))
+        )
 
-    return _combine("hom-lie-axioms", parts, started, witness_cap=witness_cap)
+    return combine("hom-lie-axioms", parts, started, witness_cap=witness_cap)
 
 
 def validate(structure: HomStructure, require_multiplicative: bool = False,

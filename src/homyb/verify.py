@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DimensionError
 from .scalar import Scalar
-from .tensor import Matrix, Vector, kron, leg12, leg13, leg23
+from .tensor import Matrix, kron, leg12, leg13, leg23, tensor2, vec_add, vec_scale, zero_vector
 
 if TYPE_CHECKING:  # pragma: no cover
     from .structures import HomLieAlgebra
@@ -57,56 +57,42 @@ class VerificationReport:
         return "; ".join(parts)
 
 
-def _clip(witnesses: list[Witness], cap: int | None) -> list[Witness]:
-    if cap is None:
-        return witnesses
-    return witnesses[:cap]
+def clip(witnesses: list[Witness], cap: int | None) -> list[Witness]:
+    """The first `cap` witnesses, or all of them when `cap` is None."""
+    return witnesses if cap is None else witnesses[:cap]
 
 
-def report_from_residual(
+def leaf_report(
     name: str,
-    residual: Matrix,
+    witnesses: Iterable[Witness],
     *,
     witness_cap: int | None = DEFAULT_WITNESS_CAP,
-    label: str = "",
     started: float | None = None,
+    **metadata: str,
 ) -> VerificationReport:
-    """Wrap an exact residual matrix as a report; holds iff the residual is zero."""
-    witnesses = [Witness(i, j, s, label) for i, j, s in residual.nonzero()]
+    """A report without subreports: it holds iff there is no witness.
+
+    The metadata starts with `witness_count`, the number of witnesses before
+    clipping, followed by the given keys in order.
+    """
+    witnesses = list(witnesses)
     report = VerificationReport(
         check_name=name,
         holds=not witnesses,
-        witnesses=_clip(witnesses, witness_cap),
-        metadata={"witness_count": str(len(witnesses))},
+        witnesses=clip(witnesses, witness_cap),
+        metadata={"witness_count": str(len(witnesses)), **metadata},
     )
     if started is not None:
         report.elapsed_ms = (time.perf_counter() - started) * 1000.0
     return report
 
 
-def report_from_vector(
-    name: str,
-    residual: Sequence[Scalar],
-    *,
-    witness_cap: int | None = DEFAULT_WITNESS_CAP,
-    label: str = "",
-    started: float | None = None,
-) -> VerificationReport:
-    witnesses = [
-        Witness(i, 0, s, label) for i, s in enumerate(residual) if s.terms
-    ]
-    report = VerificationReport(
-        check_name=name,
-        holds=not witnesses,
-        witnesses=_clip(witnesses, witness_cap),
-        metadata={"witness_count": str(len(witnesses))},
-    )
-    if started is not None:
-        report.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return report
+def residual_witnesses(residual: Matrix, label: str = "") -> Iterator[Witness]:
+    """One witness per nonzero entry of an exact residual matrix, row-major."""
+    return (Witness(i, j, s, label) for i, j, s in residual.nonzero())
 
 
-def _combine(
+def combine(
     name: str,
     parts: list[VerificationReport],
     started: float,
@@ -118,7 +104,7 @@ def _combine(
     return VerificationReport(
         check_name=name,
         holds=all(part.holds for part in parts),
-        witnesses=_clip(witnesses, witness_cap),
+        witnesses=clip(witnesses, witness_cap),
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
         subreports=parts,
         metadata=metadata or {},
@@ -129,27 +115,29 @@ def _as_matrix(op) -> Matrix:
     return op.matrix if hasattr(op, "matrix") else op
 
 
-def _square_root_dim(b: Matrix, alpha: Matrix, what: str) -> int:
+def _operator_on_square(b, alpha: Matrix) -> Matrix:
+    """The operator's matrix, checked to act on the tensor square of alpha's space."""
+    b = _as_matrix(b)
     n = alpha.rows
     if alpha.cols != n:
         raise DimensionError("twist map must be square")
     if b.rows != b.cols or b.rows != n * n:
         raise DimensionError(
-            f"{what} must be square of size {n}^2={n * n}, got {b.rows}x{b.cols}"
+            f"operator must be square of size {n}^2={n * n}, got {b.rows}x{b.cols}"
         )
-    return n
+    return b
 
 
 def commutes_with_alpha(
     b: Matrix, alpha: Matrix, *, witness_cap: int | None = DEFAULT_WITNESS_CAP
 ) -> VerificationReport:
     """Does B commute with α⊗α, exactly?"""
-    b = _as_matrix(b)
     started = time.perf_counter()
-    _square_root_dim(b, alpha, "operator")
+    b = _operator_on_square(b, alpha)
     aa = kron(alpha, alpha)
-    return report_from_residual(
-        "alpha-commute", aa @ b - b @ aa, witness_cap=witness_cap, started=started
+    return leaf_report(
+        "alpha-commute", residual_witnesses(aa @ b - b @ aa),
+        witness_cap=witness_cap, started=started,
     )
 
 
@@ -160,15 +148,14 @@ def hybe_holds(
 
     Checks (α⊗B)(B⊗α)(α⊗B) = (B⊗α)(α⊗B)(B⊗α) as an exact n³×n³ identity.
     """
-    b = _as_matrix(b)
     started = time.perf_counter()
-    _square_root_dim(b, alpha, "operator")
+    b = _operator_on_square(b, alpha)
     ab = kron(alpha, b)
     ba = kron(b, alpha)
     lhs = ab @ ba @ ab
     rhs = ba @ ab @ ba
-    return report_from_residual(
-        "hybe", lhs - rhs, witness_cap=witness_cap, started=started
+    return leaf_report(
+        "hybe", residual_witnesses(lhs - rhs), witness_cap=witness_cap, started=started
     )
 
 
@@ -182,13 +169,12 @@ def inverse_holds(
     if b.rows != b.cols or binv.rows != binv.cols or b.rows != binv.rows:
         raise DimensionError("inverse check needs equal square matrices")
     ident = Matrix.identity(b.rows, b.params)
-    left = report_from_residual(
-        "inverse:B∘Binv", b @ binv - ident, witness_cap=witness_cap, label="B∘Binv"
-    )
-    right = report_from_residual(
-        "inverse:Binv∘B", binv @ b - ident, witness_cap=witness_cap, label="Binv∘B"
-    )
-    return _combine("inverse", [left, right], started, witness_cap=witness_cap)
+    parts = [
+        leaf_report(f"inverse:{label}", residual_witnesses(product - ident, label),
+                    witness_cap=witness_cap)
+        for label, product in (("B∘Binv", b @ binv), ("Binv∘B", binv @ b))
+    ]
+    return combine("inverse", parts, started, witness_cap=witness_cap)
 
 
 def yb_commutator(
@@ -238,9 +224,9 @@ def system_holds(
     ):
         residual = yb_commutator(r, s, t, dims, alpha, alpha, alpha)
         parts.append(
-            report_from_residual(name, residual, witness_cap=witness_cap, label=name)
+            leaf_report(name, residual_witnesses(residual, name), witness_cap=witness_cap)
         )
-    return _combine("system", parts, started, witness_cap=witness_cap)
+    return combine("system", parts, started, witness_cap=witness_cap)
 
 
 def chybe_holds(
@@ -259,34 +245,23 @@ def chybe_holds(
     n = lie.dim
     if len(coords) != n * n:
         raise DimensionError(f"r must have length {n * n}, got {len(coords)}")
-    params = lie.params
-    zero = Scalar.zero(params)
     alpha_cols = [lie.alpha.column(i) for i in range(n)]
-    total = [zero] * (n ** 3)
-    pairs = [
-        (idx // n, idx % n, c) for idx, c in enumerate(coords) if c.terms
-    ]
-
-    def accumulate(coeff: Scalar, u: Vector, v: Vector, w: Vector) -> None:
-        for p, up in enumerate(u):
-            if not up.terms:
-                continue
-            for q, vq in enumerate(v):
-                if not vq.terms:
-                    continue
-                pref = coeff * up * vq
-                base = (p * n + q) * n
-                for s_idx, ws in enumerate(w):
-                    if ws.terms:
-                        total[base + s_idx] = total[base + s_idx] + pref * ws
-
+    bracket = lie.bracket_table
+    total = zero_vector(n ** 3, lie.params)
+    pairs = [(idx // n, idx % n, c) for idx, c in enumerate(coords) if c.terms]
     for p1, q1, c1 in pairs:
         for p2, q2, c2 in pairs:
-            c = c1 * c2
-            accumulate(c, lie.bracket_table[p1][p2], alpha_cols[q1], alpha_cols[q2])
-            accumulate(c, alpha_cols[p1], lie.bracket_table[q1][p2], alpha_cols[q2])
-            accumulate(c, alpha_cols[p1], alpha_cols[p2], lie.bracket_table[q1][q2])
+            for u, v, w in (
+                (bracket[p1][p2], alpha_cols[q1], alpha_cols[q2]),
+                (alpha_cols[p1], bracket[q1][p2], alpha_cols[q2]),
+                (alpha_cols[p1], alpha_cols[p2], bracket[q1][q2]),
+            ):
+                total = vec_add(total, vec_scale(c1 * c2, tensor2(tensor2(u, v), w)))
 
-    report = report_from_vector("chybe", total, witness_cap=witness_cap, started=started)
-    report.metadata["typo_readings"] = CHYBE_READING
-    return report
+    return leaf_report(
+        "chybe",
+        (Witness(i, 0, s) for i, s in enumerate(total) if s.terms),
+        witness_cap=witness_cap,
+        started=started,
+        typo_readings=CHYBE_READING,
+    )

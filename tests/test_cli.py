@@ -241,3 +241,33 @@ class TestCatalog:
         assert entries["ex2.3"]["report"]["holds"] is False  # raw verdicts, not masked
         assert entries["ex2.3"]["as_expected"] is True
         assert entries["ex3.3"]["report"]["holds"] is True
+
+
+class TestBounds:
+    def test_huge_exponent_in_a_structure_file_exits_two(self, tmp_path, capsys):
+        doc = {
+            "format_version": 1, "kind": "hom-algebra", "dim": 1, "basis": ["e"],
+            "parameters": [], "alpha": [["1"]], "unit": ["2^99999999999"], "mult": [[["1"]]],
+        }
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps(doc))
+        assert main(["axioms", str(path)]) == 2
+        assert "unit[0]: exponent 99999999999 exceeds the bound" in capsys.readouterr().err
+
+    def test_huge_power_of_a_parameter_still_parses(self, export, tmp_path, capsys):
+        # format_scalar writes lam^e for any e, so homyb must read it back
+        op_path = tmp_path / "op.json"
+        structure = export("ex2.3")
+        code = main(["build", structure, "--construction", "thm2.1",
+                     "--lambda", "lam^100000", "--out", str(op_path)])
+        assert code == 0
+        assert "lam^100000" in op_path.read_text()
+        assert main(["verify", structure, "--operator", str(op_path), "--check", "alpha"]) == 0
+
+    def test_huge_chybe_twist_power_exits_two(self, export, capsys):
+        code = main(
+            ["verify", export("ex4.3"), "--check", "chybe",
+             "--x", "1,0,0", "--y", "0,1,0", "--u", "0,0,1", "--m", "1000000000"]
+        )
+        assert code == 2
+        assert "exceed the bound" in capsys.readouterr().err

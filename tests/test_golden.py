@@ -2,8 +2,10 @@
 
 `golden.json` holds a CRC-32 digest of the operator (or operator-system) file
 of every construction that applies to every catalog entry, and of the
-`homyb catalog verify-all --json` document without its `elapsed_ms` fields.
-A refactor must leave all of them unchanged.
+`homyb catalog verify-all --json` document without its `elapsed_ms` fields:
+once with sorted keys, as `perfbench/workloads.py:document_digest` takes it,
+and once in the file's own key order.  The operator digests keep the key
+order too.  A refactor must leave all of them unchanged.
 
     PYTHONPATH=src python tests/test_golden.py    # rewrite golden.json
 
@@ -40,15 +42,19 @@ FIXTURE = Path(__file__).with_name("golden.json")
 
 # construction name -> builder taking (entry, structure, lam, nu), with unchecked=True
 _BUILDERS = {
-    "thm2.1": lambda e, s, lam, nu: algebra_solution(s, Construction.ALG21, lam, nu, unchecked=True),
-    "thm2.4": lambda e, s, lam, nu: algebra_solution(s, Construction.ALG24, lam, nu, unchecked=True),
+    "thm2.1": lambda e, s, lam, nu: algebra_solution(
+        s, Construction.ALG21, lam, nu, unchecked=True),
+    "thm2.4": lambda e, s, lam, nu: algebra_solution(
+        s, Construction.ALG24, lam, nu, unchecked=True),
     "cor2.2": lambda e, s, lam, nu: algebra_solution_inverse(
         s, Construction.ALG_INV22, lam, nu, unchecked=True),
     "thm2.4-inverse": lambda e, s, lam, nu: algebra_solution_inverse(
         s, Construction.ALG_INV24, lam, nu, unchecked=True),
     "thm5.2": lambda e, s, lam, nu: system_algebra(s, lam, nu, unchecked=True),
-    "thm3.1": lambda e, s, lam, nu: coalgebra_solution(s, Construction.COALG31, lam, nu, unchecked=True),
-    "thm3.4": lambda e, s, lam, nu: coalgebra_solution(s, Construction.COALG34, lam, nu, unchecked=True),
+    "thm3.1": lambda e, s, lam, nu: coalgebra_solution(
+        s, Construction.COALG31, lam, nu, unchecked=True),
+    "thm3.4": lambda e, s, lam, nu: coalgebra_solution(
+        s, Construction.COALG34, lam, nu, unchecked=True),
     "cor3.2": lambda e, s, lam, nu: coalgebra_solution_inverse(
         s, Construction.COALG_INV32, lam, nu, unchecked=True),
     "thm3.4-inverse": lambda e, s, lam, nu: coalgebra_solution_inverse(
@@ -74,10 +80,10 @@ def _strip_elapsed(obj):
     return obj
 
 
-def digest(doc) -> str:
-    """CRC-32 and length of the document without `elapsed_ms`, as canonical JSON."""
+def digest(doc, sort_keys: bool = False) -> str:
+    """CRC-32 and length of the document without `elapsed_ms`, as compact JSON."""
     text = json.dumps(
-        _strip_elapsed(doc), sort_keys=True, ensure_ascii=False, separators=(",", ":")
+        _strip_elapsed(doc), sort_keys=sort_keys, ensure_ascii=False, separators=(",", ":")
     )
     data = text.encode("utf-8")
     return f"crc32 {zlib.crc32(data):08x} bytes {len(data)}"
@@ -96,14 +102,16 @@ def operator_digest(entry_id: str, name: str) -> str:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConstructionWarning)
         built = _BUILDERS[name](entry, entry.structure, entry.lam(), entry.nu())
-    doc = files.system_to_dict(built) if isinstance(built, tuple) else files.operator_to_dict(built)
-    return digest(doc)
+    if isinstance(built, tuple):
+        return digest(files.system_to_dict(built))
+    return digest(files.operator_to_dict(built))
 
 
-def verify_all_digest(directory: Path) -> str:
+def verify_all_digests(directory: Path) -> dict[str, str]:
     path = directory / "verify-all.json"
     assert main(["catalog", "verify-all", "--json", str(path)]) == 0
-    return digest(json.loads(path.read_text(encoding="utf-8")))
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    return {"verify_all": digest(doc, sort_keys=True), "verify_all_ordered": digest(doc)}
 
 
 def _golden() -> dict:
@@ -122,9 +130,10 @@ def test_operator_document_is_unchanged(entry_id, name):
 
 
 def test_verify_all_document_is_unchanged(tmp_path, capsys):
-    got = verify_all_digest(tmp_path)
+    got = verify_all_digests(tmp_path)
     capsys.readouterr()
-    assert got == _golden()["verify_all"]
+    golden = _golden()
+    assert got == {key: golden[key] for key in got}
 
 
 if __name__ == "__main__":
@@ -133,10 +142,10 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
-        verify_all = verify_all_digest(Path(tmp))
+        verify_all = verify_all_digests(Path(tmp))
     golden = {
         "operators": {f"{e} {n}": operator_digest(e, n) for e, n in operator_pairs()},
-        "verify_all": verify_all,
+        **verify_all,
     }
     FIXTURE.write_text(json.dumps(golden, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {FIXTURE}")
