@@ -41,9 +41,10 @@ from .verify import (
     system_holds,
 )
 
-_IN_SYSTEMS = {c for triple in SYSTEMS.values() for c in triple}
 # --construction names: the single operators, then the systems
-_CONSTRUCTIONS = sorted(c.value for c in Construction if c not in _IN_SYSTEMS) + sorted(SYSTEMS)
+_CONSTRUCTIONS = sorted(
+    c.value for c in Construction if all(c not in triple for triple in SYSTEMS.values())
+) + sorted(SYSTEMS)
 _INVERSES = sorted(c.value for c in INVERSE.values())
 
 
@@ -167,7 +168,7 @@ def _build(args, structure, lam, nu, unchecked, constructions=None):
     if constructions is None:
         name = args.construction
         constructions = SYSTEMS[name] if name in SYSTEMS else (Construction(name),)
-    lie = isinstance(structure, HomLieAlgebra)
+    lie = isinstance(structure, HomLieAlgebra) and RECIPES[constructions[0]].kind is HomLieAlgebra
     u = _vector_arg(args.u, structure, "--u") if args.u and lie else None
     return build_many(structure, constructions, lam, nu, u=u, unchecked=unchecked)
 

@@ -120,13 +120,13 @@ def structure_from_dict(doc: dict) -> HomStructure:
     alpha = _string_matrix(doc, "alpha", dim, dim, params)
     base = {"name": name, "basis": tuple(basis_raw), "params": params, "alpha": alpha}
 
-    if kind == "hom-algebra":
+    if kind == HomAlgebra.kind:
         return HomAlgebra(
             **base,
             unit=tuple(_string_vector(doc, "unit", dim, params)),
             mult=_coord_table(doc, "mult", dim, params),
         )
-    if kind == "hom-coalgebra":
+    if kind == HomCoalgebra.kind:
         counit = _string_vector(doc, "counit", dim, params)
         raw = _get_list(doc, "comult", dim)
         comult = []
