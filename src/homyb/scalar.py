@@ -98,7 +98,9 @@ def _coefficient(value) -> int | Fraction:
 def add_product(out: dict, left: Mapping, right: Mapping) -> None:
     """Add the product of the term maps `left` and `right` into the term map `out`.
 
-    This is the kernel of both `Scalar.__mul__` and the fused `Matrix.__matmul__`.
+    This is the kernel of `Scalar.__mul__`, of the fused `Matrix.__matmul__` and
+    of the fused residual `tensor.product_difference`, from which every matrix
+    identity check in `verify` reads its witnesses.
 
     `out` stays canonical: a term that cancels is removed, and an integral
     coefficient is stored as an int.
@@ -440,10 +442,19 @@ def format_scalar(s: Scalar) -> str:
 # exhausted interpreter recursion limit.  The cost of a power grows with its
 # exponent, so exponents are bounded too, except on a monomial with
 # coefficient ±1 (such as lam^e, which `format_scalar` writes for any e): its
-# power only multiplies the exponents.
+# power only multiplies the exponents.  A power of a many-term base, or a
+# product of such powers, still grows with the number of terms, so each
+# product the parser performs (a power is taken as repeated products) is
+# refused before it starts when it would multiply more than _MAX_PRODUCT pairs
+# of terms.  An integer literal is at most _MAX_DIGITS digits long, the
+# interpreter's default limit for converting between int and str: every
+# integer `format_scalar` can print is read back, and a longer one is a
+# ParseError rather than a ValueError.
 
 _MAX_NESTING = 50
 _MAX_EXPONENT = 32
+_MAX_PRODUCT = 10_000
+_MAX_DIGITS = 4300
 
 _INT_RE = re.compile(r"\d+")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -461,6 +472,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             continue
         if ch.isdigit():
             m = _INT_RE.match(text, pos)
+            if m.end() - pos > _MAX_DIGITS:
+                raise ParseError(f"integer literal longer than {_MAX_DIGITS} digits", pos)
             tokens.append(("int", m.group(), pos))
             pos = m.end()
         elif ch.isalpha() or ch == "_":
@@ -508,11 +521,19 @@ class _Parser:
             kind, text, pos = self.peek()
             if kind == "op" and text == "*":
                 self.advance()
-                value = value * self.factor()
+                value = self.product(value, self.factor(), pos)
             elif kind == "op" and text == "/":
                 raise ParseError("'/' is only allowed inside rational literals", pos)
             else:
                 return value
+
+    def product(self, left: Scalar, right: Scalar, pos: int) -> Scalar:
+        if len(left.terms) * len(right.terms) > _MAX_PRODUCT:
+            raise ParseError(
+                f"product of {len(left.terms)} by {len(right.terms)} terms exceeds "
+                f"the bound of {_MAX_PRODUCT} term products", pos
+            )
+        return left * right
 
     def nest(self, pos: int) -> None:
         if self.depth == _MAX_NESTING:
@@ -538,7 +559,12 @@ class _Parser:
             cheap = base.is_monomial() and abs(next(iter(base.terms.values()))) == 1
             if abs(exponent) > _MAX_EXPONENT and not cheap:
                 raise ParseError(f"exponent {exponent} exceeds the bound {_MAX_EXPONENT}", pos)
-            return base ** exponent
+            if exponent <= 1 or base.is_monomial():
+                return base ** exponent
+            value = base
+            for _ in range(exponent - 1):
+                value = self.product(value, base, pos)
+            return value
         return base
 
     def exponent(self) -> int:

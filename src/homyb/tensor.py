@@ -8,7 +8,10 @@ embeddings on the tensor cube, are almost entirely zeros.
 The product `@` is fused: each product of two entries is added term by term
 into one term map per output entry (`scalar.add_product`), and one Scalar is
 built per output entry that does not cancel to zero; no Scalar is made for a
-single product or a partial sum.
+single product or a partial sum.  `product_difference(a, b, c, d)` runs the
+same accumulation for both products of a·b − c·d, the second negated, into one
+term map per output entry, so a residual that vanishes builds no entry Scalar
+for either product and needs no subtraction.
 
 Entries that come from outside -- the constructor, `from_rows` and
 `from_cols` -- are checked to lie over the matrix ParamSet.  Results computed
@@ -46,6 +49,23 @@ def _sparse_row(entries: Iterable[Scalar], params: ParamSet) -> Row:
         if entry.terms:
             row[j] = entry
     return row
+
+
+def _accumulate(acc: dict[int, dict], row: Row, right: list[Row], negate: bool) -> None:
+    """Add the row times the matrix with row maps `right`, or its negation, into `acc`.
+
+    `acc` maps each output column to a canonical term map, so the products of
+    one output entry are summed without building a Scalar for any of them.
+    """
+    for k, a in row.items():
+        left = a.terms
+        if negate:
+            left = {e: -c for e, c in left.items()}
+        for j, b in right[k].items():
+            terms = acc.get(j)
+            if terms is None:
+                terms = acc[j] = {}
+            add_product(terms, left, b.terms)
 
 
 class Matrix:
@@ -194,25 +214,22 @@ class Matrix:
         maps = [{j: c * a for j, a in row.items()} if c.terms else {} for row in self._maps]
         return Matrix._new(self.rows, self.cols, self.params, maps)
 
-    def __matmul__(self, other: "Matrix") -> "Matrix":
+    def _check_product(self, other: "Matrix") -> None:
         self._check(other, same_shape=False)
         if self.cols != other.rows:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+
+    def __matmul__(self, other: "Matrix") -> "Matrix":
+        self._check_product(other)
         params = self.params
         right = other._maps
         new = Scalar._new
         maps = []
         for row in self._maps:
             acc: dict[int, dict] = {}
-            for k, a in row.items():
-                left = a.terms
-                for j, b in right[k].items():
-                    terms = acc.get(j)
-                    if terms is None:
-                        terms = acc[j] = {}
-                    add_product(terms, left, b.terms)
+            _accumulate(acc, row, right, negate=False)
             maps.append({j: new(params, terms) for j, terms in acc.items() if terms})
         return Matrix._new(self.rows, other.cols, params, maps)
 
@@ -269,6 +286,29 @@ class Matrix:
             ", ".join(str(self[i, j]) for j in range(self.cols)) for i in range(self.rows)
         )
         return f"Matrix({self.rows}x{self.cols}: {body})"
+
+
+def product_difference(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
+    """The residual a·b − c·d, accumulated without building either product.
+
+    Both products of an output row go term by term into one term map per
+    column, the second negated, and a Scalar is built only for an entry that
+    does not cancel.  When the two products agree, no entry Scalar is built.
+    """
+    a._check_product(b)
+    c._check_product(d)
+    a._check(c, same_shape=False)
+    if (a.rows, b.cols) != (c.rows, d.cols):
+        raise DimensionError(f"shape mismatch: {a.rows}x{b.cols} vs {c.rows}x{d.cols}")
+    params = a.params
+    new = Scalar._new
+    maps = []
+    for row_a, row_c in zip(a._maps, c._maps):
+        acc: dict[int, dict] = {}
+        _accumulate(acc, row_a, b._maps, negate=False)
+        _accumulate(acc, row_c, d._maps, negate=True)
+        maps.append({j: new(params, terms) for j, terms in acc.items() if terms})
+    return Matrix._new(a.rows, b.cols, params, maps)
 
 
 # -- tensor helpers -------------------------------------------------------------

@@ -5,6 +5,11 @@ identically zero" and reports the verdict together with witnesses: the first
 nonzero residual entries, each carrying its row, column and exact residual.
 There are no tolerances anywhere; a pass means the identity holds for all
 parameter values.
+
+Each matrix identity is written as X·Y = Z·W, and its residual X·Y − Z·W
+comes from `tensor.product_difference`: both sides are added into one term map
+per entry and only the entries that do not cancel become Scalars, so a pass
+builds no Scalar for the entries of its two final products.
 """
 
 from __future__ import annotations
@@ -15,7 +20,18 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DimensionError
 from .scalar import Scalar
-from .tensor import Matrix, kron, leg12, leg13, leg23, tensor2, vec_add, vec_scale, zero_vector
+from .tensor import (
+    Matrix,
+    kron,
+    leg12,
+    leg13,
+    leg23,
+    product_difference,
+    tensor2,
+    vec_add,
+    vec_scale,
+    zero_vector,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .structures import HomLieAlgebra
@@ -136,7 +152,7 @@ def commutes_with_alpha(
     b = _operator_on_square(b, alpha)
     aa = kron(alpha, alpha)
     return leaf_report(
-        "alpha-commute", residual_witnesses(aa @ b - b @ aa),
+        "alpha-commute", residual_witnesses(product_difference(aa, b, b, aa)),
         witness_cap=witness_cap, started=started,
     )
 
@@ -147,15 +163,17 @@ def hybe_holds(
     """The braid-form twisted Yang-Baxter identity on the tensor cube.
 
     Checks (α⊗B)(B⊗α)(α⊗B) = (B⊗α)(α⊗B)(B⊗α) as an exact n³×n³ identity.
+    With P = (α⊗B)(B⊗α) the two sides are P(α⊗B) and (B⊗α)P, so P is the
+    only product built.
     """
     started = time.perf_counter()
     b = _operator_on_square(b, alpha)
     ab = kron(alpha, b)
     ba = kron(b, alpha)
-    lhs = ab @ ba @ ab
-    rhs = ba @ ab @ ba
+    p = ab @ ba
     return leaf_report(
-        "hybe", residual_witnesses(lhs - rhs), witness_cap=witness_cap, started=started
+        "hybe", residual_witnesses(product_difference(p, ab, ba, p)),
+        witness_cap=witness_cap, started=started,
     )
 
 
@@ -170,9 +188,10 @@ def inverse_holds(
         raise DimensionError("inverse check needs equal square matrices")
     ident = Matrix.identity(b.rows, b.params)
     parts = [
-        leaf_report(f"inverse:{label}", residual_witnesses(product - ident, label),
+        leaf_report(f"inverse:{label}",
+                    residual_witnesses(product_difference(x, y, ident, ident), label),
                     witness_cap=witness_cap)
-        for label, product in (("B∘Binv", b @ binv), ("Binv∘B", binv @ b))
+        for label, x, y in (("B∘Binv", b, binv), ("Binv∘B", binv, b))
     ]
     return combine("inverse", parts, started, witness_cap=witness_cap)
 
@@ -200,7 +219,7 @@ def yb_commutator(
     r12 = leg12(r, alpha_third)
     s13 = leg13(s, alpha_mid, n, n3)
     t23 = leg23(t, alpha_first)
-    return r12 @ s13 @ t23 - t23 @ s13 @ r12
+    return product_difference(r12 @ s13, t23, t23 @ s13, r12)
 
 
 def system_holds(

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, reports, file round-trips."""
 
 import json
+import time
 
 import pytest
 
@@ -271,3 +272,24 @@ class TestBounds:
         )
         assert code == 2
         assert "exceed the bound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parameters, unit, message", [
+        ([], "1" * 5000, "longer than 4300 digits"),
+        ([], "2^" + "1" * 5000, "longer than 4300 digits"),
+        (list("abcdef"), "(a+b+c+d+e+f)^32", "term products"),
+        (list("abcd"), "(a+b+c+d)^16*(a+b+c+d)^16*(a+b+c+d)^16", "term products"),
+    ])
+    def test_costly_literal_in_a_structure_file_exits_two(
+        self, tmp_path, capsys, parameters, unit, message
+    ):
+        doc = {
+            "format_version": 1, "kind": "hom-algebra", "dim": 1, "basis": ["e"],
+            "parameters": parameters, "alpha": [["1"]], "unit": [unit], "mult": [[["1"]]],
+        }
+        path = tmp_path / "costly.json"
+        path.write_text(json.dumps(doc))
+        started = time.perf_counter()
+        assert main(["axioms", str(path)]) == 2
+        assert time.perf_counter() - started < 1.0
+        err = capsys.readouterr().err
+        assert "unit[0]: " in err and message in err

@@ -1,5 +1,6 @@
 """Exact scalar ring: arithmetic, evaluation, parsing, printing."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -182,6 +183,30 @@ class TestParser:
         assert parse_scalar("-" * 50 + "lam", PS3) == S("lam")
         with pytest.raises(ParseError):
             parse_scalar("-" * 51 + "lam", PS3)
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "lam^" + "1" * 5000, "1/" + "7" * 5000])
+    def test_overlong_integer_literal_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="longer than 4300 digits"):
+            S(text)
+
+    def test_longest_integer_literal_still_parses(self):
+        assert S("9" * 4300) == Scalar.constant(PS3, 10 ** 4300 - 1)
+
+    @pytest.mark.parametrize("text", [
+        "(lam + nu + l + 1 + lam^-1 + nu^-1)^32",
+        "(l + lam + nu + 1)^16 * (l + lam + nu + 1)^16 * (l + lam + nu + 1)^16",
+    ])
+    def test_costly_product_is_refused_at_once(self, text):
+        started = time.perf_counter()
+        with pytest.raises(ParseError, match="term products"):
+            S(text)
+        assert time.perf_counter() - started < 1.0
+
+    def test_powers_of_sums_within_the_bound_agree_with_the_ring(self):
+        base = S("lam + nu + 1")
+        assert S("(lam + nu + 1)^12") == base ** 12
+        assert S("(lam + nu + 1)^0") == Scalar.one(PS3)
+        assert S("(lam + nu)^32") == S("lam + nu") ** 32
 
     def test_negative_power_of_sum_rejected_at_parse_time(self):
         with pytest.raises(NonInvertibleError):

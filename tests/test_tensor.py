@@ -20,6 +20,7 @@ from homyb import (
     leg23,
     pair_index,
     parse_scalar,
+    product_difference,
     tensor2,
     triple_index,
 )
@@ -324,3 +325,69 @@ class TestSparseKernelsAgainstDense:
             a.scale(Fraction(2, 3)), a.substitute(point), a.extend(wide),
         ):
             assert all(is_canonical(x) for _, _, x in m.nonzero())
+
+
+class TestProductDifference:
+    """The fused residual a·b − c·d against the two products and a subtraction."""
+
+    @settings(max_examples=60)
+    @given(st.data(), dims, dims, dims, dims)
+    def test_matches_the_difference_of_the_products(self, data, rows, inner, other, cols):
+        a = data.draw(sparse_matrices(rows, inner))
+        b = data.draw(sparse_matrices(inner, cols))
+        c = data.draw(sparse_matrices(rows, other))
+        d = data.draw(sparse_matrices(other, cols))
+        got = product_difference(a, b, c, d)
+        assert got == a @ b - c @ d
+        assert all(x.terms and is_canonical(x) for _, _, x in got.nonzero())
+
+    @settings(max_examples=40)
+    @given(st.data(), dims, dims, dims, dims)
+    def test_equal_products_cancel_to_empty_rows(self, data, rows, inner, other, cols):
+        a = data.draw(sparse_matrices(rows, inner))
+        b = data.draw(sparse_matrices(inner, other))
+        c = data.draw(sparse_matrices(other, cols))
+        # (a·b)·c − a·(b·c) vanishes by associativity, whatever the factors
+        got = product_difference(a @ b, c, a, b @ c)
+        assert got.is_zero() and list(got.nonzero()) == []
+        assert product_difference(a, b, a, b).is_zero()
+
+    @settings(max_examples=40)
+    @given(st.data(), dims, dims, dims)
+    def test_partly_cancelling_products_leave_the_difference(self, data, rows, inner, cols):
+        a = data.draw(sparse_matrices(rows, inner))
+        e = data.draw(sparse_matrices(rows, inner))
+        b = data.draw(sparse_matrices(inner, cols))
+        # a·b − (a + e)·b = −e·b: the products of a cancel, those of e remain
+        got = product_difference(a, b, a + e, b)
+        assert got == -(e @ b)
+        assert all(x.terms and is_canonical(x) for _, _, x in got.nonzero())
+
+    def test_integral_sums_of_fractions_are_stored_as_int(self):
+        got = product_difference(mat([["1/2"]]), mat([["lam"]]), mat([["-1/2"]]), mat([["lam"]]))
+        assert got == mat([["lam"]])
+        (_, _, entry), = got.nonzero()
+        assert all(type(c) is int for c in entry.terms.values())
+
+    def test_inner_size_mismatch(self):
+        two, three = Matrix.identity(2, PS3), Matrix.identity(3, PS3)
+        with pytest.raises(DimensionError):
+            product_difference(two, three, two, two)
+        with pytest.raises(DimensionError):
+            product_difference(two, two, two, three)
+
+    def test_unequal_result_shapes(self):
+        two = Matrix.identity(2, PS3)
+        with pytest.raises(DimensionError, match="shape mismatch"):
+            product_difference(two, two, Matrix.zeros(3, 2, PS3), two)
+        with pytest.raises(DimensionError, match="shape mismatch"):
+            product_difference(two, two, two, Matrix.zeros(2, 3, PS3))
+
+    def test_foreign_param_set(self):
+        mine, foreign = Matrix.identity(2, PS3), Matrix.identity(2, PS2)
+        for operands in (
+            (foreign, mine, mine, mine), (mine, foreign, mine, mine),
+            (mine, mine, foreign, mine), (mine, mine, mine, foreign),
+        ):
+            with pytest.raises(ParamMismatchError):
+                product_difference(*operands)

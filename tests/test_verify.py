@@ -3,14 +3,20 @@
 import random
 import warnings
 
+import pytest
+
 from homyb import (
     Construction,
     ConstructionWarning,
     HomLieAlgebra,
     Matrix,
     Scalar,
+    Witness,
     algebra_solution,
     algebra_solution_inverse,
+    build,
+    build_many,
+    catalog_get,
     chybe_holds,
     chybe_r,
     commutes_with_alpha,
@@ -18,6 +24,9 @@ from homyb import (
     hybe_holds,
     inverse_holds,
     kron,
+    leg12,
+    leg13,
+    leg23,
     lie_solution,
     lie_solution_inverse,
     parse_scalar,
@@ -27,6 +36,7 @@ from homyb import (
     tensor2,
     yb_commutator,
 )
+from homyb.constructions import INVERSE, RECIPES, SYSTEMS
 from conftest import PS2, random_assignment
 
 
@@ -341,3 +351,94 @@ class TestSymbolicEvaluationAgreement:
                 tuple(s.substitute(point) for s in r), lie.substitute(point)
             ).holds
             assert evaluated == symbolic
+
+
+# -- the fused residuals against the identities written out with @ and - ------------
+
+
+def unfused(residual, label=""):
+    return [Witness(i, j, s, label) for i, j, s in residual.nonzero()]
+
+
+def system_commutators(w, z, x):
+    return (("[W,W,W]", (w, w, w)), ("[Z,Z,Z]", (z, z, z)),
+            ("[W,X,X]", (w, x, x)), ("[X,X,Z]", (x, x, z)))
+
+
+# (check, construction) pairs that must fail, so that failing witness lists are compared
+FAILING = {
+    "ex2.3": {("inverse", Construction.ALG21)},
+    "ex2.5-verbatim": {("hybe", Construction.ALG21)},
+    "ex4.3": {("hybe", Construction.LIE41), ("alpha-commute", Construction.LIE41)},
+}
+
+
+class TestFusedResidualsMatchTheFormulas:
+    @pytest.mark.parametrize("entry_id", ["ex2.3", "ex2.5", "ex2.5-verbatim", "ex3.3", "ex3.5", "ex4.3"])
+    def test_every_construction_on_every_entry(self, entry_id):
+        entry = catalog_get(entry_id)
+        s = entry.structure
+        alpha, n = s.alpha, s.dim
+        lam, nu, u = entry.lam(), entry.nu(), entry.u_vector()
+        in_systems = {c for triple in SYSTEMS.values() for c in triple}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConstructionWarning)
+            ops = {
+                c: build(s, c, lam, nu, u=u, unchecked=True).matrix
+                for c, recipe in RECIPES.items()
+                if isinstance(s, recipe.kind) and c not in in_systems
+            }
+            systems = [
+                [op.matrix for op in build_many(s, triple, lam, nu, unchecked=True)]
+                for triple in SYSTEMS.values() if isinstance(s, RECIPES[triple[0]].kind)
+            ]
+        failed = set()
+        aa = kron(alpha, alpha)
+        for c, b in ops.items():
+            ab, ba = kron(alpha, b), kron(b, alpha)
+            for check, report, formula in (
+                ("hybe", hybe_holds(b, alpha, witness_cap=None), ab @ ba @ ab - ba @ ab @ ba),
+                ("alpha-commute", commutes_with_alpha(b, alpha, witness_cap=None), aa @ b - b @ aa),
+            ):
+                assert report.witnesses == unfused(formula), (check, c)
+                if report.witnesses:
+                    failed.add((check, c))
+        ident = Matrix.identity(n * n, s.params)
+        for forward, inverse in INVERSE.items():
+            if forward not in ops:
+                continue
+            b, binv = ops[forward], ops[inverse]
+            report = inverse_holds(b, binv, witness_cap=None)
+            expected = [unfused(b @ binv - ident, "B∘Binv"), unfused(binv @ b - ident, "Binv∘B")]
+            assert [part.witnesses for part in report.subreports] == expected, forward
+            if not report.holds:
+                failed.add(("inverse", forward))
+        for w, z, x in systems:
+            report = system_holds(w, z, x, alpha, witness_cap=None)
+            expected = []
+            for name, (r, s13, t) in system_commutators(w, z, x):
+                r12, s13, t23 = leg12(r, alpha), leg13(s13, alpha, n, n), leg23(t, alpha)
+                expected.append(unfused(r12 @ s13 @ t23 - t23 @ s13 @ r12, name))
+            assert [part.witnesses for part in report.subreports] == expected
+        assert FAILING.get(entry_id, set()) <= failed
+
+    def test_hybe_shares_its_middle_product_and_system_its_two_per_commutator(
+        self, ex33, monkeypatch
+    ):
+        c = ex33.structure
+        lam, nu = ex33.lam(), ex33.nu()
+        b = build(c, Construction.COALG31, lam, nu).matrix
+        w, z, x = system_coalgebra(c, lam, nu)
+        calls = []
+        matmul = Matrix.__matmul__
+
+        def counted(self, other):
+            calls.append((self.rows, other.cols))
+            return matmul(self, other)
+
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
+        assert hybe_holds(b, c.alpha).holds
+        assert len(calls) == 1
+        calls.clear()
+        assert system_holds(w, z, x, c.alpha).holds
+        assert len(calls) == 8
