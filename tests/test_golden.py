@@ -4,8 +4,10 @@
 of every construction that applies to every catalog entry, and of the
 `homyb catalog verify-all --json` document without its `elapsed_ms` fields:
 once with sorted keys, as `perfbench/workloads.py:document_digest` takes it,
-and once in the file's own key order.  The operator digests keep the key
-order too.  A refactor must leave all of them unchanged.
+and once in the file's own key order.  It also holds the digest of the full,
+uncapped axiom report of fixed broken structures of all three kinds, and of
+the classical-condition report of failing r-matrices on ex4.3.  These digests
+keep the key order too.  A refactor must leave all of them unchanged.
 
     PYTHONPATH=src python tests/test_golden.py    # rewrite golden.json
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import warnings
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,16 +27,20 @@ import pytest
 from homyb import (
     Construction,
     ConstructionWarning,
+    Matrix,
     algebra_solution,
     algebra_solution_inverse,
     catalog_get,
     catalog_list,
+    chybe_holds,
     coalgebra_solution,
     coalgebra_solution_inverse,
     lie_solution,
     lie_solution_inverse,
+    parse_scalar,
     system_algebra,
     system_coalgebra,
+    validate,
 )
 from homyb import files
 from homyb.cli import main
@@ -114,6 +121,66 @@ def verify_all_digests(directory: Path) -> dict[str, str]:
     return {"verify_all": digest(doc, sort_keys=True), "verify_all_ordered": digest(doc)}
 
 
+def _with_cell(table, i: int, j: int, cell):
+    """The table with cell (i, j) replaced."""
+    return tuple(
+        tuple(cell if (p, q) == (i, j) else old for q, old in enumerate(row))
+        for p, row in enumerate(table)
+    )
+
+
+def broken_structures() -> dict:
+    """Fixed structures of all three kinds, each failing some axiom."""
+    ex23, ex33, ex35, ex43 = (
+        catalog_get(e).structure for e in ("ex2.3", "ex3.3", "ex3.5", "ex4.3")
+    )
+
+    def scalars(s, *exprs):
+        return tuple(parse_scalar(x, s.params) for x in exprs)
+
+    perturbed = scalars(ex43, "0", "lam", "0")
+    return {
+        "ex2.5-verbatim": catalog_get("ex2.5-verbatim").structure,
+        "ex2.3 mult cell plus lam": replace(
+            ex23, mult=_with_cell(ex23.mult, 0, 2, scalars(ex23, "lam", "0", "l"))),
+        "ex2.3 unit reversed": replace(ex23, unit=ex23.unit[::-1]),
+        "ex3.3 extra comult triple": replace(
+            ex33, comult=(ex33.comult[0], ex33.comult[1] + ((0, 1, *scalars(ex33, "1")),),
+                          ex33.comult[2])),
+        "ex3.5 counit reversed": replace(ex35, counit=ex35.counit[::-1]),
+        "ex4.3 perturbed bracket cell": replace(ex43, bracket_table=_with_cell(
+            _with_cell(ex43.bracket_table, 0, 2, perturbed),
+            2, 0, tuple(-x for x in perturbed))),
+        "ex4.3 non-antisymmetric bracket": replace(ex43, bracket_table=_with_cell(
+            ex43.bracket_table, 2, 2, scalars(ex43, "1", "0", "0"))),
+        # α[e1,e2] = e1 but [α(e1), α(e2)] = lam·e1
+        "ex4.3 non-multiplicative alpha": replace(ex43, alpha=Matrix.from_rows(
+            ex43.params, [scalars(ex43, *row) for row in (
+                ("1", "0", "0"), ("0", "lam", "0"), ("0", "0", "-1"))])),
+    }
+
+
+def validator_digest(name: str) -> str:
+    return digest(files.report_to_dict(validate(broken_structures()[name], True, witness_cap=None)))
+
+
+# r ∈ L⊗L on ex4.3, as (left, right, coefficient) summands, each failing the condition
+CHYBE_CASES = {
+    "e1⊗e2": [("e1", "e2", "1")],
+    "e1⊗e2 + e2⊗e1 + lam·e3⊗e1": [("e1", "e2", "1"), ("e2", "e1", "1"), ("e3", "e1", "lam")],
+}
+
+
+def chybe_digest(name: str) -> str:
+    lie = catalog_get("ex4.3").structure
+    d = lie.dim
+    r = [parse_scalar("0", lie.params)] * (d * d)
+    for a, b, expr in CHYBE_CASES[name]:
+        k = lie.basis_index(a) * d + lie.basis_index(b)
+        r[k] = r[k] + parse_scalar(expr, lie.params)
+    return digest(files.report_to_dict(chybe_holds(r, lie, witness_cap=None)))
+
+
 def _golden() -> dict:
     return json.loads(FIXTURE.read_text(encoding="utf-8"))
 
@@ -127,6 +194,16 @@ def test_fixture_covers_every_applicable_construction():
 def test_operator_document_is_unchanged(entry_id, name):
     want = _golden()["operators"][f"{entry_id} {name}"]
     assert operator_digest(entry_id, name) == want, f"{name} on {entry_id} differs"
+
+
+@pytest.mark.parametrize("name", list(broken_structures()))
+def test_validator_report_is_unchanged(name):
+    assert validator_digest(name) == _golden()["validators"][name], f"{name} differs"
+
+
+@pytest.mark.parametrize("name", list(CHYBE_CASES))
+def test_chybe_report_is_unchanged(name):
+    assert chybe_digest(name) == _golden()["chybe"][name], f"{name} differs"
 
 
 def test_verify_all_document_is_unchanged(tmp_path, capsys):
@@ -146,6 +223,8 @@ if __name__ == "__main__":
     golden = {
         "operators": {f"{e} {n}": operator_digest(e, n) for e, n in operator_pairs()},
         **verify_all,
+        "validators": {name: validator_digest(name) for name in broken_structures()},
+        "chybe": {name: chybe_digest(name) for name in CHYBE_CASES},
     }
     FIXTURE.write_text(json.dumps(golden, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {FIXTURE}")
