@@ -33,7 +33,7 @@ from .constructions import (
 from .errors import ConstructionWarning, UnknownEntryError
 from .scalar import ParamSet, Scalar, parse_scalar
 from .structures import HomAlgebra, HomCoalgebra, HomLieAlgebra, HomStructure, validate
-from .tensor import Vector, vec_is_zero, vec_sub, zero_vector
+from .tensor import Vector, zero_vector
 from .verify import (
     DEFAULT_WITNESS_CAP,
     VerificationReport,
@@ -464,7 +464,7 @@ def compare_table(
                     right_name=pair[1],
                     expected=expected,
                     computed=computed,
-                    match=vec_is_zero(vec_sub(expected, computed)),
+                    match=expected == computed,
                 )
             )
     return rows

@@ -6,7 +6,9 @@ Every operator here is one formula on basis pairs,
 
 with L and R taken from the structure's kind: μ(a,b)⊗1 and 1⊗μ(a,b) for
 algebras, ε(a)Δ(b) and ε(b)Δ(a) for coalgebras, [a,b]⊗u and α(u)⊗[a,b] for Lie
-algebras.  T is α(a)⊗α(b), or the flipped α(b)⊗α(a).  `RECIPES` records, for
+algebras.  T is α(a)⊗α(b), or the flipped α(b)⊗α(a).  Each term is a
+Kronecker product of the structure's sparse maps (μ⊗1, ε⊗Δ, α⊗α, ...), T
+composed with the tensor flip when flipped.  `RECIPES` records, for
 each `Construction`, its kind, its three coefficients as powers of λ and ν,
 whether T is flipped and which construction it inverts.  `build` and
 `build_many` read it; the named builders are thin wrappers over `build`.
@@ -34,7 +36,7 @@ from .structures import (
     is_central,
     validate,
 )
-from .tensor import Matrix, Vector, tensor2, vec_add, vec_scale
+from .tensor import Matrix, Vector, flip, kron, tensor2
 
 # chybe_r applies the twist |m| + |n| times; larger powers are refused
 MAX_TWIST_POWER = 100
@@ -198,39 +200,26 @@ def _two_term_operator(
 ) -> Matrix:
     """The matrix of B(a⊗b) = first·L(a,b) + second·R(a,b) − twist·T(a,b)."""
     first, second, twist = coefficients
-    dim = structure.dim
-    # L and R on e_i⊗e_j
-    if isinstance(structure, HomCoalgebra):
-        eps = structure.counit
-        deltas = [structure.comult_coords(i) for i in range(dim)]
-        legs = (
-            lambda i, j: _scaled(eps[i], deltas[j]),
-            lambda i, j: _scaled(eps[j], deltas[i]),
-        )
+    params = structure.params
+    alpha = structure.alpha
+    # L and R as matrices on the tensor square
+    if isinstance(structure, HomAlgebra):
+        m, unit = structure.mu, structure.eta
+        legs = (kron(m, unit), kron(unit, m))
+    elif isinstance(structure, HomCoalgebra):
+        delta, eps = structure.delta, structure.epsilon
+        legs = (kron(eps, delta), kron(delta, eps))
     else:
-        # μ(a,b)⊗1 and 1⊗μ(a,b), or [a,b]⊗u and α(u)⊗[a,b]
-        if isinstance(structure, HomAlgebra):
-            table, x, y = structure.mult, structure.unit, structure.unit
-        else:
-            table, x, y = structure.bracket_table, u, structure.apply_alpha(u)
-        legs = (lambda i, j: tensor2(table[i][j], x), lambda i, j: tensor2(y, table[i][j]))
-    terms = [(c, leg) for c, leg in zip((first, second), legs) if c is not None]
-    alpha_cols = [structure.alpha.column(i) for i in range(dim)]
-    minus_twist = -twist
-
-    def column(i: int, j: int) -> Vector:
-        p, q = (j, i) if flipped else (i, j)
-        out = _scaled(minus_twist, tensor2(alpha_cols[p], alpha_cols[q]))
-        for coeff, leg in terms:
-            out = vec_add(out, _scaled(coeff, leg(i, j)))
-        return out
-
-    columns = (column(i, j) for i in range(dim) for j in range(dim))
-    return Matrix.from_cols(structure.params, columns)
-
-
-def _scaled(c: Scalar, vec: Vector) -> Vector:
-    return vec if c.is_one() else vec_scale(c, vec)
+        br, u_col = structure.bracket, Matrix.from_cols(params, [u])
+        legs = (kron(br, u_col), kron(alpha @ u_col, br))
+    twisted = kron(alpha, alpha)
+    if flipped:
+        twisted = twisted @ flip(structure.dim, structure.dim, params)
+    out = twisted.scale(-twist)
+    for coeff, leg in zip((first, second), legs):
+        if coeff is not None:
+            out = out + leg.scale(coeff)
+    return out
 
 
 def build_many(
@@ -461,7 +450,7 @@ def chybe_r(
             vec = mat.apply(vec)
         return vec
 
-    first = power(lie.bracket_of(x, y), m)
+    first = power(lie.bracket.apply(tensor2(x, y)), m)
     second = power(u, n)
     if not is_central(lie, second):
         raise PreconditionError(

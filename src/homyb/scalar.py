@@ -456,7 +456,8 @@ _MAX_EXPONENT = 32
 _MAX_PRODUCT = 10_000
 _MAX_DIGITS = 4300
 
-_INT_RE = re.compile(r"\d+")
+# ASCII only: any other letter or digit is an unexpected character
+_INT_RE = re.compile(r"[0-9]+")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _OPS = set("+-*/^()")
 
@@ -470,14 +471,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
-            m = _INT_RE.match(text, pos)
+        if m := _INT_RE.match(text, pos):
             if m.end() - pos > _MAX_DIGITS:
                 raise ParseError(f"integer literal longer than {_MAX_DIGITS} digits", pos)
             tokens.append(("int", m.group(), pos))
             pos = m.end()
-        elif ch.isalpha() or ch == "_":
-            m = _IDENT_RE.match(text, pos)
+        elif m := _IDENT_RE.match(text, pos):
             tokens.append(("name", m.group(), pos))
             pos = m.end()
         elif ch in _OPS:

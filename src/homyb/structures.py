@@ -1,11 +1,12 @@
 """Structure-constant descriptions of the three twisted structures.
 
 Each structure stores raw data (basis names, tables of coordinate vectors, the
-twist matrix) and is validated on demand.  Validators enumerate every basis
-tuple of the relevant arity, so a passing report certifies the axiom for all
-elements by multilinearity; a failing one carries exact residual witnesses.
-Structures are stored raw even when broken -- the tool must be able to load a
-defective table to diagnose it.
+twist matrix), exposes its maps once as sparse matrices (μ, the unit, Δ, ε or
+the bracket) and is validated on demand.  Every axiom is a matrix identity
+whose `tensor.product_difference` residual has one column per basis tuple, so
+a passing report certifies the axiom for all elements by multilinearity; a
+failing one carries exact residual witnesses.  Structures are stored raw even
+when broken -- the tool must be able to load a defective table to diagnose it.
 """
 
 from __future__ import annotations
@@ -13,21 +14,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, ClassVar, Mapping, Sequence
 
 from .errors import DimensionError, StructureError
 from .scalar import ParamSet, Scalar, parse_scalar
-from .tensor import (
-    Matrix,
-    Vector,
-    basis_vector,
-    tensor2,
-    vec_add,
-    vec_is_zero,
-    vec_scale,
-    vec_sub,
-    zero_vector,
-)
+from .tensor import Matrix, Vector, basis_vector, flip, kron, product_difference, zero_vector
 from .verify import DEFAULT_WITNESS_CAP, VerificationReport, Witness, combine, leaf_report
 
 
@@ -57,8 +49,9 @@ class _StructureBase:
     def basis_vec(self, i: int) -> Vector:
         return basis_vector(self.dim, i, self.params)
 
-    def apply_alpha(self, vec: Sequence[Scalar]) -> Vector:
-        return self.alpha.apply(vec)
+    @property
+    def identity(self) -> Matrix:
+        return Matrix.identity(self.dim, self.params)
 
     def _check_base(self) -> None:
         if not self.basis:
@@ -94,27 +87,6 @@ def _cells(fn: Callable[[Scalar], Scalar], table: tuple[tuple[Vector, ...], ...]
     return tuple(tuple(tuple(fn(s) for s in cell) for cell in row) for row in table)
 
 
-def _bilinear(
-    table: tuple[tuple[Vector, ...], ...],
-    u: Sequence[Scalar],
-    v: Sequence[Scalar],
-    params: ParamSet,
-) -> Vector:
-    """Coordinates of the bilinear extension of a table of basis products, at (u, v)."""
-    out = list(zero_vector(len(table), params))
-    for i, ui in enumerate(u):
-        if not ui.terms:
-            continue
-        for j, vj in enumerate(v):
-            if not vj.terms:
-                continue
-            c = ui * vj
-            for k, w in enumerate(table[i][j]):
-                if w.terms:
-                    out[k] = out[k] + c * w
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class HomAlgebra(_StructureBase):
     """(A, μ, 1_A, α): multiplication table, unit coordinates, twist matrix."""
@@ -146,9 +118,15 @@ class HomAlgebra(_StructureBase):
             mult=_cells(lambda s: parse_scalar(s, params), mult),
         )
 
-    def product(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-        """Coordinates of u·v, extended bilinearly from the structure constants."""
-        return _bilinear(self.mult, u, v, self.params)
+    @property
+    def mu(self) -> Matrix:
+        """μ as a dim×dim² matrix: column i·dim + j is the product e_i·e_j."""
+        return Matrix.from_cols(self.params, (cell for row in self.mult for cell in row))
+
+    @property
+    def eta(self) -> Matrix:
+        """The unit as a dim×1 matrix."""
+        return Matrix.from_cols(self.params, [self.unit])
 
     def _map(self, fn: Callable[[Scalar], Scalar], params: ParamSet) -> "HomAlgebra":
         return replace(
@@ -202,26 +180,20 @@ class HomCoalgebra(_StructureBase):
             ),
         )
 
-    def comult_coords(self, i: int) -> Vector:
-        """Δ(e_i) as a dim² coordinate vector."""
-        return self.comult_of(self.basis_vec(i))
-
-    def comult_of(self, vec: Sequence[Scalar]) -> Vector:
+    @property
+    def delta(self) -> Matrix:
+        """Δ as a dim²×dim matrix: column i is Δ(e_i), repeated triples summed."""
         d = self.dim
-        out = list(zero_vector(d * d, self.params))
-        for i, vi in enumerate(vec):
-            if not vi.terms:
-                continue
-            for j, k, c in self.comult[i]:
-                out[j * d + k] = out[j * d + k] + vi * c
-        return tuple(out)
+        cols = [list(zero_vector(d * d, self.params)) for _ in range(d)]
+        for col, triples in zip(cols, self.comult):
+            for j, k, c in triples:
+                col[j * d + k] = col[j * d + k] + c
+        return Matrix.from_cols(self.params, cols)
 
-    def counit_of(self, vec: Sequence[Scalar]) -> Scalar:
-        out = Scalar.zero(self.params)
-        for vi, eps in zip(vec, self.counit):
-            if vi.terms and eps.terms:
-                out = out + vi * eps
-        return out
+    @property
+    def epsilon(self) -> Matrix:
+        """ε as a 1×dim matrix."""
+        return Matrix.from_rows(self.params, [self.counit])
 
     def _map(self, fn: Callable[[Scalar], Scalar], params: ParamSet) -> "HomCoalgebra":
         return replace(
@@ -258,8 +230,12 @@ class HomLieAlgebra(_StructureBase):
             bracket_table=_cells(lambda s: parse_scalar(s, params), bracket),
         )
 
-    def bracket_of(self, u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-        return _bilinear(self.bracket_table, u, v, self.params)
+    @property
+    def bracket(self) -> Matrix:
+        """The bracket as a dim×dim² matrix: column i·dim + j is [e_i, e_j]."""
+        return Matrix.from_cols(
+            self.params, (cell for row in self.bracket_table for cell in row)
+        )
 
     def _map(self, fn: Callable[[Scalar], Scalar], params: ParamSet) -> "HomLieAlgebra":
         return replace(
@@ -276,28 +252,28 @@ HomStructure = HomAlgebra | HomCoalgebra | HomLieAlgebra
 # -- validators ---------------------------------------------------------------
 
 
-def _vector_failures(
-    row: int, diff: Sequence[Scalar], label: str
-) -> list[Witness]:
-    return [
-        Witness(row, c, s, f"{label}->{c}") for c, s in enumerate(diff) if s.terms
-    ]
+def _names(basis: Sequence[str], t: int, arity: int) -> str:
+    """The basis names of the flat tensor index t of the given arity, comma-separated."""
+    names = []
+    for _ in range(arity):
+        t, i = divmod(t, len(basis))
+        names.append(basis[i])
+    return ",".join(reversed(names))
 
 
-def _multiplicative_failures(
-    s: HomAlgebra | HomLieAlgebra, table: tuple[tuple[Vector, ...], ...], label: str
-) -> list[Witness]:
-    """α(e_i·e_j) against α(e_i)·α(e_j) on every basis pair, for a table of products."""
-    d = s.dim
-    alpha_cols = [s.alpha.column(i) for i in range(d)]
-    failures = []
-    for i in range(d):
-        for j in range(d):
-            lhs = s.apply_alpha(table[i][j])
-            rhs = _bilinear(table, alpha_cols[i], alpha_cols[j], s.params)
-            where = f"{label}({s.basis[i]},{s.basis[j]})"
-            failures.extend(_vector_failures(i * d + j, vec_sub(lhs, rhs), where))
-    return failures
+def _failures(residual: Matrix, label: Callable[[int], str]) -> list[Witness]:
+    """One witness per nonzero entry (c, t) of a residual whose column t is a basis tuple.
+
+    The witness sits at row t, column c, carries the label `label(t)->c`, and
+    the witnesses are ordered by (t, c).
+    """
+    entries = sorted(residual.nonzero(), key=lambda e: (e[1], e[0]))
+    return [Witness(t, c, v, f"{label(t)}->{c}") for c, t, v in entries]
+
+
+def _interleaved(*sides: list[Witness]) -> list[Witness]:
+    """The witnesses of several residuals over the same basis tuples, tuple by tuple."""
+    return sorted((w for side in sides for w in side), key=attrgetter("row"))
 
 
 def validate_hom_algebra(
@@ -311,35 +287,23 @@ def validate_hom_algebra(
     started = time.perf_counter()
     d = a.dim
     basis = a.basis
-    es = [a.basis_vec(i) for i in range(d)]
-    alpha_es = [a.apply_alpha(e) for e in es]
+    al, m, u, ident = a.alpha, a.mu, a.eta, a.identity
 
-    ha1 = _multiplicative_failures(a, a.mult, "HA1")
-    ha1_unit = _vector_failures(
-        0, vec_sub(a.apply_alpha(a.unit), a.unit), "HA1(unit)"
+    ha1 = _failures(
+        product_difference(al, m, m, kron(al, al)), lambda t: f"HA1({_names(basis, t, 2)})"
     )
-
-    ha2 = []
-    for i in range(d):
-        for j in range(d):
-            prod_ij = a.mult[i][j]
-            for k in range(d):
-                lhs = a.product(alpha_es[i], a.mult[j][k])
-                rhs = a.product(prod_ij, alpha_es[k])
-                ha2.extend(
-                    _vector_failures(
-                        (i * d + j) * d + k,
-                        vec_sub(lhs, rhs),
-                        f"HA2({basis[i]},{basis[j]},{basis[k]})",
-                    )
-                )
-
-    ha2_unit = []
-    for i in range(d):
-        for side, value in ((f"{basis[i]}*1", a.product(es[i], a.unit)),
-                            (f"1*{basis[i]}", a.product(a.unit, es[i]))):
-            where = f"HA2-unit({side})"
-            ha2_unit.extend(_vector_failures(i, vec_sub(value, alpha_es[i]), where))
+    one = Matrix.identity(1, a.params)
+    ha1_unit = _failures(product_difference(al, u, u, one), lambda t: "HA1(unit)")
+    ha2 = _failures(
+        product_difference(m, kron(al, m), m, kron(m, al)),
+        lambda t: f"HA2({_names(basis, t, 3)})",
+    )
+    ha2_unit = _interleaved(
+        _failures(product_difference(m, kron(ident, u), al, ident),
+                  lambda t: f"HA2-unit({basis[t]}*1)"),
+        _failures(product_difference(m, kron(u, ident), al, ident),
+                  lambda t: f"HA2-unit(1*{basis[t]})"),
+    )
 
     parts = [
         leaf_report("HA1-mult", ha1, witness_cap=witness_cap, tuples=str(d * d)),
@@ -357,42 +321,26 @@ def validate_hom_coalgebra(
     started = time.perf_counter()
     d = c.dim
     basis = c.basis
-    params = c.params
-    alpha_cols = [c.alpha.column(i) for i in range(d)]
+    al, delta, eps, ident = c.alpha, c.delta, c.epsilon, c.identity
 
-    hc1 = []
-    hc1_counit = []
-    hc2 = []
-    hc2_counit = []
-    for i in range(d):
-        delta_i = c.comult[i]
-
-        # (α⊗α)Δ(e_i) vs Δ(α(e_i)), and (α⊗Δ)Δ vs (Δ⊗α)Δ on e_i
-        lhs = zero_vector(d * d, params)
-        left = right = zero_vector(d ** 3, params)
-        for j, k, coeff in delta_i:
-            lhs = vec_add(lhs, vec_scale(coeff, tensor2(alpha_cols[j], alpha_cols[k])))
-            left = vec_add(left, vec_scale(coeff, tensor2(alpha_cols[j], c.comult_coords(k))))
-            right = vec_add(right, vec_scale(coeff, tensor2(c.comult_coords(j), alpha_cols[k])))
-        rhs = c.comult_of(alpha_cols[i])
-        hc1.extend(_vector_failures(i, vec_sub(lhs, rhs), f"HC1({basis[i]})"))
-
-        # ε(α(e_i)) vs ε(e_i)
-        diff = c.counit_of(alpha_cols[i]) - c.counit[i]
-        if diff.terms:
-            hc1_counit.append(Witness(i, 0, diff, f"HC1-counit({basis[i]})"))
-
-        hc2.extend(_vector_failures(i, vec_sub(left, right), f"HC2({basis[i]})"))
-
-        # (ε⊗id)Δ = (id⊗ε)Δ = α on e_i
-        eps_left = list(zero_vector(d, params))
-        eps_right = list(zero_vector(d, params))
-        for j, k, coeff in delta_i:
-            eps_left[k] = eps_left[k] + c.counit[j] * coeff
-            eps_right[j] = eps_right[j] + coeff * c.counit[k]
-        for side, eps in (("eps⊗id", eps_left), ("id⊗eps", eps_right)):
-            where = f"HC2-counit({side})({basis[i]})"
-            hc2_counit.extend(_vector_failures(i, vec_sub(tuple(eps), alpha_cols[i]), where))
+    # (α⊗α)Δ = Δα, εα = ε, (α⊗Δ)Δ = (Δ⊗α)Δ and (ε⊗id)Δ = (id⊗ε)Δ = α
+    hc1 = _failures(
+        product_difference(kron(al, al), delta, delta, al), lambda t: f"HC1({basis[t]})"
+    )
+    hc1_counit = [
+        Witness(t, 0, v, f"HC1-counit({basis[t]})")
+        for _, t, v in product_difference(eps, al, eps, ident).nonzero()
+    ]
+    hc2 = _failures(
+        product_difference(kron(al, delta), delta, kron(delta, al), delta),
+        lambda t: f"HC2({basis[t]})",
+    )
+    hc2_counit = _interleaved(
+        _failures(product_difference(kron(eps, ident), delta, al, ident),
+                  lambda t: f"HC2-counit(eps⊗id)({basis[t]})"),
+        _failures(product_difference(kron(ident, eps), delta, al, ident),
+                  lambda t: f"HC2-counit(id⊗eps)({basis[t]})"),
+    )
 
     parts = [
         leaf_report("HC1-comult", hc1, witness_cap=witness_cap, tuples=str(d)),
@@ -417,32 +365,21 @@ def validate_hom_lie(
     started = time.perf_counter()
     d = lie.dim
     basis = lie.basis
-    alpha_cols = [lie.alpha.column(i) for i in range(d)]
+    params = lie.params
+    al, br = lie.alpha, lie.bracket
 
-    hl1 = []
-    for i in range(d):
-        for j in range(d):
-            diff = vec_add(lie.bracket_table[i][j], lie.bracket_table[j][i])
-            hl1.extend(_vector_failures(i * d + j, diff, f"HL1({basis[i]},{basis[j]})"))
-
-    hl2 = []
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                total = vec_add(
-                    vec_add(
-                        lie.bracket_of(alpha_cols[i], lie.bracket_table[j][k]),
-                        lie.bracket_of(alpha_cols[j], lie.bracket_table[k][i]),
-                    ),
-                    lie.bracket_of(alpha_cols[k], lie.bracket_table[i][j]),
-                )
-                hl2.extend(
-                    _vector_failures(
-                        (i * d + j) * d + k,
-                        total,
-                        f"HL2({basis[i]},{basis[j]},{basis[k]})",
-                    )
-                )
+    # [x,y] + [y,x] = L(I + F); the Jacobi sum is X(I + P + P²) with
+    # X = L(α⊗L) and P the cyclic shift x⊗y⊗z ↦ y⊗z⊗x
+    hl1 = _failures(
+        product_difference(br, Matrix.identity(d * d, params), -br, flip(d, d, params)),
+        lambda t: f"HL1({_names(basis, t, 2)})",
+    )
+    x = br @ kron(al, br)
+    cycle = flip(d, d * d, params)
+    hl2 = _failures(
+        product_difference(x, Matrix.identity(d ** 3, params) + cycle, -x, cycle @ cycle),
+        lambda t: f"HL2({_names(basis, t, 3)})",
+    )
 
     parts = [
         leaf_report("HL1-antisym", hl1, witness_cap=witness_cap, tuples=str(d * d)),
@@ -450,7 +387,10 @@ def validate_hom_lie(
     ]
 
     if require_multiplicative:
-        mult = _multiplicative_failures(lie, lie.bracket_table, "alpha-mult")
+        mult = _failures(
+            product_difference(al, br, br, kron(al, al)),
+            lambda t: f"alpha-mult({_names(basis, t, 2)})",
+        )
         parts.append(
             leaf_report("alpha-multiplicative", mult, witness_cap=witness_cap, tuples=str(d * d))
         )
@@ -475,16 +415,14 @@ def validate(structure: HomStructure, require_multiplicative: bool = False,
 
 
 def is_central(lie: HomLieAlgebra, u: Sequence[Scalar]) -> bool:
-    """[u, e_i] = 0 for every basis element."""
+    """[u, e_i] = 0 for every basis element: L(u⊗id) is zero."""
     if len(u) != lie.dim:
         raise DimensionError(f"vector of length {len(u)} in dimension {lie.dim}")
-    return all(
-        vec_is_zero(lie.bracket_of(u, lie.basis_vec(i))) for i in range(lie.dim)
-    )
+    return (lie.bracket @ kron(Matrix.from_cols(lie.params, [u]), lie.identity)).is_zero()
 
 
 def is_alpha_invariant(structure: _StructureBase, u: Sequence[Scalar]) -> bool:
     """α(u) = u exactly."""
     if len(u) != structure.dim:
         raise DimensionError(f"vector of length {len(u)} in dimension {structure.dim}")
-    return vec_is_zero(vec_sub(structure.apply_alpha(u), u))
+    return structure.alpha.apply(u) == tuple(u)

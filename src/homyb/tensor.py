@@ -2,8 +2,10 @@
 
 A Matrix keeps one map per row from column index to Scalar and never stores a
 zero, so every kernel (products, sums, Kronecker products, comparisons) walks
-the nonzero entries only.  The operators the constructions produce, and their
-embeddings on the tensor cube, are almost entirely zeros.
+the nonzero entries only.  It is homyb's one linear-algebra path: structure
+maps, operators, axioms and identities are all expressions in `kron`, `flip`,
+`@`, `+` and `product_difference`; the coordinate-vector helpers at the end
+only build inputs such as basis vectors and u⊗v.
 
 The product `@` is fused: each product of two entries is added term by term
 into one term map per output entry (`scalar.add_product`), and one Scalar is
@@ -393,7 +395,7 @@ def leg13(s: Matrix, alpha_mid: Matrix, dim_first: int, dim_third: int) -> Matri
     return Matrix._new(size, size, s.params, maps)
 
 
-# -- coordinate-vector helpers ----------------------------------------------------
+# -- coordinate-vector inputs -----------------------------------------------------
 
 
 def zero_vector(n: int, params: ParamSet) -> Vector:
@@ -404,26 +406,6 @@ def basis_vector(n: int, i: int, params: ParamSet) -> Vector:
     vec = [Scalar.zero(params)] * n
     vec[i] = Scalar.one(params)
     return tuple(vec)
-
-
-# Like the matrix kernels, these do no arithmetic on zero coordinates: a zero
-# coordinate of an operand is reused as the zero of the result.
-
-
-def vec_add(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-    return tuple(a + b if a.terms and b.terms else (a if a.terms else b) for a, b in zip(u, v))
-
-
-def vec_sub(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
-    return tuple(a - b if b.terms else a for a, b in zip(u, v))
-
-
-def vec_scale(c: Scalar, u: Sequence[Scalar]) -> Vector:
-    return tuple(c * a if a.terms else a for a in u)
-
-
-def vec_is_zero(u: Sequence[Scalar]) -> bool:
-    return all(not a.terms for a in u)
 
 
 def tensor2(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:

@@ -9,7 +9,9 @@ parameter values.
 Each matrix identity is written as X·Y = Z·W, and its residual X·Y − Z·W
 comes from `tensor.product_difference`: both sides are added into one term map
 per entry and only the entries that do not cancel become Scalars, so a pass
-builds no Scalar for the entries of its two final products.
+builds no Scalar for the entries of its two final products.  The classical
+condition on r is one such column, built from the bracket matrix of the Lie
+algebra and r⊗r.
 """
 
 from __future__ import annotations
@@ -20,18 +22,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DimensionError
 from .scalar import Scalar
-from .tensor import (
-    Matrix,
-    kron,
-    leg12,
-    leg13,
-    leg23,
-    product_difference,
-    tensor2,
-    vec_add,
-    vec_scale,
-    zero_vector,
-)
+from .tensor import Matrix, flip, kron, leg12, leg13, leg23, product_difference
 
 if TYPE_CHECKING:  # pragma: no cover
     from .structures import HomLieAlgebra
@@ -264,22 +255,20 @@ def chybe_holds(
     n = lie.dim
     if len(coords) != n * n:
         raise DimensionError(f"r must have length {n * n}, got {len(coords)}")
-    alpha_cols = [lie.alpha.column(i) for i in range(n)]
-    bracket = lie.bracket_table
-    total = zero_vector(n ** 3, lie.params)
-    pairs = [(idx // n, idx % n, c) for idx, c in enumerate(coords) if c.terms]
-    for p1, q1, c1 in pairs:
-        for p2, q2, c2 in pairs:
-            for u, v, w in (
-                (bracket[p1][p2], alpha_cols[q1], alpha_cols[q2]),
-                (alpha_cols[p1], bracket[q1][p2], alpha_cols[q2]),
-                (alpha_cols[p1], alpha_cols[p2], bracket[q1][q2]),
-            ):
-                total = vec_add(total, vec_scale(c1 * c2, tensor2(tensor2(u, v), w)))
-
+    params = lie.params
+    alpha, bracket = lie.alpha, lie.bracket
+    aa = kron(alpha, alpha)
+    ident = Matrix.identity(n, params)
+    # r⊗r has legs a_i⊗b_i⊗a_j⊗b_j; the outer terms need a_i⊗a_j⊗b_i⊗b_j first
+    r_col = Matrix.from_cols(params, [coords])
+    rr = kron(r_col, r_col)
+    swapped = kron(kron(ident, flip(n, n, params)), ident) @ rr
+    total = product_difference(
+        kron(bracket, aa) + kron(aa, bracket), swapped, -kron(kron(alpha, bracket), alpha), rr
+    )
     return leaf_report(
         "chybe",
-        (Witness(i, 0, s) for i, s in enumerate(total) if s.terms),
+        residual_witnesses(total),
         witness_cap=witness_cap,
         started=started,
         typo_readings=CHYBE_READING,

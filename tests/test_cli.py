@@ -244,6 +244,26 @@ class TestCatalog:
         assert entries["ex3.3"]["report"]["holds"] is True
 
 
+class TestNonAscii:
+    def test_non_ascii_expression_in_a_structure_file_exits_two(self, tmp_path, capsys):
+        doc = {
+            "format_version": 1, "kind": "hom-algebra", "dim": 1, "basis": ["e"],
+            "parameters": ["lam"], "alpha": [["1"]], "unit": ["λ"], "mult": [[["1"]]],
+        }
+        path = tmp_path / "lambda.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        assert main(["axioms", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unexpected character 'λ'" in err
+        assert "Traceback" not in err
+
+    def test_non_ascii_lambda_argument_exits_two(self, export, capsys):
+        code = main(["build", export("ex2.3"), "--construction", "thm2.1", "--lambda", "λ"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unexpected character 'λ'" in err
+
+
 class TestBounds:
     def test_huge_exponent_in_a_structure_file_exits_two(self, tmp_path, capsys):
         doc = {

@@ -17,6 +17,7 @@ from homyb import (
     format_scalar,
     parse_scalar,
 )
+from homyb.scalar import expression_names
 from conftest import PS2, PS3, is_canonical, monomials, random_assignment, scalars
 
 import random
@@ -183,6 +184,16 @@ class TestParser:
         assert parse_scalar("-" * 50 + "lam", PS3) == S("lam")
         with pytest.raises(ParseError):
             parse_scalar("-" * 51 + "lam", PS3)
+
+    @pytest.mark.parametrize("text, char", [
+        ("λ", "λ"), ("lam + λ", "λ"), ("lamλ", "λ"), ("2²", "²"), ("lam^²", "²"), ("٣", "٣"),
+    ])
+    def test_non_ascii_letter_or_digit_is_an_unexpected_character(self, text, char):
+        # only ASCII digits and identifiers are lexed; "٣" must not read as 3
+        with pytest.raises(ParseError, match=f"unexpected character '{char}'"):
+            parse_scalar(text, ParamSet(["lam"]))
+        with pytest.raises(ParseError, match=f"unexpected character '{char}'"):
+            expression_names(text)
 
     @pytest.mark.parametrize("text", ["1" * 5000, "lam^" + "1" * 5000, "1/" + "7" * 5000])
     def test_overlong_integer_literal_is_a_parse_error(self, text):

@@ -10,6 +10,7 @@ from homyb import (
     ConstructionWarning,
     HomLieAlgebra,
     Matrix,
+    ParamSet,
     Scalar,
     Witness,
     algebra_solution,
@@ -34,6 +35,7 @@ from homyb import (
     system_coalgebra,
     system_holds,
     tensor2,
+    validate,
     yb_commutator,
 )
 from homyb.constructions import INVERSE, RECIPES, SYSTEMS
@@ -286,6 +288,47 @@ class TestChybe:
         w = report.witnesses[0]
         assert (w.row, w.col) == (1, 0)
         assert w.residual == Scalar.constant(lie.params, -1)
+
+
+def heisenberg(alpha_diagonal):
+    """h3 with [e1,e2] = e3 over Q[s^±, lam, nu], twisted by a diagonal α."""
+    zero = ["0", "0", "0"]
+    bracket = [[zero, ["0", "0", "1"], zero], [["0", "0", "-1"], zero, zero], [zero] * 3]
+    alpha = [[x if i == j else "0" for j in range(3)] for i, x in enumerate(alpha_diagonal)]
+    return HomLieAlgebra.from_strings(
+        "h3", ["e1", "e2", "e3"], ParamSet(["s", "lam", "nu"]), bracket, alpha
+    )
+
+
+class TestHeisenberg:
+    """The Heisenberg algebra, a Lie family beyond the catalog, with u = e3."""
+
+    def build(self, lie, *constructions):
+        lam, nu = (parse_scalar(x, lie.params) for x in ("lam", "nu"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ConstructionWarning)  # α(u) = -u
+            return build_many(lie, constructions, lam, nu, u=lie.basis_vec(2))
+
+    def test_alpha_fixing_the_centre_satisfies_thm41_and_chybe(self):
+        lie = heisenberg(["s", "s^-1", "1"])
+        assert validate(lie, True).holds
+        (b,) = self.build(lie, Construction.LIE41)
+        assert hybe_holds(b, lie.alpha).holds
+        assert commutes_with_alpha(b, lie.alpha).holds
+        inverse = heisenberg(["s^-1", "s", "1"]).alpha
+        e1, e2, e3 = (lie.basis_vec(i) for i in range(3))
+        for m, n in ((0, 0), (1, 2), (2, 1), (-1, -2)):
+            r = chybe_r(lie, e1, e2, e3, m, n, alpha_inverse=inverse)
+            assert chybe_holds(r, lie).holds, (m, n)
+
+    def test_alpha_negating_the_centre_breaks_only_alpha_commute(self):
+        # unlike ex4.3, where α(u) = -u also breaks hybe, hybe still holds here
+        lie = heisenberg(["1", "-1", "-1"])
+        assert validate(lie, True).holds
+        (b,) = self.build(lie, Construction.LIE41)
+        assert inverse_holds(*self.build(lie, Construction.LIE41, Construction.LIE_INV42)).holds
+        assert not commutes_with_alpha(b, lie.alpha).holds
+        assert hybe_holds(b, lie.alpha).holds
 
 
 class TestSymbolicEvaluationAgreement:
