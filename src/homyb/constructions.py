@@ -12,6 +12,8 @@ composed with the tensor flip when flipped.  `RECIPES` records, for
 each `Construction`, its kind, its three coefficients as powers of λ and ν,
 whether T is flipped and which construction it inverts.  `build` and
 `build_many` read it; the named builders are thin wrappers over `build`.
+`build_many` builds the legs L, R and T once per call and scales them for
+each construction it builds.
 
 The matrix is dim²×dim²: column (i·dim + j) holds the coordinates of the image
 of e_i⊗e_j.  Builders are deterministic and make no claims -- the identities
@@ -192,31 +194,31 @@ def _central_u(lie: HomLieAlgebra, u: Sequence[Scalar] | None, construction: str
     return u
 
 
-def _two_term_operator(
-    structure: HomStructure,
-    coefficients: tuple[Scalar | None, Scalar | None, Scalar],
-    flipped: bool,
-    u: Vector | None,
-) -> Matrix:
-    """The matrix of B(a⊗b) = first·L(a,b) + second·R(a,b) − twist·T(a,b)."""
-    first, second, twist = coefficients
+def _kind_legs(structure: HomStructure, u: Vector | None) -> tuple[Matrix, Matrix, Matrix]:
+    """The matrices L, R and the unflipped T = α⊗α of the kind's two-term formula."""
     params = structure.params
     alpha = structure.alpha
-    # L and R as matrices on the tensor square
     if isinstance(structure, HomAlgebra):
         m, unit = structure.mu, structure.eta
-        legs = (kron(m, unit), kron(unit, m))
+        left, right = kron(m, unit), kron(unit, m)
     elif isinstance(structure, HomCoalgebra):
         delta, eps = structure.delta, structure.epsilon
-        legs = (kron(eps, delta), kron(delta, eps))
+        left, right = kron(eps, delta), kron(delta, eps)
     else:
         br, u_col = structure.bracket, Matrix.from_cols(params, [u])
-        legs = (kron(br, u_col), kron(alpha @ u_col, br))
-    twisted = kron(alpha, alpha)
-    if flipped:
-        twisted = twisted @ flip(structure.dim, structure.dim, params)
+        left, right = kron(br, u_col), kron(alpha @ u_col, br)
+    return left, right, kron(alpha, alpha)
+
+
+def _two_term_operator(
+    legs: tuple[Matrix, Matrix, Matrix],
+    coefficients: tuple[Scalar | None, Scalar | None, Scalar],
+) -> Matrix:
+    """The matrix of B = first·L + second·R − twist·T, for legs (L, R, T)."""
+    left, right, twisted = legs
+    first, second, twist = coefficients
     out = twisted.scale(-twist)
-    for coeff, leg in zip((first, second), legs):
+    for coeff, leg in ((first, left), (second, right)):
         if coeff is not None:
             out = out + leg.scale(coeff)
     return out
@@ -251,6 +253,8 @@ def build_many(
     lam, nu = lam.extend(structure.params), nu.extend(structure.params)
     lie = isinstance(structure, HomLieAlgebra)
     _require_valid(structure, unchecked, multiplicative=lie)
+    # (L, R, T) for unflipped and flipped T, each built once and scaled per construction
+    legs: dict[bool, tuple[Matrix, Matrix, Matrix]] = {}
     ops = []
     for c, recipe in zip(constructions, recipes):
         powers = [p for p in (recipe.first, recipe.second, recipe.twist) if p is not None]
@@ -275,7 +279,13 @@ def build_many(
             for p in (recipe.first, recipe.second, recipe.twist)
         )
         central = _central_u(structure, u, c.value) if lie else None
-        matrix = _two_term_operator(structure, coefficients, recipe.flipped, central)
+        if not legs:
+            legs[False] = _kind_legs(structure, central)
+        if recipe.flipped not in legs:
+            left, right, twisted = legs[False]
+            flipped = twisted @ flip(structure.dim, structure.dim, structure.params)
+            legs[True] = (left, right, flipped)
+        matrix = _two_term_operator(legs[recipe.flipped], coefficients)
         ops.append(SolutionOperator(matrix, c, lam, nu, structure))
     return ops
 

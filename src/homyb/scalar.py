@@ -98,9 +98,8 @@ def _coefficient(value) -> int | Fraction:
 def add_product(out: dict, left: Mapping, right: Mapping) -> None:
     """Add the product of the term maps `left` and `right` into the term map `out`.
 
-    This is the kernel of `Scalar.__mul__`, of the fused `Matrix.__matmul__` and
-    of the fused residual `tensor.product_difference`, from which every matrix
-    identity check in `verify` reads its witnesses.
+    This is the kernel of `Scalar.__mul__`; the matrix kernels in `tensor` run
+    the same loop over packed int keys instead of exponent tuples.
 
     `out` stays canonical: a term that cancels is removed, and an integral
     coefficient is stored as an int.

@@ -7,22 +7,22 @@ There are no tolerances anywhere; a pass means the identity holds for all
 parameter values.
 
 Each matrix identity is written as X·Y = Z·W, and its residual X·Y − Z·W
-comes from `tensor.product_difference`: both sides are added into one term map
-per entry and only the entries that do not cancel become Scalars, so a pass
-builds no Scalar for the entries of its two final products.  The classical
-condition on r is one such column, built from the bracket matrix of the Lie
-algebra and r⊗r.
+comes from `tensor.product_difference`: both sides are added into one packed
+term map per entry and only the entries that do not cancel are read back as
+Scalars, so a pass builds no Scalar.  The classical condition on r is one
+such column, built from the bracket matrix of the Lie algebra and r⊗r.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import product
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DimensionError
 from .scalar import Scalar
-from .tensor import Matrix, flip, kron, leg12, leg13, leg23, product_difference
+from .tensor import Matrix, kron, leg12, leg13, leg23, product_difference, tensor2
 
 if TYPE_CHECKING:  # pragma: no cover
     from .structures import HomLieAlgebra
@@ -258,13 +258,13 @@ def chybe_holds(
     params = lie.params
     alpha, bracket = lie.alpha, lie.bracket
     aa = kron(alpha, alpha)
-    ident = Matrix.identity(n, params)
-    # r⊗r has legs a_i⊗b_i⊗a_j⊗b_j; the outer terms need a_i⊗a_j⊗b_i⊗b_j first
-    r_col = Matrix.from_cols(params, [coords])
-    rr = kron(r_col, r_col)
-    swapped = kron(kron(ident, flip(n, n, params)), ident) @ rr
+    # r⊗r has legs a_i⊗b_i⊗a_j⊗b_j; the outer terms read a_i⊗a_j⊗b_i⊗b_j off it
+    rr = tensor2(coords, coords)
+    swapped = [rr[((p * n + q) * n + s) * n + t] for p, s, q, t in product(range(n), repeat=4)]
+    # α⊗L⊗α is L on the middle leg of the legs-1,3 operator α⊗α
     total = product_difference(
-        kron(bracket, aa) + kron(aa, bracket), swapped, -kron(kron(alpha, bracket), alpha), rr
+        kron(bracket, aa) + kron(aa, bracket), Matrix.from_cols(params, [swapped]),
+        -leg13(aa, bracket, n, n), Matrix.from_cols(params, [rr]),
     )
     return leaf_report(
         "chybe",

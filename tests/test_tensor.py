@@ -1,5 +1,6 @@
 """Matrices, Kronecker products, the flip operator and leg embeddings."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -391,3 +392,172 @@ class TestProductDifference:
         ):
             with pytest.raises(ParamMismatchError):
                 product_difference(*operands)
+
+
+# -- packed storage: exponents near and beyond the default slot ---------------------
+
+# |e| < 2^31 fits the default 32-bit slot; sums of two such exponents, and 2^40,
+# do not, so products of these entries need a wider slot than their operands
+BIG_EXPONENTS = [2 ** 31 - 1, -(2 ** 31 - 1), 2 ** 31, -(2 ** 31), 2 ** 40 - 1, 2 ** 40,
+                 -(2 ** 40), 2 ** 40 + 1, -(2 ** 40) - 1]
+
+
+def wide_scalars(params=PS2):
+    """Small Laurent polynomials, or ±1 and rational monomials with huge exponents."""
+    n = len(params)
+    coeff = st.one_of(st.sampled_from([1, -1]),
+                      st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool))
+    exponent = st.one_of(st.integers(-2, 2), st.sampled_from(BIG_EXPONENTS))
+    huge = st.builds(lambda e, c: Scalar(params, {e: c}), st.tuples(*[exponent] * n), coeff)
+    return st.one_of(scalars(params, max_terms=2, exp_range=2), huge)
+
+
+def wide_matrices(rows, cols, params=PS2):
+    zero = Scalar.zero(params)
+    entry = st.one_of(st.just(zero), wide_scalars(params))
+    return st.lists(entry, min_size=rows * cols, max_size=rows * cols).map(
+        lambda data: Matrix(rows, cols, params, data)
+    )
+
+
+def dense_matmul(a, b):
+    """a·b entry by entry in Scalar arithmetic, which keeps exponent tuples."""
+    zero = Scalar.zero(a.params)
+    return [[sum((a[i, k] * b[k, j] for k in range(a.cols)), zero) for j in range(b.cols)]
+            for i in range(a.rows)]
+
+
+def dense_leg13(s, mid, dim_first, dim_third):
+    """R[(i,m,k), (j,l,p)] = mid[m,l]·S[(i,k), (j,p)], entry by entry."""
+    rows, cols = mid.rows, mid.cols
+    out = [[None] * (dim_first * cols * dim_third) for _ in range(dim_first * rows * dim_third)]
+    for i, m, k in itertools.product(range(dim_first), range(rows), range(dim_third)):
+        for j, l, p in itertools.product(range(dim_first), range(cols), range(dim_third)):
+            out[(i * rows + m) * dim_third + k][(j * cols + l) * dim_third + p] = (
+                mid[m, l] * s[i * dim_third + k, j * dim_third + p]
+            )
+    return out
+
+
+def entrywise(op, x, y):
+    return [[op(a, b) for a, b in zip(r, q)] for r, q in zip(x, y)]
+
+
+def is_stored_form(m):
+    """Every read of the matrix gives canonical Scalars over its ParamSet, zero or not."""
+    entries = [m[i, j] for i in range(m.rows) for j in range(m.cols)]
+    return (
+        all(x.params == m.params and is_canonical(x) for x in entries)
+        and m.data == entries
+        and [x for j in range(m.cols) for x in m.column(j)]
+        == [m[i, j] for j in range(m.cols) for i in range(m.rows)]
+        and list(m.nonzero()) == [(i, j, m[i, j]) for i in range(m.rows)
+                                  for j in range(m.cols) if m[i, j].terms]
+    )
+
+
+class TestPackedExactness:
+    """Every kernel against Scalar arithmetic, with exponents that force a wider slot."""
+
+    @settings(max_examples=60)
+    @given(st.data(), dims, dims, dims)
+    def test_matmul(self, data, rows, inner, cols):
+        a = data.draw(wide_matrices(rows, inner))
+        b = data.draw(wide_matrices(inner, cols))
+        got = a @ b
+        assert dense(got) == dense_matmul(a, b)
+        assert is_stored_form(got)
+
+    @settings(max_examples=40)
+    @given(st.data(), dims, dims, dims, dims)
+    def test_product_difference(self, data, rows, inner, other, cols):
+        a = data.draw(wide_matrices(rows, inner))
+        b = data.draw(wide_matrices(inner, cols))
+        c = data.draw(wide_matrices(rows, other))
+        d = data.draw(wide_matrices(other, cols))
+        got = product_difference(a, b, c, d)
+        assert dense(got) == entrywise(Scalar.__sub__, dense_matmul(a, b), dense_matmul(c, d))
+        assert is_stored_form(got)
+        assert product_difference(a, b, a, b).is_zero()
+
+    @settings(max_examples=60)
+    @given(st.data(), dims, dims, dims, dims)
+    def test_kron(self, data, r1, c1, r2, c2):
+        a = data.draw(wide_matrices(r1, c1))
+        b = data.draw(wide_matrices(r2, c2))
+        got = kron(a, b)
+        assert dense(got) == reference_kron(a, b)
+        assert is_stored_form(got)
+
+    @settings(max_examples=30)
+    @given(st.data(), dims, dims, dims, dims)
+    def test_leg13_with_a_rectangular_middle(self, data, dim_first, rows, cols, dim_third):
+        s = data.draw(wide_matrices(dim_first * dim_third, dim_first * dim_third))
+        mid = data.draw(wide_matrices(rows, cols))
+        got = leg13(s, mid, dim_first, dim_third)
+        assert dense(got) == dense_leg13(s, mid, dim_first, dim_third)
+        assert is_stored_form(got)
+
+    @settings(max_examples=60)
+    @given(st.data(), dims, dims, wide_scalars())
+    def test_add_sub_neg_and_scale(self, data, rows, cols, c):
+        a = data.draw(wide_matrices(rows, cols))
+        b = data.draw(wide_matrices(rows, cols))
+        for got, want in (
+            (a + b, entrywise(Scalar.__add__, dense(a), dense(b))),
+            (a - b, entrywise(Scalar.__sub__, dense(a), dense(b))),
+            (-a, [[-x for x in row] for row in dense(a)]),
+            (a.scale(c), [[x * c for x in row] for row in dense(a)]),
+        ):
+            assert dense(got) == want
+            assert is_stored_form(got)
+
+    @settings(max_examples=60)
+    @given(st.data(), dims, dims)
+    def test_equality_does_not_depend_on_the_slot_width(self, data, rows, cols):
+        a = data.draw(wide_matrices(rows, cols))
+        b = data.draw(wide_matrices(rows, cols))
+        assert (a == b) == (dense(a) == dense(b))
+        # the same entries reached through a product with a wide bound
+        big = Scalar(PS2, {(2 ** 40, -(2 ** 40)): 1})
+        wide = a.scale(big).scale(Scalar(PS2, {(-(2 ** 40), 2 ** 40): 1}))
+        assert wide == a and a == wide
+        assert wide == Matrix(rows, cols, PS2, a.data)
+        assert (wide == b) == (a == b)
+
+    @settings(max_examples=40)
+    @given(st.data(), dims, dims)
+    def test_reads_round_trip(self, data, rows, cols):
+        a = data.draw(wide_matrices(rows, cols))
+        assert is_stored_form(a)
+        assert Matrix(rows, cols, PS2, a.data) == a
+        assert Matrix.from_rows(PS2, dense(a)) == a
+        assert Matrix.from_cols(PS2, [a.column(j) for j in range(cols)]) == a
+        wide = ParamSet(["a", "lam", "nu"])
+        for m, params in ((a.map(lambda s: s), PS2), (a.extend(wide), wide)):
+            assert m.params == params and is_stored_form(m)
+        assert a.extend(wide) == Matrix(rows, cols, wide, [x.extend(wide) for x in a.data])
+        assert a.map(lambda s: s) == a
+
+    def test_negative_exponents_decode_in_every_slot(self):
+        params = ParamSet(["a", "b", "c"])
+        for exps in itertools.product([-(2 ** 31 - 1), -1, 0, 1, 2 ** 31 - 1], repeat=3):
+            entry = Scalar(params, {exps: Fraction(-3, 7)})
+            m = Matrix(1, 1, params, [entry])
+            assert m[0, 0] == entry
+            assert (m @ m)[0, 0] == entry * entry
+
+    def test_exponents_of_a_long_chain_stay_exact(self):
+        # each square doubles the bound: 2^40 · 2^8 needs a 50-bit slot
+        lam = Scalar(PS2, {(2 ** 40, -1): 1})
+        m = Matrix(1, 1, PS2, [lam])
+        for _ in range(8):
+            m = m @ m
+        assert m[0, 0] == Scalar(PS2, {(2 ** 48, -(2 ** 8)): 1})
+
+    def test_parsed_monomials_of_any_exponent(self):
+        for text in ("lam^100000", "lam^-2147483648*nu^2147483647", "nu^1099511627776"):
+            s = parse_scalar(text, PS2)
+            m = Matrix.from_rows(PS2, [[s, S("lam + 1", PS2)]])
+            assert kron(m, m)[0, 0] == s * s
+            assert m[0, 0] == s and str(m[0, 0]) == text

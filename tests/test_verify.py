@@ -465,6 +465,37 @@ class TestFusedResidualsMatchTheFormulas:
             assert [part.witnesses for part in report.subreports] == expected
         assert FAILING.get(entry_id, set()) <= failed
 
+    def test_a_passing_check_decodes_no_entry(self, monkeypatch):
+        # entries are packed term maps; a Scalar is built only where an entry is
+        # read, so a check that passes builds none, whatever the cube size
+        checks = {}
+        for entry_id, triple in (("ex2.3", "thm5.2"), ("ex2.5", "thm5.2"),
+                                 ("ex3.3", "thm5.3"), ("ex3.5", "thm5.3")):
+            entry = catalog_get(entry_id)
+            s, lam, nu = entry.structure, entry.lam(), entry.nu()
+            b = build(s, entry.variant, lam, nu).matrix
+            w, z, x = build_many(s, SYSTEMS[triple], lam, nu)
+            checks[entry_id, s.dim] = (
+                lambda b=b, alpha=s.alpha: hybe_holds(b, alpha),
+                lambda w=w, z=z, x=x, alpha=s.alpha: system_holds(w, z, x, alpha),
+            )
+        new = Scalar._new
+        made = []
+
+        def counted(cls, params, terms):
+            made.append(len(terms))
+            return new(params, terms)
+
+        monkeypatch.setattr(Scalar, "_new", classmethod(counted))
+        counts = {}
+        for key, (hybe, system) in checks.items():
+            for name, check in (("hybe", hybe), ("system", system)):
+                made.clear()
+                assert check().holds, (key, name)
+                counts[key + (name,)] = len(made)
+        assert {n for _, n in checks} == {3, 4}
+        assert set(counts.values()) == {0}, counts
+
     def test_hybe_shares_its_middle_product_and_system_its_two_per_commutator(
         self, ex33, monkeypatch
     ):
