@@ -17,7 +17,8 @@ for a slot width w shared by the whole matrix.  Coefficients are stored as in
 a Scalar: a nonzero int when integral, else a reduced Fraction.  The
 substitution is linear, so the key of a product of two terms is the sum of
 their keys, and the kernels add and multiply ints and never build, hash or
-split an exponent tuple.
+split an exponent tuple.  A term map is never changed once stored, so
+matrices share them freely.
 
 Exactness.  Every matrix carries an exponent bound B: no exponent of any
 entry, nor of any partial sum the matrix was accumulated from, exceeds B in
@@ -134,7 +135,8 @@ def _accumulate(acc: dict[int, Terms], row: Row, right: list[Row], negate: bool)
 
     `acc` maps each output column to a packed term map, so the products of one
     output entry are summed without building a Scalar for any of them.  The
-    inner loop is that of `_product`, inlined.
+    inner loop is that of `_product`, inlined to save a call per pair of
+    entries, which costs about as much as the loop on monomial entries.
     """
     for k, left in row.items():
         if negate:
@@ -158,12 +160,9 @@ def _accumulate(acc: dict[int, Terms], row: Row, right: list[Row], negate: bool)
                     terms[key] = c
 
 
-def _packed_rows(rows: Iterable[Sequence[Scalar]], params: ParamSet) -> tuple[list[Row], int]:
-    """Dense rows of Scalars as packed row maps, with their exponent bound.
-
-    Every entry, zero or not, is checked to lie over `params`.
-    """
-    nonzero: list[dict[int, Scalar]] = []
+def _nonzero_rows(rows: Iterable[Sequence[Scalar]], params: ParamSet) -> list[dict[int, Scalar]]:
+    """The nonzero entries of dense rows, every entry checked to lie over `params`."""
+    out = []
     for entries in rows:
         row = {}
         for j, entry in enumerate(entries):
@@ -171,10 +170,15 @@ def _packed_rows(rows: Iterable[Sequence[Scalar]], params: ParamSet) -> tuple[li
                 raise ParamMismatchError("matrix entries must share the matrix ParamSet")
             if entry.terms:
                 row[j] = entry
-        nonzero.append(row)
-    bound = _bound(s for row in nonzero for s in row.values())
+        out.append(row)
+    return out
+
+
+def _packed(rows: list[dict[int, Scalar]]) -> tuple[list[Row], int]:
+    """Row maps of nonzero Scalars as packed row maps, with their exponent bound."""
+    bound = _bound(s for row in rows for s in row.values())
     width = _width(bound)
-    return [{j: _pack(s, width) for j, s in row.items()} for row in nonzero], bound
+    return [{j: _pack(s, width) for j, s in row.items()} for row in rows], bound
 
 
 class Matrix:
@@ -192,8 +196,8 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.params = params
-        self._maps, self._bound = _packed_rows(
-            (data[i * cols:(i + 1) * cols] for i in range(rows)), params
+        self._maps, self._bound = _packed(
+            _nonzero_rows((data[i * cols:(i + 1) * cols] for i in range(rows)), params)
         )
 
     @classmethod
@@ -229,7 +233,7 @@ class Matrix:
         if any(len(row) != c for row in rows):
             raise DimensionError("ragged rows in matrix literal")
         _check_shape(r, c)
-        return cls._new(r, c, params, *_packed_rows(rows, params))
+        return cls._new(r, c, params, *_packed(_nonzero_rows(rows, params)))
 
     @classmethod
     def identity(cls, n: int, params: ParamSet) -> "Matrix":
@@ -251,7 +255,7 @@ class Matrix:
             raise DimensionError("ragged columns in matrix literal")
         _check_shape(height, len(columns))
         rows = [[col[i] for col in columns] for i in range(height)]
-        return cls._new(height, len(columns), params, *_packed_rows(rows, params))
+        return cls._new(height, len(columns), params, *_packed(_nonzero_rows(rows, params)))
 
     # -- access ---------------------------------------------------------------
 
@@ -392,10 +396,7 @@ class Matrix:
             if any(b.params != params for b in out.values()):
                 raise ParamMismatchError("mapped entries must lie over the target ParamSet")
             mapped.append({j: b for j, b in out.items() if b.terms})
-        bound = _bound(s for row in mapped for s in row.values())
-        width = _width(bound)
-        maps = [{j: _pack(s, width) for j, s in row.items()} for row in mapped]
-        return Matrix._new(self.rows, self.cols, params, maps, bound)
+        return Matrix._new(self.rows, self.cols, params, *_packed(mapped))
 
     def substitute(self, assignment: Mapping[str, Fraction | int]) -> "Matrix":
         return self.map(lambda s: s.substitute(assignment))
