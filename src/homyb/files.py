@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .constructions import SolutionOperator
-from .errors import ParseError, StructureError
+from .errors import HomybError, ParseError, StructureError
 from .scalar import ParamSet, Scalar, format_scalar, parse_scalar
 from .structures import HomAlgebra, HomCoalgebra, HomLieAlgebra, HomStructure
 from .tensor import Matrix
@@ -59,10 +59,18 @@ def _string_vector(doc: dict, key: str, dim: int, params: ParamSet) -> list[Scal
 
 def _string_matrix(doc: dict, key: str, rows: int, cols: int, params: ParamSet) -> Matrix:
     raw = _get_list(doc, key, rows)
+    # operator tables repeat a few expressions, so each distinct one is parsed once
+    parsed: dict[str, Scalar] = {}
+
+    def cell(expr: Any, where: str) -> Scalar:
+        if not (isinstance(expr, str) and expr in parsed):
+            parsed[expr] = _parse_at(expr, params, where)
+        return parsed[expr]
+
     data: list[list[Scalar]] = []
     for i, row in enumerate(raw):
         _require(isinstance(row, list) and len(row) == cols, f"{key}: expected {rows}×{cols}")
-        data.append([_parse_at(expr, params, f"{key}[{i}][{j}]") for j, expr in enumerate(row)])
+        data.append([cell(expr, f"{key}[{i}][{j}]") for j, expr in enumerate(row)])
     return Matrix.from_rows(params, data)
 
 
@@ -187,9 +195,8 @@ def structure_to_dict(structure: HomStructure) -> dict:
 
 
 def _matrix_strings(matrix: Matrix) -> list[list[str]]:
-    return [
-        [format_scalar(matrix[i, j]) for j in range(matrix.cols)] for i in range(matrix.rows)
-    ]
+    cells, cols = [format_scalar(s) for s in matrix.data], matrix.cols
+    return [cells[i:i + cols] for i in range(0, len(cells), cols)]
 
 
 def _operator_header(op: SolutionOperator, kind: str, construction: str) -> dict:
@@ -254,5 +261,8 @@ def report_to_dict(report: VerificationReport) -> dict:
 def dump_json(obj: dict | list, path: str | Path | None = None) -> str:
     text = json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
     if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise HomybError(f"cannot write {path}: {exc}") from None
     return text

@@ -1,43 +1,49 @@
-"""Sparse exact linear algebra over the scalar ring, in packed storage.
+"""Sparse exact linear algebra over the scalar ring, in flat packed rows.
 
-A Matrix keeps one map per row from column index to entry and never stores a
-zero, so every kernel (products, sums, Kronecker products, comparisons) walks
-the nonzero entries only.  It is homyb's one linear-algebra path: structure
-maps, operators, axioms and identities are all expressions in `kron`, `flip`,
-`leg13`, `@`, `+` and `product_difference`; the coordinate-vector helpers at
-the end only build inputs such as basis vectors and u⊗v.
+A Matrix keeps one term map per row and never stores a zero, so every kernel
+(products, sums, Kronecker products, comparisons) walks the nonzero terms
+only.  It is homyb's one linear-algebra path: structure maps, operators,
+axioms and identities are all expressions in `kron`, `flip`, `leg13`, `@`,
+`+` and `product_difference`; the coordinate-vector helpers at the end only
+build inputs such as basis vectors and u⊗v.
 
-Storage.  An entry is not a Scalar but a packed term map {key: coefficient}.
-The key of a term with exponent vector (e_0, …, e_{p−1}) is its signed
-Kronecker substitution
+Storage.  A row is not a list of Scalars but one flat term map
+{key: coefficient} holding every term of every entry in the row.  The key of
+the term c·x^e of the entry in column j is a Kronecker substitution whose
+lowest, unsigned slot holds the column:
 
-    key = Σ e_i·2^(w·i)
+    key = j + E·2^w,    E = Σ e_i·2^(w·i)
 
 for a slot width w shared by the whole matrix.  Coefficients are stored as in
-a Scalar: a nonzero int when integral, else a reduced Fraction.  The
-substitution is linear, so the key of a product of two terms is the sum of
-their keys, and the kernels add and multiply ints and never build, hash or
-split an exponent tuple.  A term map is never changed once stored, so
-matrices share them freely.
+a Scalar: a nonzero int when integral, else a reduced Fraction.  E is linear
+in the exponents, so every kernel is one loop over pairs of terms that adds
+keys and multiplies coefficients, and never builds, hashes or splits an
+exponent tuple or looks up a column.  In a product `@`, a left term k1 lies in
+column k = k1 & (2^w − 1) and meets every term k2 of right row k at key
+k1 − k + k2.  `kron` and `leg13` first move each factor's columns to their
+place in the result, a shift that depends on the column only, and then add
+keys.  A term map is never changed once stored, so matrices share them freely.
 
 Exactness.  Every matrix carries an exponent bound B: no exponent of any
 entry, nor of any partial sum the matrix was accumulated from, exceeds B in
-absolute value.  Its slot width is w = max(32, bits of B + 1), so every
-exponent satisfies |e_i| < 2^(w−1).  In that range a key decodes uniquely:
-the lowest slot holds e_0 + 2^(w−1) (mod 2^w) and, once e_0 is taken off,
-the shifted key is the key of the remaining exponents.  A product's bound is
-the sum of its operands' bounds (the exponents of a product term are sums of
-the operands'); a sum or difference takes the larger bound.  An operation
-whose result needs a wider slot than an operand was stored with re-encodes
-that operand at the result's width first, so no exponent the scalar ring
-accepts is ever refused or wrapped around.
+absolute value.  Its slot width is at least max(32, bits of B + 1, bits of
+cols − 1), so every column satisfies 0 ≤ j < 2^w and every exponent
+|e_i| < 2^(w−1).  In that range a key decodes uniquely: key & (2^w − 1) is
+the column and key >> w is exactly E, whose lowest slot holds
+e_0 + 2^(w−1) (mod 2^w); once e_0 is taken off, the shifted E is the
+substitution of the remaining exponents.  A product's bound is the sum of its
+operands' bounds (the exponents of a product term are sums of the operands');
+a sum or difference takes the larger bound.  An operation runs at a width
+that holds its result and every operand, and re-encodes an operand stored at
+a narrower width first, so no exponent the scalar ring accepts and no column
+count is ever refused or wrapped around.
 
 Scalars appear only at the boundary.  Entries from outside -- the
 constructor, `from_rows` and `from_cols` -- are checked to lie over the matrix
-ParamSet and are encoded there; entries are decoded to Scalars only where
-they are read: `[i, j]`, `column`, `data`, `nonzero`, `map` and `repr`.
-`apply` goes through `@`.  A product `@` adds each product of two entries
-term by term into one packed term map per output entry, and
+ParamSet and are encoded there; entries are grouped by column and decoded to
+Scalars only where they are read: `[i, j]`, `column`, `data`, `nonzero`, `map`
+and `repr`.  `apply` goes through `@`.  A product `@` adds the products of
+the terms of a row into one term map per output row, and
 `product_difference(a, b, c, d)` runs the same accumulation for both products
 of a·b − c·d, the second negated, so a residual that vanishes decodes nothing.
 
@@ -56,9 +62,9 @@ from .scalar import Fraction, ParamSet, Scalar
 
 Vector = tuple[Scalar, ...]
 Terms = dict[int, "int | Fraction"]
-Row = dict[int, Terms]
 
 _MIN_WIDTH = 32
+_ONE: Terms = {0: 1}
 
 
 def _check_shape(rows: int, cols: int) -> None:
@@ -69,9 +75,12 @@ def _check_shape(rows: int, cols: int) -> None:
 # -- packed keys ------------------------------------------------------------------
 
 
-def _width(bound: int) -> int:
-    """The slot width that holds every exponent of absolute value at most `bound`."""
-    return max(_MIN_WIDTH, bound.bit_length() + 1)
+def _width(bound: int, cols: int, *stored: "Matrix") -> int:
+    """The least slot width that holds every exponent of absolute value at most
+    `bound`, every column below `cols` and the keys of the `stored` matrices."""
+    return max(
+        _MIN_WIDTH, bound.bit_length() + 1, (cols - 1).bit_length(), *(m._w for m in stored)
+    )
 
 
 def _bound(entries: Iterable[Scalar]) -> int:
@@ -80,7 +89,7 @@ def _bound(entries: Iterable[Scalar]) -> int:
 
 
 def _encode(exps: Sequence[int], width: int) -> int:
-    """The key Σ e_i·2^(width·i) of an exponent vector."""
+    """The substitution Σ e_i·2^(width·i) of an exponent vector."""
     key = 0
     for e in reversed(exps):
         key = (key << width) + e
@@ -88,7 +97,7 @@ def _encode(exps: Sequence[int], width: int) -> int:
 
 
 def _decode(key: int, count: int, width: int) -> tuple[int, ...]:
-    """The `count` exponents packed in `key`, lowest slot first."""
+    """The `count` exponents packed in the substitution `key`, lowest slot first."""
     half = 1 << (width - 1)
     mask = (1 << width) - 1
     exps = []
@@ -100,64 +109,49 @@ def _decode(key: int, count: int, width: int) -> tuple[int, ...]:
 
 
 def _pack(s: Scalar, width: int) -> Terms:
-    return {_encode(exps, width): c for exps, c in s.terms.items()}
+    """The terms of a Scalar as keys of column 0."""
+    return {_encode(exps, width) << width: c for exps, c in s.terms.items()}
 
 
-def _rekey(maps: list[Row], count: int, old: int, new: int) -> list[Row]:
-    """Row maps encoded at slot width `old`, re-encoded at `new`."""
-    def move(terms: Terms) -> Terms:
-        return {_encode(_decode(k, count, old), new): c for k, c in terms.items()}
+def _accumulate(acc: Terms, row: Terms, right: Sequence[Terms], mask: int, negate: bool) -> None:
+    """Add the row times the matrix with rows `right`, or its negation, into `acc`.
 
-    return [{j: move(t) for j, t in row.items()} for row in maps]
-
-
-def _product(left: Terms, right: Terms) -> Terms:
-    """The product of two nonzero packed term maps, canonical and nonzero."""
-    out: Terms = {}
-    for k1, c1 in left.items():
-        for k2, c2 in right.items():
+    A term k1 of the row lies in column k = k1 & mask and meets every term k2
+    of right row k at key k1 − k + k2, so the products of every output entry
+    are summed term by term without building a Scalar.  With mask 0 every
+    term meets the one row right[0] at key k1 + k2: the product of two term
+    maps, or with right = (_ONE,) a plain sum.
+    """
+    for k1, c1 in row.items():
+        k = k1 & mask
+        k1 -= k
+        if negate:
+            c1 = -c1
+        for k2, c2 in right[k].items():
             key = k1 + k2
             c = c1 * c2
-            prev = out.get(key)
+            prev = acc.get(key)
             if prev is not None:
                 c += prev
                 if not c:
-                    del out[key]
+                    del acc[key]
                     continue
             if c.__class__ is not int and c.denominator == 1:
                 c = c.numerator
-            out[key] = c
+            acc[key] = c
+
+
+def _product(left: Terms, right: Terms) -> Terms:
+    """The product of two packed term maps whose keys add."""
+    out: Terms = {}
+    _accumulate(out, left, (right,), 0, False)
     return out
 
 
-def _accumulate(acc: dict[int, Terms], row: Row, right: list[Row], negate: bool) -> None:
-    """Add the row times the matrix with row maps `right`, or its negation, into `acc`.
-
-    `acc` maps each output column to a packed term map, so the products of one
-    output entry are summed without building a Scalar for any of them.  The
-    inner loop is that of `_product`, inlined to save a call per pair of
-    entries, which costs about as much as the loop on monomial entries.
-    """
-    for k, left in row.items():
-        if negate:
-            left = {e: -c for e, c in left.items()}
-        for j, rterms in right[k].items():
-            terms = acc.get(j)
-            if terms is None:
-                terms = acc[j] = {}
-            for k1, c1 in left.items():
-                for k2, c2 in rterms.items():
-                    key = k1 + k2
-                    c = c1 * c2
-                    prev = terms.get(key)
-                    if prev is not None:
-                        c += prev
-                        if not c:
-                            del terms[key]
-                            continue
-                    if c.__class__ is not int and c.denominator == 1:
-                        c = c.numerator
-                    terms[key] = c
+def _shifted(rows: list[Terms], width: int, shift: Callable[[int], int]) -> list[Terms]:
+    """The rows with each key k moved by shift(column of k)."""
+    mask = (1 << width) - 1
+    return [{k + shift(k & mask): c for k, c in row.items()} for row in rows]
 
 
 def _nonzero_rows(rows: Iterable[Sequence[Scalar]], params: ParamSet) -> list[dict[int, Scalar]]:
@@ -174,17 +168,21 @@ def _nonzero_rows(rows: Iterable[Sequence[Scalar]], params: ParamSet) -> list[di
     return out
 
 
-def _packed(rows: list[dict[int, Scalar]]) -> tuple[list[Row], int]:
-    """Row maps of nonzero Scalars as packed row maps, with their exponent bound."""
-    bound = _bound(s for row in rows for s in row.values())
-    width = _width(bound)
-    return [{j: _pack(s, width) for j, s in row.items()} for row in rows], bound
+def _packed(entries: list[dict[int, Scalar]], cols: int) -> tuple[list[Terms], int, int]:
+    """Row maps of nonzero Scalars as packed rows, with their exponent bound and
+    the least slot width."""
+    bound = _bound(s for row in entries for s in row.values())
+    width = _width(bound, cols)
+    packed = [
+        {j + k: c for j, s in row.items() for k, c in _pack(s, width).items()} for row in entries
+    ]
+    return packed, bound, width
 
 
 class Matrix:
     """Rectangular sparse matrix of Laurent polynomials sharing one ParamSet."""
 
-    __slots__ = ("rows", "cols", "params", "_maps", "_bound")
+    __slots__ = ("rows", "cols", "params", "_rows", "_bound", "_w")
 
     def __init__(self, rows: int, cols: int, params: ParamSet, data: Sequence[Scalar]):
         _check_shape(rows, cols)
@@ -196,33 +194,44 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.params = params
-        self._maps, self._bound = _packed(
-            _nonzero_rows((data[i * cols:(i + 1) * cols] for i in range(rows)), params)
+        self._rows, self._bound, self._w = _packed(
+            _nonzero_rows((data[i * cols:(i + 1) * cols] for i in range(rows)), params), cols
         )
 
     @classmethod
     def _new(
-        cls, rows: int, cols: int, params: ParamSet, maps: list[Row], bound: int
+        cls, rows: int, cols: int, params: ParamSet, packed: list[Terms], bound: int, width: int
     ) -> "Matrix":
-        """A matrix over packed row maps of nonzero entries at the width of `bound`."""
+        """A matrix over packed rows of nonzero terms at slot width `width`."""
         m = object.__new__(cls)
         m.rows = rows
         m.cols = cols
         m.params = params
-        m._maps = maps
+        m._rows = packed
         m._bound = bound
+        m._w = width
         return m
 
-    def _maps_at(self, width: int) -> list[Row]:
-        """The row maps encoded at slot width `width`, at least this matrix's own."""
-        own = _width(self._bound)
+    def _rows_at(self, width: int) -> list[Terms]:
+        """The rows encoded at slot width `width`, at least this matrix's own."""
+        own = self._w
         if own == width:
-            return self._maps
-        return _rekey(self._maps, len(self.params), own, width)
+            return self._rows
+        count, mask = len(self.params), (1 << own) - 1
+        return [
+            {(k & mask) + (_encode(_decode(k >> own, count, own), width) << width): c
+             for k, c in row.items()}
+            for row in self._rows
+        ]
 
-    def _scalar(self, terms: Terms) -> Scalar:
-        count, width = len(self.params), _width(self._bound)
-        return Scalar._new(self.params, {_decode(k, count, width): c for k, c in terms.items()})
+    def _entries(self, row: Terms) -> dict[int, Scalar]:
+        """The nonzero entries of a packed row, by column."""
+        w, count = self._w, len(self.params)
+        mask = (1 << w) - 1
+        grouped: dict[int, dict] = {}
+        for k, c in row.items():
+            grouped.setdefault(k & mask, {})[_decode(k >> w, count, w)] = c
+        return {j: Scalar._new(self.params, terms) for j, terms in grouped.items()}
 
     # -- constructors --------------------------------------------------------
 
@@ -233,18 +242,17 @@ class Matrix:
         if any(len(row) != c for row in rows):
             raise DimensionError("ragged rows in matrix literal")
         _check_shape(r, c)
-        return cls._new(r, c, params, *_packed(_nonzero_rows(rows, params)))
+        return cls._new(r, c, params, *_packed(_nonzero_rows(rows, params), c))
 
     @classmethod
     def identity(cls, n: int, params: ParamSet) -> "Matrix":
         _check_shape(n, n)
-        one = {0: 1}
-        return cls._new(n, n, params, [{i: one} for i in range(n)], 0)
+        return cls._new(n, n, params, [{i: 1} for i in range(n)], 0, _width(0, n))
 
     @classmethod
     def zeros(cls, rows: int, cols: int, params: ParamSet) -> "Matrix":
         _check_shape(rows, cols)
-        return cls._new(rows, cols, params, [{} for _ in range(rows)], 0)
+        return cls._new(rows, cols, params, [{} for _ in range(rows)], 0, _width(0, cols))
 
     @classmethod
     def from_cols(cls, params: ParamSet, cols: Iterable[Sequence[Scalar]]) -> "Matrix":
@@ -255,7 +263,8 @@ class Matrix:
             raise DimensionError("ragged columns in matrix literal")
         _check_shape(height, len(columns))
         rows = [[col[i] for col in columns] for i in range(height)]
-        return cls._new(height, len(columns), params, *_packed(_nonzero_rows(rows, params)))
+        n = len(columns)
+        return cls._new(height, n, params, *_packed(_nonzero_rows(rows, params), n))
 
     # -- access ---------------------------------------------------------------
 
@@ -263,36 +272,43 @@ class Matrix:
         if not 0 <= j < self.cols:
             raise DimensionError(f"column {j} out of range for {self.cols} columns")
 
+    def _entry(self, row: Terms, j: int) -> Scalar:
+        """The entry in column j of a packed row."""
+        w, count = self._w, len(self.params)
+        mask = (1 << w) - 1
+        terms = {_decode(k >> w, count, w): c for k, c in row.items() if k & mask == j}
+        return Scalar._new(self.params, terms)
+
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         i, j = key
         if not 0 <= i < self.rows:
             raise DimensionError(f"row {i} out of range for {self.rows} rows")
         self._check_column(j)
-        terms = self._maps[i].get(j)
-        return Scalar.zero(self.params) if terms is None else self._scalar(terms)
+        return self._entry(self._rows[i], j)
 
     def column(self, j: int) -> Vector:
         self._check_column(j)
-        zero = Scalar.zero(self.params)
-        return tuple(zero if j not in row else self._scalar(row[j]) for row in self._maps)
+        return tuple(self._entry(row, j) for row in self._rows)
 
     @property
     def data(self) -> list[Scalar]:
         """All entries, zeros included, as a fresh dense row-major list."""
         zero = Scalar.zero(self.params)
-        cols = range(self.cols)
-        return [
-            zero if j not in row else self._scalar(row[j]) for row in self._maps for j in cols
-        ]
+        out = []
+        for row in self._rows:
+            entries = self._entries(row)
+            out.extend(entries.get(j, zero) for j in range(self.cols))
+        return out
 
     def nonzero(self) -> Iterator[tuple[int, int, Scalar]]:
         """Nonzero entries in row-major order, columns ascending within a row."""
-        for i, row in enumerate(self._maps):
-            for j in sorted(row):
-                yield i, j, self._scalar(row[j])
+        for i, row in enumerate(self._rows):
+            entries = self._entries(row)
+            for j in sorted(entries):
+                yield i, j, entries[j]
 
     def is_zero(self) -> bool:
-        return not any(self._maps)
+        return not any(self._rows)
 
     # -- arithmetic -------------------------------------------------------------
 
@@ -308,32 +324,13 @@ class Matrix:
         """self + other, or self - other when `negate`."""
         self._check(other, same_shape=True)
         bound = max(self._bound, other._bound)
-        width = _width(bound)
-        maps = []
-        for mine, theirs in zip(self._maps_at(width), other._maps_at(width)):
+        width = _width(bound, self.cols, self, other)
+        rows = []
+        for mine, theirs in zip(self._rows_at(width), other._rows_at(width)):
             row = dict(mine)
-            for j, b in theirs.items():
-                a = row.pop(j, None)
-                if negate:
-                    b = {k: -c for k, c in b.items()}
-                if a is None:
-                    row[j] = b
-                    continue
-                total = dict(a)
-                for k, c in b.items():
-                    prev = total.get(k)
-                    if prev is not None:
-                        c += prev
-                        if not c:
-                            del total[k]
-                            continue
-                        if c.__class__ is not int and c.denominator == 1:
-                            c = c.numerator
-                    total[k] = c
-                if total:
-                    row[j] = total
-            maps.append(row)
-        return Matrix._new(self.rows, self.cols, self.params, maps, bound)
+            _accumulate(row, theirs, (_ONE,), 0, negate)
+            rows.append(row)
+        return Matrix._new(self.rows, self.cols, self.params, rows, bound, width)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         return self._merge(other, negate=False)
@@ -342,21 +339,19 @@ class Matrix:
         return self._merge(other, negate=True)
 
     def __neg__(self) -> "Matrix":
-        maps = [{j: {k: -c for k, c in t.items()} for j, t in row.items()} for row in self._maps]
-        return Matrix._new(self.rows, self.cols, self.params, maps, self._bound)
+        rows = [{k: -c for k, c in row.items()} for row in self._rows]
+        return Matrix._new(self.rows, self.cols, self.params, rows, self._bound, self._w)
 
     def scale(self, c: Scalar | int | Fraction) -> "Matrix":
         if not isinstance(c, Scalar):
             c = Scalar.constant(self.params, c)
         elif c.params != self.params:
             raise ParamMismatchError("scaling factor over a different parameter set")
-        if not c.terms:
-            return Matrix._new(self.rows, self.cols, self.params, [{} for _ in self._maps], 0)
-        bound = self._bound + _bound([c])
-        width = _width(bound)
+        bound = self._bound + _bound([c]) if c.terms else 0
+        width = _width(bound, self.cols, self)
         factor = _pack(c, width)
-        maps = [{j: _product(t, factor) for j, t in row.items()} for row in self._maps_at(width)]
-        return Matrix._new(self.rows, self.cols, self.params, maps, bound)
+        rows = [_product(row, factor) for row in self._rows_at(width)]
+        return Matrix._new(self.rows, self.cols, self.params, rows, bound, width)
 
     def _check_product(self, other: "Matrix") -> None:
         self._check(other, same_shape=False)
@@ -368,14 +363,14 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check_product(other)
         bound = self._bound + other._bound
-        width = _width(bound)
-        right = other._maps_at(width)
-        maps = []
-        for row in self._maps_at(width):
-            acc: dict[int, Terms] = {}
-            _accumulate(acc, row, right, negate=False)
-            maps.append({j: terms for j, terms in acc.items() if terms})
-        return Matrix._new(self.rows, other.cols, self.params, maps, bound)
+        width = _width(bound, other.cols, self, other)
+        right, mask = other._rows_at(width), (1 << width) - 1
+        rows = []
+        for row in self._rows_at(width):
+            acc: Terms = {}
+            _accumulate(acc, row, right, mask, False)
+            rows.append(acc)
+        return Matrix._new(self.rows, other.cols, self.params, rows, bound, width)
 
     def apply(self, vec: Sequence[Scalar]) -> Vector:
         """Matrix-vector product on a coordinate column."""
@@ -391,12 +386,12 @@ class Matrix:
         if fn(Scalar.zero(self.params)).terms:
             raise ValueError("Matrix.map needs a function that sends zero to zero")
         mapped = []
-        for row in self._maps:
-            out = {j: fn(self._scalar(t)) for j, t in row.items()}
+        for row in self._rows:
+            out = {j: fn(s) for j, s in self._entries(row).items()}
             if any(b.params != params for b in out.values()):
                 raise ParamMismatchError("mapped entries must lie over the target ParamSet")
             mapped.append({j: b for j, b in out.items() if b.terms})
-        return Matrix._new(self.rows, self.cols, params, *_packed(mapped))
+        return Matrix._new(self.rows, self.cols, params, *_packed(mapped, self.cols))
 
     def substitute(self, assignment: Mapping[str, Fraction | int]) -> "Matrix":
         return self.map(lambda s: s.substitute(assignment))
@@ -411,22 +406,21 @@ class Matrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols) or self.params != other.params:
             return False
-        width = _width(max(self._bound, other._bound))
-        return self._maps_at(width) == other._maps_at(width)
+        width = _width(0, self.cols, self, other)
+        return self._rows_at(width) == other._rows_at(width)
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            ", ".join(str(self[i, j]) for j in range(self.cols)) for i in range(self.rows)
-        )
+        data, cols = [str(s) for s in self.data], self.cols
+        body = "; ".join(", ".join(data[i:i + cols]) for i in range(0, len(data), cols))
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
 def product_difference(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     """The residual a·b − c·d, accumulated without building either product.
 
-    Both products of an output row go term by term into one packed term map
-    per column, the second negated, and only entries that do not cancel are
-    kept.  When the two products agree, the result is empty.
+    Both products of an output row go term by term into one packed term map,
+    the second negated, and only terms that do not cancel are kept.  When the
+    two products agree, the result is empty.
     """
     a._check_product(b)
     c._check_product(d)
@@ -434,15 +428,15 @@ def product_difference(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     if (a.rows, b.cols) != (c.rows, d.cols):
         raise DimensionError(f"shape mismatch: {a.rows}x{b.cols} vs {c.rows}x{d.cols}")
     bound = max(a._bound + b._bound, c._bound + d._bound)
-    width = _width(bound)
-    b_maps, d_maps = b._maps_at(width), d._maps_at(width)
-    maps = []
-    for row_a, row_c in zip(a._maps_at(width), c._maps_at(width)):
-        acc: dict[int, Terms] = {}
-        _accumulate(acc, row_a, b_maps, negate=False)
-        _accumulate(acc, row_c, d_maps, negate=True)
-        maps.append({j: terms for j, terms in acc.items() if terms})
-    return Matrix._new(a.rows, b.cols, a.params, maps, bound)
+    width = _width(bound, b.cols, a, b, c, d)
+    b_rows, d_rows, mask = b._rows_at(width), d._rows_at(width), (1 << width) - 1
+    rows = []
+    for row_a, row_c in zip(a._rows_at(width), c._rows_at(width)):
+        acc: Terms = {}
+        _accumulate(acc, row_a, b_rows, mask, False)
+        _accumulate(acc, row_c, d_rows, mask, True)
+        rows.append(acc)
+    return Matrix._new(a.rows, b.cols, a.params, rows, bound, width)
 
 
 # -- tensor helpers -------------------------------------------------------------
@@ -467,24 +461,21 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     if a.params != b.params:
         raise ParamMismatchError("kron factors over different parameter sets")
     bound = a._bound + b._bound
-    width = _width(bound)
     m = b.cols
-    b_maps = b._maps_at(width)
-    maps = [
-        {j * m + l: _product(at, bt) for j, at in arow.items() for l, bt in brow.items()}
-        for arow in a._maps_at(width)
-        for brow in b_maps
-    ]
-    return Matrix._new(a.rows * b.rows, a.cols * m, a.params, maps, bound)
+    width = _width(bound, a.cols * m, a, b)
+    # a term of A[i,j] moves to column j·m, so adding the key of B[k,l] lands on j·m + l
+    a_rows = _shifted(a._rows_at(width), width, lambda j: j * (m - 1))
+    b_rows = b._rows_at(width)
+    rows = [_product(arow, brow) for arow in a_rows for brow in b_rows]
+    return Matrix._new(a.rows * b.rows, a.cols * m, a.params, rows, bound, width)
 
 
 def flip(n: int, m: int, params: ParamSet) -> Matrix:
     """The tensor swap V⊗W → W⊗V on coordinates: e_i⊗e_j ↦ e_j⊗e_i."""
     _check_shape(n, m)
-    one = {0: 1}
     # row j·n + i holds the single 1 that picks coordinate i·m + j
-    maps = [{i * m + j: one} for j in range(m) for i in range(n)]
-    return Matrix._new(n * m, n * m, params, maps, 0)
+    rows = [{i * m + j: 1} for j in range(m) for i in range(n)]
+    return Matrix._new(n * m, n * m, params, rows, 0, _width(0, n * m))
 
 
 def leg12(r: Matrix, alpha_third: Matrix) -> Matrix:
@@ -512,22 +503,20 @@ def leg13(s: Matrix, alpha_mid: Matrix, dim_first: int, dim_third: int) -> Matri
     if s.params != alpha_mid.params:
         raise ParamMismatchError("leg13 operands over different parameter sets")
     bound = s._bound + alpha_mid._bound
-    width = _width(bound)
     mid = alpha_mid.cols
-    # each nonzero S[(i,k), c] with c = j·dim_third + p, as ((j, p), terms)
-    split = [[(divmod(c, dim_third), st) for c, st in row.items()] for row in s._maps_at(width)]
-    mid_maps = alpha_mid._maps_at(width)
-    maps = []
-    for i in range(dim_first):
-        for arow in mid_maps:
-            for k in range(dim_third):
-                maps.append({
-                    (j * mid + l) * dim_third + p: _product(at, st)
-                    for (j, p), st in split[i * dim_third + k]
-                    for l, at in arow.items()
-                })
-    rows = dim_first * alpha_mid.rows * dim_third
-    return Matrix._new(rows, dim_first * mid * dim_third, s.params, maps, bound)
+    cols = dim_first * mid * dim_third
+    width = _width(bound, cols, s, alpha_mid)
+    # S's column j·d₃ + p moves to j·mid·d₃ + p and alpha's column l to l·d₃,
+    # so adding the two keys lands on (j·mid + l)·d₃ + p
+    s_rows = _shifted(s._rows_at(width), width, lambda c: c // dim_third * dim_third * (mid - 1))
+    mid_rows = _shifted(alpha_mid._rows_at(width), width, lambda l: l * (dim_third - 1))
+    rows = [
+        _product(s_rows[i * dim_third + k], arow)
+        for i in range(dim_first)
+        for arow in mid_rows
+        for k in range(dim_third)
+    ]
+    return Matrix._new(dim_first * alpha_mid.rows * dim_third, cols, s.params, rows, bound, width)
 
 
 # -- coordinate-vector inputs -----------------------------------------------------

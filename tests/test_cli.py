@@ -146,6 +146,20 @@ class TestBuild:
         assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe"]) == 2
         assert message in capsys.readouterr().err
 
+    def test_first_bad_cell_of_an_operator_table_is_named(self, export, tmp_path, capsys):
+        # distinct expressions are parsed once per table; a bad one is still
+        # reported at its first cell in row-major order
+        op_path = tmp_path / "op.json"
+        structure = export("ex2.3")
+        assert main(["build", structure, "--construction", "thm2.1", "--out", str(op_path)]) == 0
+        doc = json.loads(op_path.read_text())
+        doc["matrix"][1][4] = doc["matrix"][3][0] = "lam*(nu"
+        doc["matrix"][2][2] = "2 +"
+        op_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe"]) == 2
+        assert capsys.readouterr().err == "error: matrix[1][4]: expected ')' (at position 7)\n"
+
 
 class TestVerify:
     def test_braid_check_passes_on_3dim_algebra(self, export, capsys):
@@ -313,3 +327,23 @@ class TestBounds:
         assert time.perf_counter() - started < 1.0
         err = capsys.readouterr().err
         assert "unit[0]: " in err and message in err
+
+
+class TestUnwritableOutput:
+    COMMANDS = {
+        "build --out": ["build", "{structure}", "--construction", "thm2.1", "--out", "{out}"],
+        "verify --json": ["verify", "{structure}", "--construction", "thm2.1",
+                          "--check", "hybe", "--json", "{out}"],
+        "catalog export --out": ["catalog", "export", "ex2.3", "--out", "{out}"],
+        "catalog verify-all --json": ["catalog", "verify-all", "--json", "{out}"],
+    }
+
+    @pytest.mark.parametrize("case", ["missing directory", "directory"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exits_two_with_an_error(self, export, tmp_path, capsys, command, case):
+        out = tmp_path / "no" / "such" / "out.json" if case == "missing directory" else tmp_path
+        fields = {"structure": export("ex2.3"), "out": str(out)}
+        argv = [arg.format(**fields) for arg in self.COMMANDS[command]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1

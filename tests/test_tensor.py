@@ -25,6 +25,7 @@ from homyb import (
     tensor2,
     triple_index,
 )
+from homyb.tensor import basis_vector
 from conftest import PS2, PS3, is_canonical, random_assignment, scalars, square_matrices
 
 
@@ -283,7 +284,10 @@ class TestSparseKernelsAgainstDense:
         a = data.draw(sparse_matrices(rows, cols))
         b = data.draw(sparse_matrices(rows, cols))
         c = data.draw(sparse_matrices(cols, cols))
-        for m in (a, b - a, (a + b) @ c):
+        # a permutation sends column k to perm[k], so a @ p fills its columns out of order
+        perm = data.draw(st.permutations(range(cols)))
+        p = Matrix.from_rows(PS2, [basis_vector(cols, perm[k], PS2) for k in range(cols)])
+        for m in (a, b - a, (a + b) @ c, a @ p):
             expected = [
                 (i, j, m[i, j]) for i in range(m.rows) for j in range(m.cols) if m[i, j].terms
             ]
@@ -554,6 +558,25 @@ class TestPackedExactness:
         for _ in range(8):
             m = m @ m
         assert m[0, 0] == Scalar(PS2, {(2 ** 48, -(2 ** 8)): 1})
+
+    def test_a_column_beyond_the_default_slot(self):
+        # the column sits in the key's lowest slot, which must widen past 32 bits
+        n = 2 ** 17
+        zero, entry = Scalar.zero(PS2), S("lam^-3*nu + 2/3", PS2)
+        row = Matrix(1, n, PS2, [zero] * (n - 1) + [entry])
+        wide = kron(row, row)
+        last = n * n - 1
+        assert wide.cols == 2 ** 34 and wide.cols - 1 > 2 ** 32
+        square = entry * entry
+        assert wide[0, last] == square
+        assert wide[0, last - 1] == zero and wide[0, last - n] == zero and wide[0, 0] == zero
+        assert list(wide.nonzero()) == [(0, last, square)]
+        nu = S("nu", PS2)
+        assert list(wide.scale(nu).nonzero()) == [(0, last, square * nu)]
+        assert list((wide + wide.scale(nu)).nonzero()) == [(0, last, square + square * nu)]
+        assert (wide - wide).is_zero()
+        assert wide == kron(row, row) and wide != Matrix.zeros(1, n * n, PS2)
+        assert wide != kron(row, row.scale(nu)) and wide.scale(nu) == kron(row, row.scale(nu))
 
     def test_parsed_monomials_of_any_exponent(self):
         for text in ("lam^100000", "lam^-2147483648*nu^2147483647", "nu^1099511627776"):
