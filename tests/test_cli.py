@@ -331,6 +331,7 @@ class TestBounds:
 
 class TestUnwritableOutput:
     COMMANDS = {
+        "axioms --json": ["axioms", "{structure}", "--json", "{out}"],
         "build --out": ["build", "{structure}", "--construction", "thm2.1", "--out", "{out}"],
         "verify --json": ["verify", "{structure}", "--construction", "thm2.1",
                           "--check", "hybe", "--json", "{out}"],
