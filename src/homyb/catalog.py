@@ -8,7 +8,9 @@ exactly when it is documented.
 
 Basis names, tables and twist maps follow the published examples; the
 parameter printed as k is named `kk` here to avoid colliding with the ground
-field in prose and file formats.
+field in prose and file formats.  Each structure is written as a structure-file
+document and loaded by `files.structure_from_dict`, so the built-in examples
+pass the same checks as user files.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from .constructions import (
     chybe_r,
 )
 from .errors import ConstructionWarning, UnknownEntryError
-from .scalar import ParamSet, Scalar, parse_scalar
+from .files import structure_from_dict
+from .scalar import Scalar, parse_scalar
 from .structures import HomAlgebra, HomCoalgebra, HomLieAlgebra, HomStructure, validate
 from .tensor import Vector, zero_vector
 from .verify import (
@@ -113,12 +116,17 @@ class TableComparison:
 # -- the published structures ---------------------------------------------------
 
 
+def _structure(cls: type, **doc) -> HomStructure:
+    """A structure-file document, given all but its kind and dim, loaded as a file is."""
+    return structure_from_dict({"kind": cls.kind, "dim": len(doc["basis"]), **doc})
+
+
 def _entry_ex23() -> CatalogEntry:
-    params = ParamSet(["l", "lam", "nu"])
-    structure = HomAlgebra.from_strings(
+    structure = _structure(
+        HomAlgebra,
         name="ex2.3",
         basis=["x1", "x2", "x3"],
-        params=params,
+        parameters=["l", "lam", "nu"],
         unit=["1", "0", "0"],
         mult=[
             [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "l"]],
@@ -156,13 +164,13 @@ def _entry_ex23() -> CatalogEntry:
 
 
 def _entry_ex25(verbatim: bool) -> CatalogEntry:
-    params = ParamSet(["kk", "lam", "nu"])
     gg = ["0", "1", "0", "0"] if verbatim else ["1", "0", "0", "0"]
     xg = ["0", "0", "0", "kk"] if verbatim else ["0", "0", "0", "-kk"]
-    structure = HomAlgebra.from_strings(
+    structure = _structure(
+        HomAlgebra,
         name="ex2.5-verbatim" if verbatim else "ex2.5",
         basis=["1", "g", "x", "y"],
-        params=params,
+        parameters=["kk", "lam", "nu"],
         unit=["1", "0", "0", "0"],
         mult=[
             [["1", "0", "0", "0"], ["0", "1", "0", "0"],
@@ -233,16 +241,16 @@ def _entry_ex25(verbatim: bool) -> CatalogEntry:
 
 
 def _entry_ex33() -> CatalogEntry:
-    params = ParamSet(["lam", "nu"])
-    structure = HomCoalgebra.from_strings(
+    structure = _structure(
+        HomCoalgebra,
         name="ex3.3",
         basis=["1", "a", "a2"],
-        params=params,
+        parameters=["lam", "nu"],
         counit=["1", "1", "1"],
         comult=[
-            [(0, 0, "1")],
-            [(2, 2, "1")],
-            [(1, 1, "1")],
+            [[0, 0, "1"]],
+            [[2, 2, "1"]],
+            [[1, 1, "1"]],
         ],
         alpha=[
             ["1", "0", "0"],
@@ -279,17 +287,17 @@ def _entry_ex33() -> CatalogEntry:
 
 
 def _entry_ex35() -> CatalogEntry:
-    params = ParamSet(["kk", "lam", "nu"])
-    structure = HomCoalgebra.from_strings(
+    structure = _structure(
+        HomCoalgebra,
         name="ex3.5",
         basis=["1", "g", "x", "y"],
-        params=params,
+        parameters=["kk", "lam", "nu"],
         counit=["1", "1", "0", "0"],
         comult=[
-            [(0, 0, "1")],
-            [(1, 1, "1")],
-            [(2, 0, "kk"), (1, 2, "kk")],
-            [(3, 1, "kk"), (0, 3, "kk")],
+            [[0, 0, "1"]],
+            [[1, 1, "1"]],
+            [[2, 0, "kk"], [1, 2, "kk"]],
+            [[3, 1, "kk"], [0, 3, "kk"]],
         ],
         alpha=[
             ["1", "0", "0", "0"],
@@ -336,11 +344,11 @@ def _entry_ex35() -> CatalogEntry:
 
 
 def _entry_ex43() -> CatalogEntry:
-    params = ParamSet(["lam", "nu"])
-    structure = HomLieAlgebra.from_strings(
+    structure = _structure(
+        HomLieAlgebra,
         name="ex4.3",
         basis=["e1", "e2", "e3"],
-        params=params,
+        parameters=["lam", "nu"],
         bracket=[
             [["0", "0", "0"], ["1", "0", "0"], ["0", "0", "0"]],
             [["-1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
@@ -387,8 +395,6 @@ def _entry_ex43() -> CatalogEntry:
     )
 
 
-_ORDER = ("ex2.3", "ex2.5", "ex2.5-verbatim", "ex3.3", "ex3.5", "ex4.3")
-
 _BUILDERS: dict[str, Callable[[], CatalogEntry]] = {
     "ex2.3": _entry_ex23,
     "ex2.5": lambda: _entry_ex25(verbatim=False),
@@ -403,7 +409,7 @@ _CACHE: dict[str, CatalogEntry] = {}
 
 def catalog_list() -> list[tuple[str, str]]:
     """All entry ids with one-line descriptions, in stable order."""
-    return [(eid, catalog_get(eid).description) for eid in _ORDER]
+    return [(eid, catalog_get(eid).description) for eid in _BUILDERS]
 
 
 def catalog_get(entry_id: str) -> CatalogEntry:
@@ -607,7 +613,7 @@ def verify_entry(
 
 def verify_all(*, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> list[VerificationReport]:
     """Verify every catalog entry; one composite report per entry, stable order."""
-    return [verify_entry(catalog_get(eid), witness_cap=witness_cap) for eid in _ORDER]
+    return [verify_entry(catalog_get(eid), witness_cap=witness_cap) for eid in _BUILDERS]
 
 
 def all_as_expected(reports: Sequence[VerificationReport]) -> bool:

@@ -154,13 +154,14 @@ def _vector_arg(text: str, structure: HomStructure, what: str) -> tuple[Scalar, 
 
 
 def _with_warnings(run):
-    """Call `run()`, then print each distinct construction warning it raised."""
+    """Call `run()` and print each distinct construction warning it raised, even if it fails."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ConstructionWarning)
-        result = run()
-    for text in dict.fromkeys(str(warning.message) for warning in caught):
-        print(f"warning: {text}", file=sys.stderr)
-    return result
+        try:
+            return run()
+        finally:
+            for text in dict.fromkeys(str(warning.message) for warning in caught):
+                print(f"warning: {text}", file=sys.stderr)
 
 
 def _build(args, structure, lam, nu, unchecked, constructions=None):

@@ -237,8 +237,9 @@ def build_many(
 
     The structure is validated once; then each construction's own
     preconditions are checked in turn, before it is built.  `unchecked` turns
-    every violated precondition except a missing or non-central u into a
-    warning.  If one construction is defined at ν = 1, all are built there.
+    a failed axiom and a non-involutive α into warnings; a non-monomial λ or ν
+    where an inverse power needs it, and a missing or non-central u, are
+    always errors.  If one construction is defined at ν = 1, all are built there.
     `u` is the central element of the Lie constructions; others ignore it.
     """
     recipes = [RECIPES[c] for c in constructions]
@@ -261,12 +262,8 @@ def build_many(
         for k, (name, value) in enumerate((("lambda", lam), ("nu", nu))):
             if all(p[k] >= 0 for p in powers):
                 continue  # only a negative power needs an inverse in the Laurent ring
-            _require(
-                value.is_monomial(),
-                unchecked,
-                f"{name} = {value} is not an invertible (monomial) scalar",
-                f"{name} is not a monomial; its inverse does not exist in the Laurent ring",
-            )
+            if not value.is_monomial():
+                raise PreconditionError(f"{name} = {value} is not an invertible (monomial) scalar")
         if recipe.inverts is not None:
             _require(
                 is_involutive(structure),
@@ -336,8 +333,8 @@ def algebra_solution_inverse(
     """Closed-form inverse: 1/ν·ab⊗1 + 1/λ·1⊗ab − c·α(a)⊗α(b), c = 1/λ or 1/ν.
 
     Requires invertible (monomial) λ, ν and an involutive twist; with
-    `unchecked` those become warnings so the failure of the inverse law can be
-    exhibited downstream.
+    `unchecked` a non-involutive twist becomes a warning so the failure of the
+    inverse law can be exhibited downstream.
     """
     variant = _among(variant, _C.ALG_INV22, _C.ALG_INV24)
     return build(a, variant, lam, nu, unchecked=unchecked)

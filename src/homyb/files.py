@@ -6,6 +6,13 @@ in the message; expression problems carry the key path and the parser's
 position.  Output is deterministic: fixed key order, no timestamps (elapsed_ms
 is the one explicitly-labeled timing field, meant to be excluded from golden
 comparisons).
+
+This is the one module that reads and writes structure tables.  A structure
+holds its maps as matrices: on load, each `mult` or `bracket` cell becomes a
+column of μ or of the bracket, and the `comult` triples of Δ(e_i) are summed
+into column i of Δ; on export, the tables are read back from the matrices,
+with the `comult` triples in ascending (j, k) order, repeated triples summed
+and zero triples dropped.
 """
 
 from __future__ import annotations
@@ -74,22 +81,41 @@ def _string_matrix(doc: dict, key: str, rows: int, cols: int, params: ParamSet) 
     return Matrix.from_rows(params, data)
 
 
-def _coord_table(doc: dict, key: str, dim: int, params: ParamSet) -> tuple:
+def _coord_map(doc: dict, key: str, dim: int, params: ParamSet) -> Matrix:
+    """A dim×dim table of coordinate vectors as the dim×dim² matrix of its cells."""
     raw = _get_list(doc, key, dim)
-    table = []
+    cells = []
     for i, row in enumerate(raw):
         _require(isinstance(row, list) and len(row) == dim, f"{key}: expected {dim}×{dim}")
-        cells = []
         for j, cell in enumerate(row):
+            where = f"{key}[{i}][{j}]"
             _require(
                 isinstance(cell, list) and len(cell) == dim,
-                f"{key}[{i}][{j}]: expected a length-{dim} coordinate vector",
+                f"{where}: expected a length-{dim} coordinate vector",
             )
-            cells.append(
-                tuple(_parse_at(e, params, f"{key}[{i}][{j}][{k}]") for k, e in enumerate(cell))
+            cells.append([_parse_at(e, params, f"{where}[{k}]") for k, e in enumerate(cell)])
+    return Matrix.from_cols(params, cells)
+
+
+def _comult(doc: dict, dim: int, params: ParamSet) -> Matrix:
+    """The (j, k, coeff) triples of each Δ(e_i) summed into column i of Δ."""
+    raw = _get_list(doc, "comult", dim)
+    zero = Scalar.zero(params)
+    cols = [[zero] * (dim * dim) for _ in range(dim)]
+    for i, triples in enumerate(raw):
+        _require(isinstance(triples, list), f"comult[{i}]: expected an array of triples")
+        for t, triple in enumerate(triples):
+            _require(
+                isinstance(triple, list) and len(triple) == 3,
+                f"comult[{i}][{t}]: expected [j, k, expr]",
             )
-        table.append(tuple(cells))
-    return tuple(table)
+            j, k, expr = triple
+            _require(
+                _is_int(j) and _is_int(k) and 0 <= j < dim and 0 <= k < dim,
+                f"comult[{i}][{t}]: indices out of range",
+            )
+            cols[i][j * dim + k] += _parse_at(expr, params, f"comult[{i}][{t}]")
+    return Matrix.from_cols(params, cols)
 
 
 def _header(doc: Any, what: str) -> ParamSet:
@@ -131,30 +157,16 @@ def structure_from_dict(doc: dict) -> HomStructure:
     if kind == HomAlgebra.kind:
         return HomAlgebra(
             **base,
-            unit=tuple(_string_vector(doc, "unit", dim, params)),
-            mult=_coord_table(doc, "mult", dim, params),
+            eta=Matrix.from_cols(params, [_string_vector(doc, "unit", dim, params)]),
+            mu=_coord_map(doc, "mult", dim, params),
         )
     if kind == HomCoalgebra.kind:
-        counit = _string_vector(doc, "counit", dim, params)
-        raw = _get_list(doc, "comult", dim)
-        comult = []
-        for i, triples in enumerate(raw):
-            _require(isinstance(triples, list), f"comult[{i}]: expected an array of triples")
-            out = []
-            for t, triple in enumerate(triples):
-                _require(
-                    isinstance(triple, list) and len(triple) == 3,
-                    f"comult[{i}][{t}]: expected [j, k, expr]",
-                )
-                j, k, expr = triple
-                _require(
-                    _is_int(j) and _is_int(k) and 0 <= j < dim and 0 <= k < dim,
-                    f"comult[{i}][{t}]: indices out of range",
-                )
-                out.append((j, k, _parse_at(expr, params, f"comult[{i}][{t}]")))
-            comult.append(tuple(out))
-        return HomCoalgebra(**base, counit=tuple(counit), comult=tuple(comult))
-    return HomLieAlgebra(**base, bracket_table=_coord_table(doc, "bracket", dim, params))
+        return HomCoalgebra(
+            **base,
+            epsilon=Matrix.from_rows(params, [_string_vector(doc, "counit", dim, params)]),
+            delta=_comult(doc, dim, params),
+        )
+    return HomLieAlgebra(**base, bracket=_coord_map(doc, "bracket", dim, params))
 
 
 def _read_json(path: str | Path) -> Any:
@@ -180,18 +192,25 @@ def structure_to_dict(structure: HomStructure) -> dict:
         "parameters": list(structure.params.names),
         "alpha": _matrix_strings(structure.alpha),
     }
-    table = lambda rows: [[[format_scalar(s) for s in cell] for cell in row] for row in rows]
+    d = structure.dim
     if isinstance(structure, HomAlgebra):
-        base["unit"] = [format_scalar(s) for s in structure.unit]
-        base["mult"] = table(structure.mult)
+        base["unit"] = [row[0] for row in _matrix_strings(structure.eta)]
+        base["mult"] = _coord_table(structure.mu, d)
     elif isinstance(structure, HomCoalgebra):
-        base["counit"] = [format_scalar(s) for s in structure.counit]
-        base["comult"] = [
-            [[j, k, format_scalar(c)] for j, k, c in triples] for triples in structure.comult
-        ]
+        base["counit"] = _matrix_strings(structure.epsilon)[0]
+        comult: list[list] = [[] for _ in range(d)]
+        for t, i, c in structure.delta.nonzero():
+            comult[i].append([*divmod(t, d), format_scalar(c)])
+        base["comult"] = comult
     else:
-        base["bracket"] = table(structure.bracket_table)
+        base["bracket"] = _coord_table(structure.bracket, d)
     return base
+
+
+def _coord_table(matrix: Matrix, dim: int) -> list:
+    """A dim×dim² matrix as the dim×dim table of its columns, as expression strings."""
+    cols = [list(col) for col in zip(*_matrix_strings(matrix))]
+    return [cols[i:i + dim] for i in range(0, len(cols), dim)]
 
 
 def _matrix_strings(matrix: Matrix) -> list[list[str]]:

@@ -1,12 +1,15 @@
-"""Structure-constant descriptions of the three twisted structures.
+"""The three twisted structures, held as their maps, and their axiom validators.
 
-Each structure stores raw data (basis names, tables of coordinate vectors, the
-twist matrix), exposes its maps once as sparse matrices (μ, the unit, Δ, ε or
-the bracket) and is validated on demand.  Every axiom is a matrix identity
-whose `tensor.product_difference` residual has one column per basis tuple, so
-a passing report certifies the axiom for all elements by multilinearity; a
-failing one carries exact residual witnesses.  Structures are stored raw even
-when broken -- the tool must be able to load a defective table to diagnose it.
+A structure is its basis names, its ParamSet and its maps as sparse matrices:
+the twist α with μ and the unit, with Δ and ε, or with the bracket.  The maps
+are built once, when the structure is created, and every axiom and
+construction reads them directly; `files` is the one module that converts
+between the table format of structure files and these matrices.  Validation
+runs on demand: every axiom is a matrix identity whose
+`tensor.product_difference` residual has one column per basis tuple, so a
+passing report certifies the axiom for all elements by multilinearity; a
+failing one carries exact residual witnesses.  Creating a structure checks
+only the shapes, so a defective table still loads and can be diagnosed.
 """
 
 from __future__ import annotations
@@ -18,21 +21,9 @@ from operator import attrgetter
 from typing import Callable, ClassVar, Mapping, Sequence
 
 from .errors import DimensionError, StructureError
-from .scalar import ParamSet, Scalar, parse_scalar
-from .tensor import Matrix, Vector, basis_vector, flip, kron, product_difference, zero_vector
+from .scalar import ParamSet, Scalar
+from .tensor import Matrix, Vector, basis_vector, flip, kron, product_difference
 from .verify import DEFAULT_WITNESS_CAP, VerificationReport, Witness, combine, leaf_report
-
-
-def _parse_vector(strings: Sequence[str], params: ParamSet) -> Vector:
-    return tuple(parse_scalar(s, params) for s in strings)
-
-
-def _parse_base(
-    name: str, basis: Sequence[str], params: ParamSet, alpha: Sequence[Sequence[str]]
-) -> dict:
-    """The fields every structure has, with the twist matrix parsed."""
-    matrix = Matrix.from_rows(params, [_parse_vector(row, params) for row in alpha])
-    return {"name": name, "basis": tuple(basis), "params": params, "alpha": matrix}
 
 
 @dataclass(frozen=True)
@@ -41,6 +32,19 @@ class _StructureBase:
     basis: tuple[str, ...]
     params: ParamSet
     alpha: Matrix
+
+    # map field -> (a, b): the map is a dim^a × dim^b matrix
+    _maps: ClassVar[dict[str, tuple[int, int]]]
+
+    def __post_init__(self):
+        if not self.basis:
+            raise StructureError("empty basis")
+        for key, (a, b) in self._maps.items():
+            m, rows, cols = getattr(self, key), self.dim ** a, self.dim ** b
+            if (m.rows, m.cols) != (rows, cols):
+                raise StructureError(f"{key}: expected {rows}x{cols}, got {m.rows}x{m.cols}")
+            if m.params != self.params:
+                raise StructureError(f"{key}: matrix over a different parameter set")
 
     @property
     def dim(self) -> int:
@@ -52,21 +56,6 @@ class _StructureBase:
     @property
     def identity(self) -> Matrix:
         return Matrix.identity(self.dim, self.params)
-
-    def _check_base(self) -> None:
-        if not self.basis:
-            raise StructureError("empty basis")
-        if self.alpha.rows != self.dim or self.alpha.cols != self.dim:
-            raise StructureError(
-                f"alpha: expected {self.dim}x{self.dim}, got {self.alpha.rows}x{self.alpha.cols}"
-            )
-
-    def _check_table(self, table: tuple[tuple[Vector, ...], ...], key: str) -> None:
-        d = self.dim
-        if len(table) != d or any(len(row) != d for row in table):
-            raise StructureError(f"{key}: expected {d}x{d}")
-        if any(len(cell) != d for row in table for cell in row):
-            raise StructureError(f"{key}: coordinate vectors must have length {d}")
 
     def basis_index(self, name: str) -> int:
         try:
@@ -82,168 +71,52 @@ class _StructureBase:
         """The same structure over a larger ParamSet."""
         return self._map(lambda s: s.extend(params), params)
 
-
-def _cells(fn: Callable[[Scalar], Scalar], table: tuple[tuple[Vector, ...], ...]):
-    return tuple(tuple(tuple(fn(s) for s in cell) for cell in row) for row in table)
+    def _map(self, fn: Callable[[Scalar], Scalar], params: ParamSet):
+        """The structure with `fn` applied to every entry of every map."""
+        maps = {key: getattr(self, key).map(fn, params) for key in self._maps}
+        return replace(self, params=params, **maps)
 
 
 @dataclass(frozen=True)
 class HomAlgebra(_StructureBase):
-    """(A, μ, 1_A, α): multiplication table, unit coordinates, twist matrix."""
+    """(A, μ, 1_A, α).
+
+    μ is dim×dim²: column i·dim + j is the product e_i·e_j.  The unit η is
+    dim×1.
+    """
 
     kind: ClassVar[str] = "hom-algebra"
-    unit: Vector = ()
-    mult: tuple[tuple[Vector, ...], ...] = ()
-
-    def __post_init__(self):
-        self._check_base()
-        d = self.dim
-        if len(self.unit) != d:
-            raise StructureError(f"unit: expected length {d}, got {len(self.unit)}")
-        self._check_table(self.mult, "mult")
-
-    @classmethod
-    def from_strings(
-        cls,
-        name: str,
-        basis: Sequence[str],
-        params: ParamSet,
-        unit: Sequence[str],
-        mult: Sequence[Sequence[Sequence[str]]],
-        alpha: Sequence[Sequence[str]],
-    ) -> "HomAlgebra":
-        return cls(
-            **_parse_base(name, basis, params, alpha),
-            unit=_parse_vector(unit, params),
-            mult=_cells(lambda s: parse_scalar(s, params), mult),
-        )
-
-    @property
-    def mu(self) -> Matrix:
-        """μ as a dim×dim² matrix: column i·dim + j is the product e_i·e_j."""
-        return Matrix.from_cols(self.params, (cell for row in self.mult for cell in row))
-
-    @property
-    def eta(self) -> Matrix:
-        """The unit as a dim×1 matrix."""
-        return Matrix.from_cols(self.params, [self.unit])
-
-    def _map(self, fn: Callable[[Scalar], Scalar], params: ParamSet) -> "HomAlgebra":
-        return replace(
-            self,
-            params=params,
-            alpha=self.alpha.map(fn, params),
-            unit=tuple(fn(s) for s in self.unit),
-            mult=_cells(fn, self.mult),
-        )
+    _maps: ClassVar[dict[str, tuple[int, int]]] = {"alpha": (1, 1), "mu": (1, 2), "eta": (1, 0)}
+    mu: Matrix
+    eta: Matrix
 
 
 @dataclass(frozen=True)
 class HomCoalgebra(_StructureBase):
-    """(C, Δ, ε, α): comultiplication triples, counit values, twist matrix.
+    """(C, Δ, ε, α).
 
-    `comult[i]` lists (j, k, c) triples meaning Δ(e_i) contains c·e_j⊗e_k.
+    Δ is dim²×dim: column i is Δ(e_i), with e_j⊗e_k at row j·dim + k.  The
+    counit ε is 1×dim.
     """
 
     kind: ClassVar[str] = "hom-coalgebra"
-    counit: Vector = ()
-    comult: tuple[tuple[tuple[int, int, Scalar], ...], ...] = ()
-
-    def __post_init__(self):
-        self._check_base()
-        d = self.dim
-        if len(self.counit) != d:
-            raise StructureError(f"counit: expected length {d}, got {len(self.counit)}")
-        if len(self.comult) != d:
-            raise StructureError(f"comult: expected {d} entries, got {len(self.comult)}")
-        for i, triples in enumerate(self.comult):
-            for j, k, _ in triples:
-                if not (0 <= j < d and 0 <= k < d):
-                    raise StructureError(f"comult[{i}]: index ({j},{k}) out of range")
-
-    @classmethod
-    def from_strings(
-        cls,
-        name: str,
-        basis: Sequence[str],
-        params: ParamSet,
-        counit: Sequence[str],
-        comult: Sequence[Sequence[tuple[int, int, str]]],
-        alpha: Sequence[Sequence[str]],
-    ) -> "HomCoalgebra":
-        return cls(
-            **_parse_base(name, basis, params, alpha),
-            counit=_parse_vector(counit, params),
-            comult=tuple(
-                tuple((int(j), int(k), parse_scalar(c, params)) for j, k, c in triples)
-                for triples in comult
-            ),
-        )
-
-    @property
-    def delta(self) -> Matrix:
-        """Δ as a dim²×dim matrix: column i is Δ(e_i), repeated triples summed."""
-        d = self.dim
-        cols = [list(zero_vector(d * d, self.params)) for _ in range(d)]
-        for col, triples in zip(cols, self.comult):
-            for j, k, c in triples:
-                col[j * d + k] = col[j * d + k] + c
-        return Matrix.from_cols(self.params, cols)
-
-    @property
-    def epsilon(self) -> Matrix:
-        """ε as a 1×dim matrix."""
-        return Matrix.from_rows(self.params, [self.counit])
-
-    def _map(self, fn: Callable[[Scalar], Scalar], params: ParamSet) -> "HomCoalgebra":
-        return replace(
-            self,
-            params=params,
-            alpha=self.alpha.map(fn, params),
-            counit=tuple(fn(s) for s in self.counit),
-            comult=tuple(tuple((j, k, fn(c)) for j, k, c in triples) for triples in self.comult),
-        )
+    _maps: ClassVar[dict[str, tuple[int, int]]] = {
+        "alpha": (1, 1), "delta": (2, 1), "epsilon": (0, 1)
+    }
+    delta: Matrix
+    epsilon: Matrix
 
 
 @dataclass(frozen=True)
 class HomLieAlgebra(_StructureBase):
-    """(L, [·,·], α): bracket table of coordinate vectors and twist matrix."""
+    """(L, [·,·], α).
+
+    The bracket is dim×dim²: column i·dim + j is [e_i, e_j].
+    """
 
     kind: ClassVar[str] = "hom-lie"
-    bracket_table: tuple[tuple[Vector, ...], ...] = ()
-
-    def __post_init__(self):
-        self._check_base()
-        self._check_table(self.bracket_table, "bracket")
-
-    @classmethod
-    def from_strings(
-        cls,
-        name: str,
-        basis: Sequence[str],
-        params: ParamSet,
-        bracket: Sequence[Sequence[Sequence[str]]],
-        alpha: Sequence[Sequence[str]],
-    ) -> "HomLieAlgebra":
-        return cls(
-            **_parse_base(name, basis, params, alpha),
-            bracket_table=_cells(lambda s: parse_scalar(s, params), bracket),
-        )
-
-    @property
-    def bracket(self) -> Matrix:
-        """The bracket as a dim×dim² matrix: column i·dim + j is [e_i, e_j]."""
-        return Matrix.from_cols(
-            self.params, (cell for row in self.bracket_table for cell in row)
-        )
-
-    def _map(self, fn: Callable[[Scalar], Scalar], params: ParamSet) -> "HomLieAlgebra":
-        return replace(
-            self,
-            params=params,
-            alpha=self.alpha.map(fn, params),
-            bracket_table=_cells(fn, self.bracket_table),
-        )
+    _maps: ClassVar[dict[str, tuple[int, int]]] = {"alpha": (1, 1), "bracket": (1, 2)}
+    bracket: Matrix
 
 
 HomStructure = HomAlgebra | HomCoalgebra | HomLieAlgebra

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from homyb import Matrix, ParamSet, Scalar, catalog_get
+from homyb.catalog import _structure as structure  # a document loaded as a file is
 
 
 PS2 = ParamSet(["lam", "nu"])

@@ -31,8 +31,8 @@ class TestLookup:
         lie = entry.structure
         assert lie.dim == 3
         e1 = parse_scalar("1", lie.params)
-        assert lie.bracket_table[0][1][0] == e1  # [e1,e2] = e1
-        assert lie.bracket_table[1][0][0] == -e1
+        assert lie.bracket[0, 1] == e1  # [e1,e2] = e1
+        assert lie.bracket[0, 3] == -e1
 
     def test_unknown_id(self):
         with pytest.raises(UnknownEntryError):
@@ -143,10 +143,29 @@ class TestExportRoundTrip:
         loaded = structure_from_dict(doc)
         original = validate(entry.structure, entry.kind == "hom-lie")
         reloaded = validate(loaded, entry.kind == "hom-lie")
+        assert loaded == entry.structure
         assert original.holds == reloaded.holds
         assert [s.holds for s in original.subreports] == [s.holds for s in reloaded.subreports]
         if entry.variant is not None:
             assert build_operator(entry).matrix == build_operator(entry, loaded).matrix
+
+    def test_comult_triples_are_summed_and_exported_in_order(self):
+        doc = {
+            "kind": "hom-coalgebra", "name": "c", "dim": 2, "basis": ["a", "b"],
+            "parameters": ["lam"], "alpha": [["1", "0"], ["0", "1"]], "counit": ["1", "0"],
+            "comult": [
+                [[1, 1, "lam"], [0, 0, "1"], [1, 1, "2*lam"], [0, 1, "0"]],
+                [[1, 0, "1"], [0, 1, "lam"], [1, 0, "-1"]],
+            ],
+        }
+        coalgebra = structure_from_dict(doc)
+        one, lam = (parse_scalar(x, coalgebra.params) for x in ("1", "lam"))
+        # Δ(a) = a⊗a + 3·lam·b⊗b and Δ(b) = lam·a⊗b: rows j·2 + k, one column each
+        assert list(coalgebra.delta.nonzero()) == [(0, 0, one), (1, 1, lam), (3, 0, 3 * lam)]
+        assert structure_to_dict(coalgebra)["comult"] == [
+            [[0, 0, "1"], [1, 1, "3*lam"]],
+            [[0, 1, "lam"]],
+        ]
 
     def test_export_is_byte_stable(self):
         from homyb.files import dump_json

@@ -228,6 +228,30 @@ class TestVerify:
     def test_check_without_construction_exits_two(self, export, capsys):
         assert main(["verify", export("ex2.3"), "--check", "hybe"]) == 2
 
+    def test_non_monomial_lambda_exits_two(self, export, capsys):
+        # verify builds unchecked, but 1/(lam + nu) does not exist in the Laurent ring
+        code = main(
+            ["verify", export("ex2.3"), "--check", "inverse", "--construction", "cor2.2",
+             "--lambda", "lam+nu"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: lambda = nu + lam is not an invertible (monomial) scalar")
+
+    def test_warnings_are_printed_when_the_command_then_fails(self, export, tmp_path, capsys):
+        doc = json.loads(open(export("ex4.3")).read())
+        doc["bracket"][2][2] = ["1", "0", "0"]  # [e3,e3] = e1 breaks the axioms
+        path = tmp_path / "broken-lie.json"
+        path.write_text(json.dumps(doc))
+        code = main(
+            ["verify", str(path), "--check", "hybe", "--construction", "thm4.1",
+             "--u", "1,0,0"]
+        )
+        assert code == 2
+        warning, error = capsys.readouterr().err.splitlines()
+        assert warning.startswith("warning: building on a structure that fails axioms")
+        assert error.startswith("error: u is not central")
+
 
 class TestCatalog:
     def test_list_prints_all_ids(self, capsys):

@@ -14,6 +14,7 @@ from homyb import (
     Scalar,
     algebra_solution,
     algebra_solution_inverse,
+    build,
     chybe_r,
     coalgebra_solution,
     lie_solution,
@@ -23,7 +24,7 @@ from homyb import (
     system_coalgebra,
     tensor2,
 )
-from conftest import PS2
+from conftest import PS2, structure
 
 
 def column_of(op, i, j):
@@ -93,9 +94,9 @@ class TestAlgebraSolution:
 
 class TestAlgebraInverse:
     def test_one_dimensional_collapse(self):
-        ps = PS2
-        ground = HomAlgebra.from_strings(
-            "ground", basis=["1"], params=ps, unit=["1"], mult=[[["1"]]], alpha=[["1"]]
+        ground = structure(
+            HomAlgebra, name="ground", basis=["1"], parameters=["lam", "nu"],
+            unit=["1"], mult=[[["1"]]], alpha=[["1"]],
         )
         lam, nu = symbols(ground)
         b = algebra_solution(ground, Construction.ALG21, lam, nu)
@@ -114,6 +115,12 @@ class TestAlgebraInverse:
         lam, nu = symbols(ex23.structure)
         with pytest.raises(PreconditionError, match="monomial"):
             algebra_solution_inverse(a, Construction.ALG_INV22, lam + nu, nu)
+
+    def test_non_monomial_coefficient_is_refused_unchecked(self, ex23):
+        # unchecked waives the axioms and involutivity, not the existence of 1/lambda
+        lam, nu = symbols(ex23.structure)
+        with pytest.raises(PreconditionError, match=r"lambda = nu \+ lam is not an invertible"):
+            build(ex23.structure, Construction.ALG_INV22, lam + nu, nu, unchecked=True)
 
 
 class TestCoalgebraSolution:
@@ -160,10 +167,11 @@ class TestLieSolution:
         assert sum(1 for s in col if s.terms) == 1
 
     def test_abelian_bracket_gives_scaled_twisted_flip(self):
-        abelian = HomLieAlgebra.from_strings(
-            "abelian",
+        abelian = structure(
+            HomLieAlgebra,
+            name="abelian",
             basis=["x", "y"],
-            params=PS2,
+            parameters=["lam", "nu"],
             bracket=[[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]],
             alpha=[["1", "0"], ["0", "-1"]],
         )
@@ -246,10 +254,9 @@ class TestSystems:
         assert z.matrix.substitute({"nu": 1}) == x.matrix
 
     def test_group_like_coalgebra_collapses_to_scalar(self):
-        ps = PS2
-        grouplike = HomCoalgebra.from_strings(
-            "group-like", basis=["g"], params=ps, counit=["1"],
-            comult=[[(0, 0, "1")]], alpha=[["1"]],
+        grouplike = structure(
+            HomCoalgebra, name="group-like", basis=["g"], parameters=["lam", "nu"],
+            counit=["1"], comult=[[[0, 0, "1"]]], alpha=[["1"]],
         )
         lam, nu = symbols(grouplike)
         w, z, x = system_coalgebra(grouplike, lam, nu)

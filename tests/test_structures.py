@@ -1,11 +1,14 @@
 """Axiom validators for the three structure kinds, on good and broken inputs."""
 
+from dataclasses import fields, replace
+
 import pytest
 
 from homyb import (
     HomAlgebra,
     HomCoalgebra,
     HomLieAlgebra,
+    Matrix,
     ParamSet,
     Scalar,
     StructureError,
@@ -16,7 +19,7 @@ from homyb import (
     validate_hom_coalgebra,
     validate_hom_lie,
 )
-from conftest import PS2
+from conftest import structure
 
 
 def sub_report(report, name):
@@ -31,11 +34,11 @@ class TestHomAlgebra:
 
     def test_plain_associative_unital_algebra_passes(self):
         # k[t]/(t^2) with identity twist: the axioms collapse to the classical ones
-        ps = ParamSet(["lam"])
-        dual = HomAlgebra.from_strings(
-            "dual-numbers",
+        dual = structure(
+            HomAlgebra,
+            name="dual-numbers",
             basis=["1", "t"],
-            params=ps,
+            parameters=["lam"],
             unit=["1", "0"],
             mult=[[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]],
             alpha=[["1", "0"], ["0", "1"]],
@@ -70,12 +73,12 @@ class TestHomAlgebra:
         assert sub_report(report, "HA1-mult").metadata["tuples"] == "9"
 
     def test_shape_validation(self):
-        ps = ParamSet([])
         with pytest.raises(StructureError, match="mult"):
-            HomAlgebra.from_strings(
-                "broken",
+            structure(
+                HomAlgebra,
+                name="broken",
                 basis=["a", "b"],
-                params=ps,
+                parameters=[],
                 unit=["1", "0"],
                 mult=[[["1", "0"], ["0", "1"]]],
                 alpha=[["1", "0"], ["0", "1"]],
@@ -88,25 +91,26 @@ class TestHomCoalgebra:
         assert report.holds
 
     def test_group_like_passes(self):
-        ps = ParamSet([])
-        grouplike = HomCoalgebra.from_strings(
-            "group-like",
+        grouplike = structure(
+            HomCoalgebra,
+            name="group-like",
             basis=["g"],
-            params=ps,
+            parameters=[],
             counit=["1"],
-            comult=[[(0, 0, "1")]],
+            comult=[[[0, 0, "1"]]],
             alpha=[["1"]],
         )
         assert validate_hom_coalgebra(grouplike).holds
 
     def test_alternative_twist_reading_breaks_comult_compat(self):
         # alpha(a2) = a2 instead of the forced alpha(a2) = a
-        alt = HomCoalgebra.from_strings(
-            "alt",
+        alt = structure(
+            HomCoalgebra,
+            name="alt",
             basis=["1", "a", "a2"],
-            params=PS2,
+            parameters=["lam", "nu"],
             counit=["1", "1", "1"],
-            comult=[[(0, 0, "1")], [(2, 2, "1")], [(1, 1, "1")]],
+            comult=[[[0, 0, "1"]], [[2, 2, "1"]], [[1, 1, "1"]]],
             alpha=[["1", "0", "0"], ["0", "0", "0"], ["0", "1", "1"]],
         )
         report = validate_hom_coalgebra(alt)
@@ -128,20 +132,22 @@ class TestHomLie:
         assert "alpha-multiplicative" in names
 
     def test_abelian_bracket_passes(self):
-        abelian = HomLieAlgebra.from_strings(
-            "abelian",
+        abelian = structure(
+            HomLieAlgebra,
+            name="abelian",
             basis=["x", "y"],
-            params=PS2,
+            parameters=["lam", "nu"],
             bracket=[[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]],
             alpha=[["1", "2"], ["0", "1"]],
         )
         assert validate_hom_lie(abelian, require_multiplicative=True).holds
 
     def test_antisymmetry_violation_is_caught(self):
-        broken = HomLieAlgebra.from_strings(
-            "broken",
+        broken = structure(
+            HomLieAlgebra,
+            name="broken",
             basis=["e1", "e2"],
-            params=PS2,
+            parameters=["lam", "nu"],
             bracket=[[["0", "0"], ["1", "0"]], [["0", "1"], ["0", "0"]]],
             alpha=[["1", "0"], ["0", "1"]],
         )
@@ -172,3 +178,41 @@ class TestElementPredicates:
     def test_non_central_element(self, ex43):
         lie = ex43.structure
         assert not is_central(lie, lie.basis_vec(0))
+
+
+# the maps of a one-dimensional structure of each kind, besides α, each the entry a
+_ONE_DIM = {
+    HomAlgebra: {"mult": [[["a"]]], "unit": ["a"]},
+    HomCoalgebra: {"comult": [[[0, 0, "a"]]], "counit": ["a"]},
+    HomLieAlgebra: {"bracket": [[["a"]]]},
+}
+
+
+def one_dim(cls):
+    return structure(cls, name="one", basis=["e"], parameters=["a"], alpha=[["a"]], **_ONE_DIM[cls])
+
+
+class TestParameterMaps:
+    @pytest.mark.parametrize("cls", list(_ONE_DIM), ids=lambda cls: cls.kind)
+    def test_substitute_and_extend_reach_every_map(self, cls):
+        s = one_dim(cls)
+        maps = [f.name for f in fields(s) if isinstance(getattr(s, f.name), Matrix)]
+        assert maps == {
+            HomAlgebra: ["alpha", "mu", "eta"],
+            HomCoalgebra: ["alpha", "delta", "epsilon"],
+            HomLieAlgebra: ["alpha", "bracket"],
+        }[cls]
+        wider = ParamSet(["a", "b"])
+        substituted, extended = s.substitute({"a": 2}), s.extend(wider)
+        assert extended.params == wider
+        for name in maps:
+            m = getattr(s, name)
+            assert getattr(substituted, name) == m.substitute({"a": 2}) != m
+            assert getattr(extended, name) == m.extend(wider) != m
+
+    def test_maps_are_checked_against_the_basis_and_the_params(self):
+        lie = one_dim(HomLieAlgebra)
+        with pytest.raises(StructureError, match="bracket: expected 1x1, got 1x2"):
+            replace(lie, bracket=Matrix.zeros(1, 2, lie.params))
+        with pytest.raises(StructureError, match="alpha: matrix over a different parameter set"):
+            replace(lie, alpha=lie.alpha.extend(ParamSet(["a", "b"])))

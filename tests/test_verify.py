@@ -10,7 +10,6 @@ from homyb import (
     ConstructionWarning,
     HomLieAlgebra,
     Matrix,
-    ParamSet,
     Scalar,
     Witness,
     algebra_solution,
@@ -39,7 +38,7 @@ from homyb import (
     yb_commutator,
 )
 from homyb.constructions import INVERSE, RECIPES, SYSTEMS
-from conftest import PS2, random_assignment
+from conftest import PS2, random_assignment, structure
 
 
 def build_ex23_operator(ex23):
@@ -126,10 +125,11 @@ class TestHybe:
     def test_lie_operator_passes_when_twist_fixes_u(self, ex43):
         # same bracket, identity twist: the invariance hypothesis holds
         lie = ex43.structure
-        fixed = HomLieAlgebra.from_strings(
-            "control",
+        fixed = structure(
+            HomLieAlgebra,
+            name="control",
             basis=list(lie.basis),
-            params=lie.params,
+            parameters=list(lie.params.names),
             bracket=[
                 [["0", "0", "0"], ["1", "0", "0"], ["0", "0", "0"]],
                 [["-1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
@@ -295,8 +295,9 @@ def heisenberg(alpha_diagonal):
     zero = ["0", "0", "0"]
     bracket = [[zero, ["0", "0", "1"], zero], [["0", "0", "-1"], zero, zero], [zero] * 3]
     alpha = [[x if i == j else "0" for j in range(3)] for i, x in enumerate(alpha_diagonal)]
-    return HomLieAlgebra.from_strings(
-        "h3", ["e1", "e2", "e3"], ParamSet(["s", "lam", "nu"]), bracket, alpha
+    return structure(
+        HomLieAlgebra, name="h3", basis=["e1", "e2", "e3"], parameters=["s", "lam", "nu"],
+        bracket=bracket, alpha=alpha,
     )
 
 
