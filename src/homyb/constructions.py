@@ -142,14 +142,6 @@ class SolutionOperator:
         return self.source.dim
 
 
-@dataclass(frozen=True)
-class RMatrix:
-    """An element r ∈ L⊗L as a dim² coordinate vector."""
-
-    coords: Vector
-    source: HomLieAlgebra
-
-
 def is_involutive(structure: HomStructure) -> bool:
     """α² = id exactly."""
     return structure.alpha @ structure.alpha == Matrix.identity(structure.dim, structure.params)
@@ -424,8 +416,8 @@ def chybe_r(
     *,
     alpha_inverse: Matrix | None = None,
     unchecked: bool = False,
-) -> RMatrix:
-    """The rank-one tensor αᵐ([x,y]) ⊗ αⁿ(u) for a central u.
+) -> Vector:
+    """The coordinates in L⊗L of the rank-one tensor αᵐ([x,y]) ⊗ αⁿ(u) for a central u.
 
     Negative powers need an explicit inverse twist matrix, and |m| and |n| are
     at most `MAX_TWIST_POWER`.  The vanishing of the middle bracket needs αⁿ(u)
@@ -463,4 +455,4 @@ def chybe_r(
         raise PreconditionError(
             f"alpha^{n}(u) is not central, so the middle bracket does not vanish"
         )
-    return RMatrix(tensor2(first, second), lie)
+    return tensor2(first, second)

@@ -174,8 +174,12 @@ def _read_json(path: str | Path) -> Any:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise StructureError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise StructureError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise StructureError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise StructureError(f"{path}: invalid JSON: nested too deeply") from None
 
 
 def load_structure(path: str | Path) -> HomStructure:

@@ -4,12 +4,17 @@ A structure is its basis names, its ParamSet and its maps as sparse matrices:
 the twist α with μ and the unit, with Δ and ε, or with the bracket.  The maps
 are built once, when the structure is created, and every axiom and
 construction reads them directly; `files` is the one module that converts
-between the table format of structure files and these matrices.  Validation
-runs on demand: every axiom is a matrix identity whose
-`tensor.product_difference` residual has one column per basis tuple, so a
-passing report certifies the axiom for all elements by multilinearity; a
-failing one carries exact residual witnesses.  Creating a structure checks
-only the shapes, so a defective table still loads and can be diagnosed.
+between the table format of structure files and these matrices.  Creating a
+structure checks only the shapes, so a defective table still loads and can
+be diagnosed.
+
+Each kind's validator builds a table of its axioms, rows (report name, arity,
+identities), and one loop checks every table.  An identity (a, b, c, d,
+label) states a·b = c·d; column t of its `tensor.product_difference` residual
+is the basis tuple of that arity with flat index t, so a passing report
+certifies the axiom for all elements by multilinearity, and a failing one
+carries an exact witness per nonzero entry, labelled by the template with
+`{t}` for the tuple's basis names and `{c}` for the entry's row.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from operator import attrgetter
 from typing import Callable, ClassVar, Mapping, Sequence
 
 from .errors import DimensionError, StructureError
@@ -127,26 +131,30 @@ HomStructure = HomAlgebra | HomCoalgebra | HomLieAlgebra
 
 def _names(basis: Sequence[str], t: int, arity: int) -> str:
     """The basis names of the flat tensor index t of the given arity, comma-separated."""
-    names = []
-    for _ in range(arity):
-        t, i = divmod(t, len(basis))
-        names.append(basis[i])
-    return ",".join(reversed(names))
+    d = len(basis)
+    return ",".join(basis[t // d ** k % d] for k in reversed(range(arity)))
 
 
-def _failures(residual: Matrix, label: Callable[[int], str]) -> list[Witness]:
-    """One witness per nonzero entry (c, t) of a residual whose column t is a basis tuple.
+def _check(name: str, basis: Sequence[str], axioms: list, started: float,
+           witness_cap: int | None) -> VerificationReport:
+    """One report per axiom of the table, combined under `name`.
 
-    The witness sits at row t, column c, carries the label `label(t)->c`, and
-    the witnesses are ordered by (t, c).
+    Each nonzero residual entry (c, t) is a witness at row t, column c; an
+    axiom's witnesses are ordered by tuple, then identity, then c.
     """
-    entries = sorted(residual.nonzero(), key=lambda e: (e[1], e[0]))
-    return [Witness(t, c, v, f"{label(t)}->{c}") for c, t, v in entries]
-
-
-def _interleaved(*sides: list[Witness]) -> list[Witness]:
-    """The witnesses of several residuals over the same basis tuples, tuple by tuple."""
-    return sorted((w for side in sides for w in side), key=attrgetter("row"))
+    parts = []
+    for axiom, arity, identities in axioms:
+        found = sorted(
+            ((t, k, c, v, label)
+             for k, (*factors, label) in enumerate(identities)
+             for c, t, v in product_difference(*factors).nonzero()),
+            key=lambda e: e[:3],
+        )
+        witnesses = [Witness(t, c, v, label.format(t=_names(basis, t, arity), c=c))
+                     for t, _, c, v, label in found]
+        parts.append(leaf_report(axiom, witnesses, witness_cap=witness_cap,
+                                 tuples=str(len(basis) ** arity)))
+    return combine(name, parts, started, witness_cap=witness_cap)
 
 
 def validate_hom_algebra(
@@ -158,70 +166,36 @@ def validate_hom_algebra(
     associativity on every basis triple, and the twisted unit law.
     """
     started = time.perf_counter()
-    d = a.dim
-    basis = a.basis
     al, m, u, ident = a.alpha, a.mu, a.eta, a.identity
-
-    ha1 = _failures(
-        product_difference(al, m, m, kron(al, al)), lambda t: f"HA1({_names(basis, t, 2)})"
-    )
-    one = Matrix.identity(1, a.params)
-    ha1_unit = _failures(product_difference(al, u, u, one), lambda t: "HA1(unit)")
-    ha2 = _failures(
-        product_difference(m, kron(al, m), m, kron(m, al)),
-        lambda t: f"HA2({_names(basis, t, 3)})",
-    )
-    ha2_unit = _interleaved(
-        _failures(product_difference(m, kron(ident, u), al, ident),
-                  lambda t: f"HA2-unit({basis[t]}*1)"),
-        _failures(product_difference(m, kron(u, ident), al, ident),
-                  lambda t: f"HA2-unit(1*{basis[t]})"),
-    )
-
-    parts = [
-        leaf_report("HA1-mult", ha1, witness_cap=witness_cap, tuples=str(d * d)),
-        leaf_report("HA1-unit", ha1_unit, witness_cap=witness_cap, tuples="1"),
-        leaf_report("HA2-assoc", ha2, witness_cap=witness_cap, tuples=str(d ** 3)),
-        leaf_report("HA2-unit", ha2_unit, witness_cap=witness_cap, tuples=str(d)),
+    axioms = [
+        ("HA1-mult", 2, [(al, m, m, kron(al, al), "HA1({t})->{c}")]),
+        ("HA1-unit", 0, [(al, u, u, Matrix.identity(1, a.params), "HA1(unit)->{c}")]),
+        ("HA2-assoc", 3, [(m, kron(al, m), m, kron(m, al), "HA2({t})->{c}")]),
+        ("HA2-unit", 1, [(m, kron(ident, u), al, ident, "HA2-unit({t}*1)->{c}"),
+                         (m, kron(u, ident), al, ident, "HA2-unit(1*{t})->{c}")]),
     ]
-    return combine("hom-algebra-axioms", parts, started, witness_cap=witness_cap)
+    return _check("hom-algebra-axioms", a.basis, axioms, started, witness_cap)
 
 
 def validate_hom_coalgebra(
     c: HomCoalgebra, *, witness_cap: int | None = DEFAULT_WITNESS_CAP
 ) -> VerificationReport:
-    """Exhaustive exact check of the twisted-coalgebra axioms on all basis vectors."""
+    """Exhaustive exact check of the twisted-coalgebra axioms on all basis vectors.
+
+    (α⊗α)Δ = Δα, εα = ε, (α⊗Δ)Δ = (Δ⊗α)Δ and (ε⊗id)Δ = (id⊗ε)Δ = α.
+    """
     started = time.perf_counter()
-    d = c.dim
-    basis = c.basis
     al, delta, eps, ident = c.alpha, c.delta, c.epsilon, c.identity
-
-    # (α⊗α)Δ = Δα, εα = ε, (α⊗Δ)Δ = (Δ⊗α)Δ and (ε⊗id)Δ = (id⊗ε)Δ = α
-    hc1 = _failures(
-        product_difference(kron(al, al), delta, delta, al), lambda t: f"HC1({basis[t]})"
-    )
-    hc1_counit = [
-        Witness(t, 0, v, f"HC1-counit({basis[t]})")
-        for _, t, v in product_difference(eps, al, eps, ident).nonzero()
+    axioms = [
+        ("HC1-comult", 1, [(kron(al, al), delta, delta, al, "HC1({t})->{c}")]),
+        ("HC1-counit", 1, [(eps, al, eps, ident, "HC1-counit({t})")]),
+        ("HC2-coassoc", 1, [(kron(al, delta), delta, kron(delta, al), delta, "HC2({t})->{c}")]),
+        ("HC2-counit", 1, [
+            (kron(eps, ident), delta, al, ident, "HC2-counit(eps⊗id)({t})->{c}"),
+            (kron(ident, eps), delta, al, ident, "HC2-counit(id⊗eps)({t})->{c}"),
+        ]),
     ]
-    hc2 = _failures(
-        product_difference(kron(al, delta), delta, kron(delta, al), delta),
-        lambda t: f"HC2({basis[t]})",
-    )
-    hc2_counit = _interleaved(
-        _failures(product_difference(kron(eps, ident), delta, al, ident),
-                  lambda t: f"HC2-counit(eps⊗id)({basis[t]})"),
-        _failures(product_difference(kron(ident, eps), delta, al, ident),
-                  lambda t: f"HC2-counit(id⊗eps)({basis[t]})"),
-    )
-
-    parts = [
-        leaf_report("HC1-comult", hc1, witness_cap=witness_cap, tuples=str(d)),
-        leaf_report("HC1-counit", hc1_counit, witness_cap=witness_cap, tuples=str(d)),
-        leaf_report("HC2-coassoc", hc2, witness_cap=witness_cap, tuples=str(d)),
-        leaf_report("HC2-counit", hc2_counit, witness_cap=witness_cap, tuples=str(d)),
-    ]
-    return combine("hom-coalgebra-axioms", parts, started, witness_cap=witness_cap)
+    return _check("hom-coalgebra-axioms", c.basis, axioms, started, witness_cap)
 
 
 def validate_hom_lie(
@@ -236,39 +210,24 @@ def validate_hom_lie(
     operator constructions do; `require_multiplicative` adds that check.
     """
     started = time.perf_counter()
-    d = lie.dim
-    basis = lie.basis
-    params = lie.params
-    al, br = lie.alpha, lie.bracket
-
+    d, params, al, br = lie.dim, lie.params, lie.alpha, lie.bracket
     # [x,y] + [y,x] = L(I + F); the Jacobi sum is X(I + P + P²) with
     # X = L(α⊗L) and P the cyclic shift x⊗y⊗z ↦ y⊗z⊗x
-    hl1 = _failures(
-        product_difference(br, Matrix.identity(d * d, params), -br, flip(d, d, params)),
-        lambda t: f"HL1({_names(basis, t, 2)})",
-    )
     x = br @ kron(al, br)
     cycle = flip(d, d * d, params)
-    hl2 = _failures(
-        product_difference(x, Matrix.identity(d ** 3, params) + cycle, -x, cycle @ cycle),
-        lambda t: f"HL2({_names(basis, t, 3)})",
-    )
-
-    parts = [
-        leaf_report("HL1-antisym", hl1, witness_cap=witness_cap, tuples=str(d * d)),
-        leaf_report("HL2-jacobi", hl2, witness_cap=witness_cap, tuples=str(d ** 3)),
+    axioms = [
+        ("HL1-antisym", 2, [
+            (br, Matrix.identity(d * d, params), -br, flip(d, d, params), "HL1({t})->{c}"),
+        ]),
+        ("HL2-jacobi", 3, [
+            (x, Matrix.identity(d ** 3, params) + cycle, -x, cycle @ cycle, "HL2({t})->{c}"),
+        ]),
     ]
-
     if require_multiplicative:
-        mult = _failures(
-            product_difference(al, br, br, kron(al, al)),
-            lambda t: f"alpha-mult({_names(basis, t, 2)})",
+        axioms.append(
+            ("alpha-multiplicative", 2, [(al, br, br, kron(al, al), "alpha-mult({t})->{c}")])
         )
-        parts.append(
-            leaf_report("alpha-multiplicative", mult, witness_cap=witness_cap, tuples=str(d * d))
-        )
-
-    return combine("hom-lie-axioms", parts, started, witness_cap=witness_cap)
+    return _check("hom-lie-axioms", lie.basis, axioms, started, witness_cap)
 
 
 def validate(structure: HomStructure, require_multiplicative: bool = False,
@@ -278,9 +237,7 @@ def validate(structure: HomStructure, require_multiplicative: bool = False,
     if isinstance(structure, HomCoalgebra):
         return validate_hom_coalgebra(structure, witness_cap=witness_cap)
     if isinstance(structure, HomLieAlgebra):
-        return validate_hom_lie(
-            structure, require_multiplicative, witness_cap=witness_cap
-        )
+        return validate_hom_lie(structure, require_multiplicative, witness_cap=witness_cap)
     raise TypeError(f"not a Hom structure: {type(structure).__name__}")
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import product
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import DimensionError
 from .scalar import Scalar
@@ -54,9 +54,10 @@ class VerificationReport:
     subreports: list["VerificationReport"] = field(default_factory=list)
     metadata: dict[str, str] = field(default_factory=dict)
 
-    def witness_summary(self, limit: int = 3) -> str:
+    def witness_summary(self) -> str:
+        """The first three witnesses, each with its label, position and residual."""
         parts = []
-        for w in self.witnesses[:limit]:
+        for w in self.witnesses[:3]:
             where = f"({w.row},{w.col})"
             if w.label:
                 where = f"{w.label} {where}"
@@ -103,7 +104,6 @@ def combine(
     name: str,
     parts: list[VerificationReport],
     started: float,
-    metadata: dict[str, str] | None = None,
     witness_cap: int | None = DEFAULT_WITNESS_CAP,
 ) -> VerificationReport:
     witnesses = [w for part in parts for w in part.witnesses]
@@ -114,7 +114,6 @@ def combine(
         witnesses=clip(witnesses, witness_cap),
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
         subreports=parts,
-        metadata=metadata or {},
     )
 
 
@@ -240,9 +239,9 @@ def system_holds(
 
 
 def chybe_holds(
-    r, lie: "HomLieAlgebra", *, witness_cap: int | None = DEFAULT_WITNESS_CAP
+    r: Sequence[Scalar], lie: "HomLieAlgebra", *, witness_cap: int | None = DEFAULT_WITNESS_CAP
 ) -> VerificationReport:
-    """Classical twisted Yang-Baxter condition for r ∈ L⊗L.
+    """Classical twisted Yang-Baxter condition for r ∈ L⊗L, given by its coordinates.
 
     Expands r = Σ a_i⊗b_i and checks that the sum of the three bracket tensors
 
@@ -251,7 +250,7 @@ def chybe_holds(
     vanishes identically in L⊗L⊗L.
     """
     started = time.perf_counter()
-    coords = tuple(r.coords) if hasattr(r, "coords") else tuple(r)
+    coords = tuple(r)
     n = lie.dim
     if len(coords) != n * n:
         raise DimensionError(f"r must have length {n * n}, got {len(coords)}")

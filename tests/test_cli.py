@@ -353,6 +353,29 @@ class TestBounds:
         assert "unit[0]: " in err and message in err
 
 
+class TestUndecodableFile:
+    COMMANDS = {
+        "axioms": ["axioms", "{bad}"],
+        "verify structure": ["verify", "{bad}", "--construction", "thm2.1", "--check", "hybe"],
+        "verify --operator": ["verify", "{structure}", "--operator", "{bad}", "--check", "hybe"],
+    }
+    CONTENTS = {
+        "not UTF-8": (b'{"kind": "\xff"}', "not UTF-8 text"),
+        "nested 100000 deep": (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+    }
+
+    @pytest.mark.parametrize("content", sorted(CONTENTS))
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exits_two_with_an_error(self, export, tmp_path, capsys, command, content):
+        data, message = self.CONTENTS[content]
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        fields = {"structure": export("ex2.3"), "bad": str(bad)}
+        assert main([arg.format(**fields) for arg in self.COMMANDS[command]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and message in err and err.count("\n") == 1
+
+
 class TestUnwritableOutput:
     COMMANDS = {
         "axioms --json": ["axioms", "{structure}", "--json", "{out}"],

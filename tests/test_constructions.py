@@ -207,20 +207,20 @@ class TestChybeR:
         u = ex43.u_vector()
         r = chybe_r(lie, e1, e2, u, 0, 0)
         # r = [e1,e2]⊗e3 = e1⊗e3, flat index 0*3+2
-        assert r.coords[2].is_one()
-        assert sum(1 for s in r.coords if s.terms) == 1
+        assert r[2].is_one()
+        assert sum(1 for s in r if s.terms) == 1
 
     def test_twist_power_flips_sign(self, ex43):
         lie = ex43.structure
         e1, e2 = lie.basis_vec(0), lie.basis_vec(1)
         r = chybe_r(lie, e1, e2, ex43.u_vector(), 0, 1)
-        assert r.coords[2] == Scalar.constant(lie.params, -1)
+        assert r[2] == Scalar.constant(lie.params, -1)
 
     def test_antisymmetry_kills_equal_arguments(self, ex43):
         lie = ex43.structure
         e1 = lie.basis_vec(0)
         r = chybe_r(lie, e1, e1, ex43.u_vector(), 0, 0)
-        assert all(not s.terms for s in r.coords)
+        assert all(not s.terms for s in r)
 
     def test_negative_power_needs_inverse(self, ex43):
         lie = ex43.structure

@@ -194,6 +194,19 @@ def test_validator_report_is_unchanged(name):
     assert validator_digest(name) == _golden()["validators"][name], f"{name} differs"
 
 
+def test_every_axiom_fails_in_some_broken_structure():
+    """The validator digests pin every axiom's witnesses, for each of the three kinds."""
+    checked: dict[str, set[str]] = {}
+    failing: dict[str, set[str]] = {}
+    for structure in broken_structures().values():
+        parts = validate(structure, True).subreports
+        checked.setdefault(structure.kind, set()).update(p.check_name for p in parts)
+        failing.setdefault(structure.kind, set()).update(
+            p.check_name for p in parts if not p.holds)
+    assert sorted(checked) == ["hom-algebra", "hom-coalgebra", "hom-lie"]
+    assert failing == checked
+
+
 @pytest.mark.parametrize("name", list(CHYBE_CASES))
 def test_chybe_report_is_unchanged(name):
     assert chybe_digest(name) == _golden()["chybe"][name], f"{name} differs"
