@@ -22,15 +22,6 @@ from .constructions import (
     system_algebra,
     system_coalgebra,
 )
-from .catalog import (
-    CatalogEntry,
-    catalog_get,
-    catalog_list,
-    compare_table,
-    mismatched_pairs,
-    verify_all,
-    verify_entry,
-)
 from .errors import (
     ConstructionWarning,
     DimensionError,
@@ -144,3 +135,18 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# looked up in `homyb.catalog` at every access and never stored, so `import homyb` skips it
+_CATALOG = ("CatalogEntry", "catalog_get", "catalog_list", "compare_table",
+            "mismatched_pairs", "verify_all", "verify_entry")
+
+
+def __getattr__(name: str):
+    if name not in _CATALOG:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import catalog
+    return getattr(catalog, name)
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_CATALOG])

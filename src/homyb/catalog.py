@@ -28,8 +28,8 @@ from .constructions import (
     SYSTEMS,
     Construction,
     SolutionOperator,
+    _build_many,
     build,
-    build_many,
     chybe_r,
 )
 from .errors import ConstructionWarning, UnknownEntryError
@@ -484,7 +484,7 @@ def mismatched_pairs(rows: Sequence[TableComparison]) -> set[tuple[str, str]]:
 
 
 class _Run:
-    """One verify_entry call: its entry, its witness cap and the operators built once.
+    """One verify_entry call: its entry, witness cap, axiom report and operators, each made once.
 
     Each check is a method; `_CHECKS` maps the check names to them.
     """
@@ -497,23 +497,29 @@ class _Run:
         self.u = entry.u_vector()
 
     @cached_property
+    def valid(self) -> VerificationReport:
+        lie = isinstance(self.structure, HomLieAlgebra)
+        return validate(self.structure, lie, witness_cap=self.cap)
+
+    def build(self, constructions, structure=None, unchecked=False) -> list[SolutionOperator]:
+        """Build on the entry's structure, whose axioms this run checks once, or on `structure`."""
+        report = None if structure else self.valid
+        return _build_many(structure or self.structure, constructions, self.lam, self.nu,
+                           self.u, unchecked, report)
+
+    @cached_property
     def op(self) -> SolutionOperator:
-        return build_operator(self.entry)
+        return self.build((self.entry.variant,))[0]
 
     @cached_property
     def pair(self) -> tuple[SolutionOperator, SolutionOperator]:
         """The operator and its closed-form inverse, where α is involutive."""
-        structure = self.structure
-        if self.entry.involutive_at:
-            structure = structure.substitute(
-                {k: Fraction(v) for k, v in self.entry.involutive_at.items()}
-            )
-        constructions = (self.entry.variant, INVERSE[self.entry.variant])
-        return tuple(build_many(structure, constructions, self.lam, self.nu, u=self.u))
+        at = self.entry.involutive_at
+        structure = self.structure.substitute({k: Fraction(v) for k, v in at.items()}) if at else None
+        return tuple(self.build((self.entry.variant, INVERSE[self.entry.variant]), structure))
 
     def axioms(self) -> VerificationReport:
-        lie = isinstance(self.structure, HomLieAlgebra)
-        return validate(self.structure, lie, witness_cap=self.cap)
+        return self.valid
 
     def table(self) -> VerificationReport:
         """Deviations from the printed table, against the documented ones."""
@@ -552,7 +558,7 @@ class _Run:
         """The system of the structure's kind."""
         kind = type(self.structure)
         triple = next(t for t in SYSTEMS.values() if RECIPES[t[0]].kind is kind)
-        w, z, x = build_many(self.structure, triple, self.lam, self.nu)
+        w, z, x = self.build(triple)
         return system_holds(w, z, x, self.structure.alpha, witness_cap=self.cap)
 
     def inverse(self) -> VerificationReport:
@@ -562,7 +568,7 @@ class _Run:
     def symbolic_inverse(self) -> VerificationReport:
         """The inverse law with α as it is, which fails where α is not involutive."""
         inverse = INVERSE[self.entry.variant]
-        binv = build(self.structure, inverse, self.lam, self.nu, u=self.u, unchecked=True)
+        binv = self.build((inverse,), unchecked=True)[0]
         return inverse_holds(self.op.matrix, binv.matrix, witness_cap=self.cap)
 
     def hybe_inverse(self) -> VerificationReport:

@@ -4,7 +4,7 @@ Exit codes
 ----------
     0  — every requested check holds
     1  — a check failed (the report says where)
-    2  — usage or input error (bad file, bad shapes, violated precondition)
+    2  — usage or input error (bad file, bad shapes, violated precondition, closed stdout)
 
 Structure files declare their own parameters; the construction coefficients
 are given as expressions (default: the symbols `lam` and `nu`), so one file
@@ -15,10 +15,10 @@ editing.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 
-from . import catalog as cat
 from . import files
 from .constructions import (
     INVERSE,
@@ -52,9 +52,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe then fails here rather than at exit
+        return code
     except HomybError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader has gone: what is buffered goes to the null device, so exit flushes quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 
@@ -278,6 +284,7 @@ def _run_check(args, structure, lam, nu) -> VerificationReport:
 
 
 def cmd_catalog(args) -> int:
+    from . import catalog as cat  # loaded here, so that other commands start faster
     if args.action == "list":
         for entry_id, description in cat.catalog_list():
             print(f"{entry_id:16} {description}")

@@ -39,6 +39,7 @@ from .structures import (
     validate,
 )
 from .tensor import Matrix, Vector, flip, kron, tensor2
+from .verify import VerificationReport
 
 # chybe_r applies the twist |m| + |n| times; larger powers are refused
 MAX_TWIST_POWER = 100
@@ -156,8 +157,8 @@ def _require(holds: bool, unchecked: bool, error: str, warning: str) -> None:
     warnings.warn(warning, ConstructionWarning, stacklevel=4)
 
 
-def _require_valid(structure: HomStructure, unchecked: bool, multiplicative: bool) -> None:
-    report = validate(structure, multiplicative)
+def _require_valid(structure: HomStructure, report: VerificationReport, unchecked: bool) -> None:
+    """Require that `report`, the structure's `validate` report, holds."""
     failing = ", ".join(sub.check_name for sub in report.subreports if not sub.holds)
     _require(
         report.holds,
@@ -234,6 +235,11 @@ def build_many(
     always errors.  If one construction is defined at ν = 1, all are built there.
     `u` is the central element of the Lie constructions; others ignore it.
     """
+    return _build_many(structure, constructions, lam, nu, u, unchecked)
+
+
+def _build_many(structure, constructions, lam, nu, u, unchecked, report=None):
+    """`build_many`, given the structure's `validate` report if the caller has it."""
     recipes = [RECIPES[c] for c in constructions]
     for c, recipe in zip(constructions, recipes):
         if not isinstance(structure, recipe.kind):
@@ -245,7 +251,7 @@ def build_many(
         nu = Scalar.one(structure.params)
     lam, nu = lam.extend(structure.params), nu.extend(structure.params)
     lie = isinstance(structure, HomLieAlgebra)
-    _require_valid(structure, unchecked, multiplicative=lie)
+    _require_valid(structure, validate(structure, lie) if report is None else report, unchecked)
     # (L, R, T) for unflipped and flipped T, each built once and scaled per construction
     legs: dict[bool, tuple[Matrix, Matrix, Matrix]] = {}
     ops = []
@@ -428,7 +434,7 @@ def chybe_r(
         raise PreconditionError(
             f"twist powers m = {m}, n = {n} exceed the bound {MAX_TWIST_POWER}"
         )
-    _require_valid(lie, unchecked, multiplicative=False)
+    _require_valid(lie, validate(lie), unchecked)
     x, y, u = (tuple(s.extend(lie.params) for s in vec) for vec in (x, y, u))
     if len(x) != lie.dim or len(y) != lie.dim or len(u) != lie.dim:
         raise DimensionError(f"x, y, u must have length {lie.dim}")

@@ -126,6 +126,25 @@ class TestVerifyAll:
         assert ex23_reports["inverse@l=1"] is True
         assert ex23_reports["inverse-symbolic"] is False
 
+    def test_each_structure_is_validated_once_per_entry(self, monkeypatch):
+        import homyb.catalog
+        import homyb.constructions
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].name)
+            return validate(*args, **kwargs)
+
+        for module in (homyb.catalog, homyb.constructions):
+            monkeypatch.setattr(module, "validate", counting)
+        for _ in range(2):  # nothing is remembered from one pass to the next
+            calls.clear()
+            assert all_as_expected(verify_all())
+            # each entry's structure once, its involutive specialisation once
+            # (ex2.3, ex2.5, ex3.5), and the unmultiplicative check of chybe_r (ex4.3)
+            assert len(calls) <= 10
+
     def test_check_names_match_expectations_keys(self):
         for eid, _ in catalog_list():
             entry = catalog_get(eid)
