@@ -16,7 +16,7 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 def _python(*args, env=None, **kwargs) -> subprocess.CompletedProcess:
     """Run a fresh interpreter that imports homyb from this checkout."""
     env = dict(os.environ if env is None else env)
-    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     kwargs.setdefault("stdout", subprocess.PIPE)
     return subprocess.run([sys.executable, *args], env=env, stderr=subprocess.PIPE,
                           text=True, timeout=120, **kwargs)
