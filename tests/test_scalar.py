@@ -120,6 +120,12 @@ class TestEvaluate:
     def test_unused_parameter_not_required(self):
         assert S("lam^2").evaluate({"lam": Fraction(1, 2)}) == Fraction(1, 4)
 
+    def test_only_occurring_parameters_are_read(self):
+        # a value for a parameter that does not occur is ignored, even a float
+        # or a name outside the ParamSet
+        assert S("lam").evaluate({"lam": 1, "nu": 0.5}) == 1
+        assert S("lam").evaluate({"lam": 1, "zz": 2}) == 1
+
     def test_substitute_is_partial(self):
         a = S("lam*l^2 + nu")
         assert a.substitute({"l": 1}) == S("lam + nu")
