@@ -23,6 +23,7 @@ the operators are supposed to satisfy are checked downstream by `verify`.
 from __future__ import annotations
 
 import enum
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -148,13 +149,21 @@ def is_involutive(structure: HomStructure) -> bool:
     return structure.alpha @ structure.alpha == Matrix.identity(structure.dim, structure.params)
 
 
+def _warn(message: str) -> None:
+    """A ConstructionWarning attributed to the first caller outside this module."""
+    level, frame = 1, sys._getframe()
+    while frame is not None and frame.f_globals.get("__name__") == __name__:
+        level, frame = level + 1, frame.f_back
+    warnings.warn(message, ConstructionWarning, stacklevel=level)
+
+
 def _require(holds: bool, unchecked: bool, error: str, warning: str) -> None:
     """Raise PreconditionError(error) unless `holds`; with `unchecked`, warn instead."""
     if holds:
         return
     if not unchecked:
         raise PreconditionError(error)
-    warnings.warn(warning, ConstructionWarning, stacklevel=4)
+    _warn(warning)
 
 
 def _require_valid(structure: HomStructure, report: VerificationReport, unchecked: bool) -> None:
@@ -178,11 +187,9 @@ def _central_u(lie: HomLieAlgebra, u: Sequence[Scalar] | None, construction: str
     if not is_central(lie, u):
         raise PreconditionError("u is not central: some bracket [u, e_i] is nonzero")
     if not is_alpha_invariant(lie, u):
-        warnings.warn(
+        _warn(
             "u is not alpha-invariant (alpha(u) != u); the stated hypothesis is "
-            "violated and the twist-compatibility of the operator is not guaranteed",
-            ConstructionWarning,
-            stacklevel=4,
+            "violated and the twist-compatibility of the operator is not guaranteed"
         )
     return u
 

@@ -15,6 +15,8 @@ from homyb import (
     algebra_solution,
     algebra_solution_inverse,
     build,
+    build_many,
+    catalog_get,
     chybe_r,
     coalgebra_solution,
     lie_solution,
@@ -198,6 +200,42 @@ class TestLieSolution:
             binv = lie_solution_inverse(lie, ex43.u_vector(), lam)
         assert binv.nu == Scalar.one(lie.params)
         assert binv.construction is Construction.LIE_INV42
+
+
+_C = Construction
+
+# each call builds on a structure that fails a hypothesis, with the warning
+# raised from a different depth inside the constructions module
+WARNING_PATHS = {
+    "build-axioms": ("ex2.5-verbatim", lambda s, lam, nu, u: build(
+        s, _C.ALG24, lam, nu, unchecked=True)),
+    "build_many-axioms": ("ex2.5-verbatim", lambda s, lam, nu, u: build_many(
+        s, (_C.ALG24,), lam, nu, unchecked=True)),
+    "inverse-axioms": ("ex2.5-verbatim", lambda s, lam, nu, u: algebra_solution_inverse(
+        s, _C.ALG_INV24, lam, nu, unchecked=True)),
+    "build-involutive": ("ex2.3", lambda s, lam, nu, u: build(
+        s, _C.ALG_INV22, lam, nu, unchecked=True)),
+    "build_many-involutive": ("ex2.3", lambda s, lam, nu, u: build_many(
+        s, (_C.ALG_INV22,), lam, nu, unchecked=True)),
+    "inverse-involutive": ("ex2.3", lambda s, lam, nu, u: algebra_solution_inverse(
+        s, _C.ALG_INV22, lam, nu, unchecked=True)),
+    "build-invariant-u": ("ex4.3", lambda s, lam, nu, u: build(s, _C.LIE41, lam, nu, u=u)),
+    "lie_solution-invariant-u": ("ex4.3", lambda s, lam, nu, u: lie_solution(s, u, lam, nu)),
+}
+
+
+@pytest.mark.parametrize("path", WARNING_PATHS)
+def test_a_construction_warning_names_the_callers_line(path):
+    entry_id, call = WARNING_PATHS[path]
+    entry = catalog_get(entry_id)
+    s = entry.structure
+    lam, nu = symbols(s)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(s, lam, nu, entry.u_vector())
+    assert caught and all(issubclass(w.category, ConstructionWarning) for w in caught)
+    assert caught[0].filename == __file__
+    assert {w.filename for w in caught} == {__file__}
 
 
 class TestChybeR:
