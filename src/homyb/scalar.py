@@ -8,10 +8,11 @@ ParamSet are equal iff they denote the same Laurent polynomial.  This makes
 
 A coefficient is stored as a Python `int` when it is integral and as a reduced
 `fractions.Fraction` otherwise, so a Fraction with denominator 1 is never
-stored.  Outside values are brought to that form where they enter (the
-constructor, `constant` and `monomial`); the ring operations keep it and build
-their results through the trusted `Scalar._new`, which re-checks nothing.
-`constant_value` and `evaluate` still return Fractions.
+stored.  The constructor alone makes that form: it drops zeros, stores
+integral coefficients as ints and refuses floats, and every ring operation
+returns its accumulated term map through it.  The ring serves the boundary
+(files, expressions, witnesses); the identity checks run on `tensor`'s packed
+rows and build no Scalar.  `constant_value` and `evaluate` return Fractions.
 """
 
 from __future__ import annotations
@@ -95,30 +96,6 @@ def _coefficient(value) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
-def add_product(out: dict, left: Mapping, right: Mapping) -> None:
-    """Add the product of the term maps `left` and `right` into the term map `out`.
-
-    This is the kernel of `Scalar.__mul__`; the matrix kernels in `tensor` run
-    the same loop over packed int keys instead of exponent tuples.
-
-    `out` stays canonical: a term that cancels is removed, and an integral
-    coefficient is stored as an int.
-    """
-    for e1, c1 in left.items():
-        for e2, c2 in right.items():
-            exps = tuple(map(add, e1, e2))
-            c = c1 * c2
-            prev = out.get(exps)
-            if prev is not None:
-                c += prev
-                if not c:
-                    del out[exps]
-                    continue
-            if c.__class__ is not int and c.denominator == 1:
-                c = c.numerator
-            out[exps] = c
-
-
 class Scalar:
     """A Laurent polynomial in the parameters of a ParamSet.
 
@@ -154,12 +131,11 @@ class Scalar:
 
     @classmethod
     def zero(cls, params: ParamSet) -> "Scalar":
-        return cls._new(params, {})
+        return cls(params, {})
 
     @classmethod
     def constant(cls, params: ParamSet, value) -> "Scalar":
-        value = _coefficient(value)
-        return cls._new(params, {(0,) * len(params): value} if value else {})
+        return cls(params, {(0,) * len(params): value})
 
     @classmethod
     def one(cls, params: ParamSet) -> "Scalar":
@@ -169,7 +145,7 @@ class Scalar:
     def variable(cls, params: ParamSet, name: str) -> "Scalar":
         exps = [0] * len(params)
         exps[params.index(name)] = 1
-        return cls._new(params, {tuple(exps): 1})
+        return cls(params, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, params: ParamSet, coeff, exponents: Mapping[str, int]) -> "Scalar":
@@ -205,7 +181,7 @@ class Scalar:
 
     def _coerce(self, other) -> "Scalar":
         if isinstance(other, Scalar):
-            if other.params is not self.params and other.params != self.params:
+            if other.params != self.params:
                 raise ParamMismatchError(
                     f"parameter sets differ: {self.params} vs {other.params}"
                 )
@@ -214,43 +190,25 @@ class Scalar:
             return Scalar.constant(self.params, other)
         return NotImplemented
 
-    def _plus(self, other: "Scalar", negate: bool) -> "Scalar":
-        """self + other, or self - other when `negate`."""
-        if not other.terms:
-            return self
-        if not self.terms:
-            return -other if negate else other
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            if negate:
-                c = -c
-            prev = out.get(exps)
-            if prev is not None:
-                c += prev
-                if not c:
-                    del out[exps]
-                    continue
-                if c.__class__ is not int and c.denominator == 1:
-                    c = c.numerator
-            out[exps] = c
-        return Scalar._new(self.params, out)
-
     def __add__(self, other) -> "Scalar":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._plus(other, False)
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
+            out[exps] = out.get(exps, 0) + c
+        return Scalar(self.params, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        return Scalar._new(self.params, {e: -c for e, c in self.terms.items()})
+        return Scalar(self.params, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Scalar":
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._plus(other, True)
+        return self + -other
 
     def __rsub__(self, other) -> "Scalar":
         return (-self) + other
@@ -259,19 +217,12 @@ class Scalar:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        left, right = self.terms, other.terms
-        if not left or not right:
-            return Scalar._new(self.params, {})
-        if len(left) == 1 and len(right) == 1:
-            (e1, c1), = left.items()
-            (e2, c2), = right.items()
-            c = c1 * c2
-            if c.__class__ is not int and c.denominator == 1:
-                c = c.numerator
-            return Scalar._new(self.params, {tuple(map(add, e1, e2)): c})
         out: dict[tuple[int, ...], int | Fraction] = {}
-        add_product(out, left, right)
-        return Scalar._new(self.params, out)
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exps = tuple(map(add, e1, e2))
+                out[exps] = out.get(exps, 0) + c1 * c2
+        return Scalar(self.params, out)
 
     __rmul__ = __mul__
 
@@ -286,9 +237,7 @@ class Scalar:
                     f"negative power of a non-monomial: {self}"
                 )
             (exps, coeff), = self.terms.items()
-            inverse = Scalar._new(
-                self.params, {tuple(-e for e in exps): _coefficient(1 / Fraction(coeff))}
-            )
+            inverse = Scalar(self.params, {tuple(-e for e in exps): 1 / Fraction(coeff)})
             return inverse ** (-exponent)
         result = Scalar.one(self.params)
         base = self
@@ -322,26 +271,17 @@ class Scalar:
         """Exact value at a full assignment of the parameters that occur.
 
         Every parameter that appears with a nonzero exponent must be assigned;
-        parameters occurring with a negative exponent must be nonzero.
+        parameters occurring with a negative exponent must be nonzero.  Values
+        for any other name are not read.
         """
-        total = Fraction(0)
-        names = self.params.names
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for idx, e in enumerate(exps):
-                if e == 0:
-                    continue
-                name = names[idx]
-                if name not in assignment:
-                    raise EvalError(f"missing assignment for parameter {name!r}")
-                v = _rational(assignment[name])
-                if v == 0 and e < 0:
-                    raise EvalError(
-                        f"zero assigned to parameter {name!r} at negative exponent"
-                    )
-                value *= v ** e
-            total += value
-        return total
+        occurring = [
+            name for i, name in enumerate(self.params.names)
+            if any(exps[i] for exps in self.terms)
+        ]
+        for name in occurring:
+            if name not in assignment:
+                raise EvalError(f"missing assignment for parameter {name!r}")
+        return self.substitute({name: assignment[name] for name in occurring}).constant_value()
 
     def substitute(self, assignment: Mapping[str, Fraction | int]) -> "Scalar":
         """Partial evaluation: replace some parameters by exact rationals.
@@ -352,7 +292,7 @@ class Scalar:
         if not assignment:
             return self
         positions = {self.params.index(name): _rational(v) for name, v in assignment.items()}
-        out: dict[tuple[int, ...], Fraction] = {}
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for exps, coeff in self.terms.items():
             value = coeff
             new_exps = list(exps)
@@ -368,10 +308,8 @@ class Scalar:
                 value *= v ** e
                 new_exps[idx] = 0
             key = tuple(new_exps)
-            if key in out:
-                value += out[key]
-            out[key] = value
-        return Scalar._new(self.params, {k: _coefficient(c) for k, c in out.items() if c})
+            out[key] = out.get(key, 0) + value
+        return Scalar(self.params, out)
 
     def extend(self, params: ParamSet) -> "Scalar":
         """Reinterpret over a larger ParamSet containing all current names."""
@@ -385,7 +323,7 @@ class Scalar:
             for old_idx, e in enumerate(exps):
                 new_exps[mapping[old_idx]] = e
             out[tuple(new_exps)] = coeff
-        return Scalar._new(params, out)
+        return Scalar(params, out)
 
     # -- printing ------------------------------------------------------------
 

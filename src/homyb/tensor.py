@@ -534,10 +534,4 @@ def basis_vector(n: int, i: int, params: ParamSet) -> Vector:
 
 def tensor2(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
     """Coordinates of u⊗v: entry p·len(v)+q is u_p·v_q."""
-    out: list[Scalar] = []
-    for a in u:
-        if a.terms:
-            out.extend(a * b if b.terms else b for b in v)
-        else:
-            out.extend([a] * len(v))
-    return tuple(out)
+    return tuple(a * b for a in u for b in v)

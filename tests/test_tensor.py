@@ -99,6 +99,16 @@ class TestKron:
     def test_mixed_product_law(self, a, b, c, d):
         assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
 
+    vectors = st.lists(st.one_of(st.just(Scalar.zero(PS2)), scalars()), min_size=1, max_size=4)
+
+    @settings(max_examples=60)
+    @given(vectors, vectors)
+    def test_tensor2_is_the_kron_of_the_columns(self, u, v):
+        def column(vec):
+            return Matrix.from_cols(PS2, [vec])
+
+        assert tensor2(u, v) == kron(column(u), column(v)).column(0)
+
 
 class TestFlip:
     def test_flip_with_trivial_factor(self):

@@ -468,7 +468,8 @@ class TestFusedResidualsMatchTheFormulas:
 
     def test_a_passing_check_decodes_no_entry(self, monkeypatch):
         # entries are packed term maps; a Scalar is built only where an entry is
-        # read, so a check that passes builds none, whatever the cube size
+        # read, so a check that passes builds none, whatever the cube size: not
+        # through the decoder `_new`, nor through the ring and its constructor
         checks = {}
         for entry_id, triple in (("ex2.3", "thm5.2"), ("ex2.5", "thm5.2"),
                                  ("ex3.3", "thm5.3"), ("ex3.5", "thm5.3")):
@@ -480,14 +481,19 @@ class TestFusedResidualsMatchTheFormulas:
                 lambda b=b, alpha=s.alpha: hybe_holds(b, alpha),
                 lambda w=w, z=z, x=x, alpha=s.alpha: system_holds(w, z, x, alpha),
             )
-        new = Scalar._new
+        new, init = Scalar._new, Scalar.__init__
         made = []
 
         def counted(cls, params, terms):
             made.append(len(terms))
             return new(params, terms)
 
+        def counted_init(self, params, terms):
+            made.append(len(terms))
+            init(self, params, terms)
+
         monkeypatch.setattr(Scalar, "_new", classmethod(counted))
+        monkeypatch.setattr(Scalar, "__init__", counted_init)
         counts = {}
         for key, (hybe, system) in checks.items():
             for name, check in (("hybe", hybe), ("system", system)):
