@@ -152,7 +152,7 @@ def is_involutive(structure: HomStructure) -> bool:
 def _warn(message: str) -> None:
     """A ConstructionWarning attributed to the first caller outside this module."""
     level, frame = 1, sys._getframe()
-    while frame is not None and frame.f_globals.get("__name__") == __name__:
+    while frame.f_globals.get("__name__") == __name__:
         level, frame = level + 1, frame.f_back
     warnings.warn(message, ConstructionWarning, stacklevel=level)
 

@@ -85,15 +85,7 @@ def _rational(value) -> Fraction:
     """An exact rational; floats are refused rather than read as binary fractions."""
     if isinstance(value, float):
         raise TypeError(f"float {value!r} is not an exact coefficient; use an int or a Fraction")
-    return Fraction(value)
-
-
-def _coefficient(value) -> int | Fraction:
-    """A coefficient in stored form: an int when integral, else a reduced Fraction."""
-    if value.__class__ is int:
-        return value
-    value = _rational(value)
-    return value.numerator if value.denominator == 1 else value
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 class Scalar:
@@ -106,9 +98,12 @@ class Scalar:
 
     def __init__(self, params: ParamSet, terms: Mapping[tuple[int, ...], int | Fraction]):
         clean: dict[tuple[int, ...], int | Fraction] = {}
-        width = len(params)
+        width = len(params.names)
         for exps, coeff in terms.items():
-            coeff = _coefficient(coeff)
+            if coeff.__class__ is not int:
+                coeff = _rational(coeff)
+                if coeff.denominator == 1:
+                    coeff = coeff.numerator
             if not coeff:
                 continue
             if len(exps) != width:
