@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
 
+from ._record import field, record
 from .constructions import (
     INVERSE,
     RECIPES,
@@ -57,7 +57,7 @@ PrintedTable = dict[tuple[str, str], list[tuple[str, str, str]]]
 _OPERATOR_CHECKS = ("axioms", "table", "alpha-commute", "hybe")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CatalogEntry:
     """A published structure, its operator recipe and the checks verify_entry runs on it.
 
@@ -102,7 +102,7 @@ class CatalogEntry:
         return tuple(f"inverse@{at}" if c == "inverse" and at else c for c in self.checks)
 
 
-@dataclass
+@record()
 class TableComparison:
     left: int
     right: int

@@ -25,9 +25,9 @@ from __future__ import annotations
 import enum
 import sys
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
+from ._record import record
 from .errors import ConstructionWarning, DimensionError, PreconditionError
 from .scalar import Scalar
 from .structures import (
@@ -71,7 +71,7 @@ class Construction(enum.Enum):
 Power = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Recipe:
     """B(a⊗b) = first·L + second·R − twist·T on one kind of structure.
 
@@ -129,7 +129,7 @@ INVERSE: dict[Construction, Construction] = {
 }
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SolutionOperator:
     """An operator on the tensor square plus the recipe that produced it."""
 

@@ -20,17 +20,17 @@ carries an exact witness per nonzero entry, labelled by the template with
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, ClassVar, Mapping, Sequence
 
+from ._record import record, replace
 from .errors import DimensionError, StructureError
 from .scalar import ParamSet, Scalar
 from .tensor import Matrix, Vector, basis_vector, flip, kron, product_difference
 from .verify import DEFAULT_WITNESS_CAP, VerificationReport, Witness, combine, leaf_report
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class _StructureBase:
     name: str
     basis: tuple[str, ...]
@@ -81,7 +81,7 @@ class _StructureBase:
         return replace(self, params=params, **maps)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HomAlgebra(_StructureBase):
     """(A, μ, 1_A, α).
 
@@ -95,7 +95,7 @@ class HomAlgebra(_StructureBase):
     eta: Matrix
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HomCoalgebra(_StructureBase):
     """(C, Δ, ε, α).
 
@@ -111,7 +111,7 @@ class HomCoalgebra(_StructureBase):
     epsilon: Matrix
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class HomLieAlgebra(_StructureBase):
     """(L, [·,·], α).
 

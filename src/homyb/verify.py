@@ -16,10 +16,10 @@ such column, built from the bracket matrix of the Lie algebra and r⊗r.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from itertools import product
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
+from ._record import record
 from .errors import DimensionError
 from .scalar import Scalar
 from .tensor import Matrix, kron, leg12, leg13, leg23, product_difference, tensor2
@@ -35,24 +35,34 @@ CHYBE_READING = (
 )
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Witness:
     """One nonzero residual entry of a failed exact identity."""
 
     row: int
     col: int
     residual: Scalar
-    label: str = ""
+    label: str
+
+    # written out, as the report's is: generic argument binding would double their cost
+    def __init__(self, row, col, residual, label=""):
+        fields = {"row": row, "col": col, "residual": residual, "label": label}
+        object.__setattr__(self, "__dict__", fields)
 
 
-@dataclass
+@record()
 class VerificationReport:
     check_name: str
     holds: bool
     witnesses: list[Witness]
-    elapsed_ms: float = 0.0
-    subreports: list["VerificationReport"] = field(default_factory=list)
-    metadata: dict[str, str] = field(default_factory=dict)
+    elapsed_ms: float
+    subreports: list[VerificationReport]
+    metadata: dict[str, str]
+
+    def __init__(self, check_name, holds, witnesses, elapsed_ms=0.0, subreports=None, metadata=None):
+        self.check_name, self.holds, self.witnesses = check_name, holds, witnesses
+        self.elapsed_ms, self.subreports = elapsed_ms, [] if subreports is None else subreports
+        self.metadata = {} if metadata is None else metadata
 
     def witness_summary(self) -> str:
         """The first three witnesses, each with its label, position and residual."""

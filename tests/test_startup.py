@@ -1,4 +1,4 @@
-"""Start-up: the catalog loads only when something uses it, and a closed stdout exits cleanly."""
+"""Start-up: what importing homyb loads, and a closed stdout exits cleanly."""
 
 import os
 import subprocess
@@ -33,6 +33,14 @@ def test_importing_the_cli_does_not_load_the_catalog():
     proc = _python("-c", "import sys, homyb, homyb.cli; print('homyb.catalog' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_importing_homyb_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys, homyb, homyb.cli, homyb.catalog; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_does_not_load_the_catalog(algebra_file):
