@@ -303,6 +303,8 @@ class Matrix:
     def nonzero(self) -> Iterator[tuple[int, int, Scalar]]:
         """Nonzero entries in row-major order, columns ascending within a row."""
         for i, row in enumerate(self._rows):
+            if not row:
+                continue
             entries = self._entries(row)
             for j in sorted(entries):
                 yield i, j, entries[j]
