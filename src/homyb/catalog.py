@@ -431,15 +431,18 @@ def build_operator(entry: CatalogEntry, structure: HomStructure | None = None) -
         return build(structure, entry.variant, entry.lam(), entry.nu(), u=entry.u_vector())
 
 
-def _printed_coords(entry: CatalogEntry, summands: list[tuple[str, str, str]]) -> Vector:
+def _printed_coords(entry: CatalogEntry, summands: list[tuple[str, str, str]],
+                    parsed: dict[str, Scalar]) -> Vector:
+    """The printed column's coordinates; `parsed` holds each distinct expression, parsed once."""
     structure = entry.structure
     d = structure.dim
     out = list(zero_vector(d * d, structure.params))
     for p_name, q_name, expr in summands:
         p = structure.basis_index(p_name)
         q = structure.basis_index(q_name)
-        coeff = parse_scalar(expr, structure.params)
-        out[p * d + q] = out[p * d + q] + coeff
+        if expr not in parsed:
+            parsed[expr] = parse_scalar(expr, structure.params)
+        out[p * d + q] = out[p * d + q] + parsed[expr]
     return tuple(out)
 
 
@@ -457,22 +460,13 @@ def compare_table(
     structure = entry.structure
     d = structure.dim
     rows: list[TableComparison] = []
+    parsed: dict[str, Scalar] = {}
     for i in range(d):
         for j in range(d):
             pair = (structure.basis[i], structure.basis[j])
-            expected = _printed_coords(entry, entry.expected_table[pair])
+            expected = _printed_coords(entry, entry.expected_table[pair], parsed)
             computed = op.matrix.column(i * d + j)
-            rows.append(
-                TableComparison(
-                    left=i,
-                    right=j,
-                    left_name=pair[0],
-                    right_name=pair[1],
-                    expected=expected,
-                    computed=computed,
-                    match=expected == computed,
-                )
-            )
+            rows.append(TableComparison(i, j, *pair, expected, computed, expected == computed))
     return rows
 
 

@@ -51,37 +51,32 @@ def _get_list(doc: dict, key: str, length: int | None = None) -> list:
     return value
 
 
-def _parse_at(expr: Any, params: ParamSet, where: str) -> Scalar:
+def _parse_at(expr: Any, params: ParamSet, where: str, parsed: dict[str, Scalar]) -> Scalar:
+    """The cell at `where`; `parsed` holds each distinct expression of the document, parsed once."""
     _require(isinstance(expr, str), f"{where}: expected an expression string")
-    try:
-        return parse_scalar(expr, params)
-    except ParseError as exc:
-        raise StructureError(f"{where}: {exc}") from None
+    if expr not in parsed:
+        try:
+            parsed[expr] = parse_scalar(expr, params)
+        except ParseError as exc:
+            raise StructureError(f"{where}: {exc}") from None
+    return parsed[expr]
 
 
-def _string_vector(doc: dict, key: str, dim: int, params: ParamSet) -> list[Scalar]:
+def _string_vector(doc: dict, key: str, dim: int, params: ParamSet, parsed: dict) -> list[Scalar]:
     raw = _get_list(doc, key, dim)
-    return [_parse_at(expr, params, f"{key}[{i}]") for i, expr in enumerate(raw)]
+    return [_parse_at(expr, params, f"{key}[{i}]", parsed) for i, expr in enumerate(raw)]
 
 
-def _string_matrix(doc: dict, key: str, rows: int, cols: int, params: ParamSet) -> Matrix:
+def _string_matrix(doc: dict, key: str, rows: int, cols: int, params: ParamSet, parsed: dict) -> Matrix:
     raw = _get_list(doc, key, rows)
-    # operator tables repeat a few expressions, so each distinct one is parsed once
-    parsed: dict[str, Scalar] = {}
-
-    def cell(expr: Any, where: str) -> Scalar:
-        if not (isinstance(expr, str) and expr in parsed):
-            parsed[expr] = _parse_at(expr, params, where)
-        return parsed[expr]
-
     data: list[list[Scalar]] = []
     for i, row in enumerate(raw):
         _require(isinstance(row, list) and len(row) == cols, f"{key}: expected {rows}×{cols}")
-        data.append([cell(expr, f"{key}[{i}][{j}]") for j, expr in enumerate(row)])
+        data.append([_parse_at(e, params, f"{key}[{i}][{j}]", parsed) for j, e in enumerate(row)])
     return Matrix.from_rows(params, data)
 
 
-def _coord_map(doc: dict, key: str, dim: int, params: ParamSet) -> Matrix:
+def _coord_map(doc: dict, key: str, dim: int, params: ParamSet, parsed: dict) -> Matrix:
     """A dim×dim table of coordinate vectors as the dim×dim² matrix of its cells."""
     raw = _get_list(doc, key, dim)
     cells = []
@@ -93,11 +88,11 @@ def _coord_map(doc: dict, key: str, dim: int, params: ParamSet) -> Matrix:
                 isinstance(cell, list) and len(cell) == dim,
                 f"{where}: expected a length-{dim} coordinate vector",
             )
-            cells.append([_parse_at(e, params, f"{where}[{k}]") for k, e in enumerate(cell)])
+            cells.append([_parse_at(e, params, f"{where}[{k}]", parsed) for k, e in enumerate(cell)])
     return Matrix.from_cols(params, cells)
 
 
-def _comult(doc: dict, dim: int, params: ParamSet) -> Matrix:
+def _comult(doc: dict, dim: int, params: ParamSet, parsed: dict) -> Matrix:
     """The (j, k, coeff) triples of each Δ(e_i) summed into column i of Δ."""
     raw = _get_list(doc, "comult", dim)
     zero = Scalar.zero(params)
@@ -114,7 +109,7 @@ def _comult(doc: dict, dim: int, params: ParamSet) -> Matrix:
                 _is_int(j) and _is_int(k) and 0 <= j < dim and 0 <= k < dim,
                 f"comult[{i}][{t}]: indices out of range",
             )
-            cols[i][j * dim + k] += _parse_at(expr, params, f"comult[{i}][{t}]")
+            cols[i][j * dim + k] += _parse_at(expr, params, f"comult[{i}][{t}]", parsed)
     return Matrix.from_cols(params, cols)
 
 
@@ -151,22 +146,23 @@ def structure_from_dict(doc: dict) -> HomStructure:
     _require(all(isinstance(b, str) for b in basis_raw), "basis: expected strings")
     _require(len(set(basis_raw)) == dim, "basis: names must be distinct")
 
-    alpha = _string_matrix(doc, "alpha", dim, dim, params)
+    parsed: dict[str, Scalar] = {}
+    alpha = _string_matrix(doc, "alpha", dim, dim, params, parsed)
     base = {"name": name, "basis": tuple(basis_raw), "params": params, "alpha": alpha}
 
     if kind == HomAlgebra.kind:
         return HomAlgebra(
             **base,
-            eta=Matrix.from_cols(params, [_string_vector(doc, "unit", dim, params)]),
-            mu=_coord_map(doc, "mult", dim, params),
+            eta=Matrix.from_cols(params, [_string_vector(doc, "unit", dim, params, parsed)]),
+            mu=_coord_map(doc, "mult", dim, params, parsed),
         )
     if kind == HomCoalgebra.kind:
         return HomCoalgebra(
             **base,
-            epsilon=Matrix.from_rows(params, [_string_vector(doc, "counit", dim, params)]),
-            delta=_comult(doc, dim, params),
+            epsilon=Matrix.from_rows(params, [_string_vector(doc, "counit", dim, params, parsed)]),
+            delta=_comult(doc, dim, params, parsed),
         )
-    return HomLieAlgebra(**base, bracket=_coord_map(doc, "bracket", dim, params))
+    return HomLieAlgebra(**base, bracket=_coord_map(doc, "bracket", dim, params, parsed))
 
 
 def _read_json(path: str | Path) -> Any:
@@ -257,7 +253,7 @@ def load_operator(path: str | Path) -> tuple[Matrix, dict]:
     dim = doc.get("dim")
     _require(_is_int(dim) and dim > 0, "dim: expected a positive integer")
     size = dim * dim
-    matrix = _string_matrix(doc, "matrix", size, size, params)
+    matrix = _string_matrix(doc, "matrix", size, size, params, {})
     return matrix, doc
 
 

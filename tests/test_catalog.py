@@ -3,6 +3,7 @@
 import pytest
 
 from homyb import (
+    StructureError,
     UnknownEntryError,
     catalog_get,
     catalog_list,
@@ -193,3 +194,64 @@ class TestExportRoundTrip:
         a = dump_json(structure_to_dict(entry.structure))
         b = dump_json(structure_to_dict(entry.structure))
         assert a == b
+
+
+def _strings(value):
+    """Every string in a nested document, in order."""
+    if isinstance(value, str):
+        return [value]
+    if isinstance(value, list):
+        return [s for item in value for s in _strings(item)]
+    return []
+
+
+class TestParseOnce:
+    """A document or printed table repeats a few expressions; each is parsed once per call."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        import homyb.catalog
+        import homyb.files
+
+        seen = []
+
+        def counting(expr, params):
+            seen.append(expr)
+            return parse_scalar(expr, params)
+
+        for module in (homyb.catalog, homyb.files):
+            monkeypatch.setattr(module, "parse_scalar", counting)
+        return seen
+
+    @pytest.mark.parametrize("entry_id", ["ex2.5", "ex3.5", "ex4.3"])
+    def test_structure_cells_are_parsed_once_per_document(self, entry_id, parses):
+        doc = structure_to_dict(catalog_get(entry_id).structure)
+        cells = [s for key in ("alpha", "unit", "mult", "counit", "comult", "bracket")
+                 for s in _strings(doc.get(key, []))]
+        for _ in range(2):  # nothing is remembered from one document to the next
+            parses.clear()
+            assert structure_from_dict(doc) == catalog_get(entry_id).structure
+            assert sorted(parses) == sorted(set(cells)) and len(cells) > len(parses)
+
+    @pytest.mark.parametrize("cell, where, message", [
+        ("1 +", "mult[1][0][1]", "unexpected end"),
+        (5, "mult[1][0][1]", "expected an expression string"),
+    ])
+    def test_a_bad_cell_is_named_by_its_first_position(self, cell, where, message):
+        mult = [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]]
+        mult[1][0][1] = mult[1][1][0] = cell
+        doc = {"kind": "hom-algebra", "dim": 2, "basis": ["a", "b"], "parameters": [],
+               "alpha": [["1", "0"], ["0", "1"]], "unit": ["1", "0"], "mult": mult}
+        with pytest.raises(StructureError) as info:
+            structure_from_dict(doc)
+        assert str(info.value).startswith(f"{where}: ") and message in str(info.value)
+
+    @pytest.mark.parametrize("entry_id", ["ex2.5", "ex3.5"])
+    def test_compare_table_parses_each_printed_expression_once(self, entry_id, parses):
+        entry = catalog_get(entry_id)
+        op = build_operator(entry)
+        printed = [expr for summands in entry.expected_table.values() for *_, expr in summands]
+        for _ in range(2):  # nothing is remembered from one call to the next
+            parses.clear()
+            compare_table(entry, op)
+            assert sorted(parses) == sorted(set(printed)) and len(printed) > len(parses)
