@@ -5,8 +5,6 @@ values of its required fields and the defaults of the others.  The tests pin
 the behaviour callers rely on, whatever generates the methods.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from homyb import Matrix, ParamSet, Scalar, StructureError
@@ -189,9 +187,3 @@ def test_structure_shapes_are_checked_on_construction(by_keyword):
     with pytest.raises(StructureError, match="empty basis"):
         HomLieAlgebra("none", (), P, M, M)
 
-
-def test_witness_hash_agrees_with_equal_residuals():
-    # a constant Scalar equals its value, so the witnesses are equal and hash alike
-    one = Scalar(P, {(0,): 1})
-    assert Witness(0, 0, one) == Witness(0, 0, Scalar(P, {(0,): Fraction(1)}))
-    assert hash(Witness(0, 0, one)) == hash(Witness(0, 0, Scalar(P, {(0,): Fraction(1)})))
