@@ -14,7 +14,7 @@ from homyb import (
     verify_all,
     verify_entry,
 )
-from homyb.catalog import all_as_expected, build_operator
+from homyb.catalog import CatalogEntry, all_as_expected, build_operator
 from homyb.files import structure_from_dict, structure_to_dict
 
 
@@ -99,6 +99,35 @@ class TestCompareTable:
         first = [(r.left, r.right, r.match) for r in compare_table(ex25)]
         second = [(r.left, r.right, r.match) for r in compare_table(ex25)]
         assert first == second
+
+
+class TestTableCheck:
+    """The table check against an entry whose documented mismatches are edited."""
+
+    @staticmethod
+    def table(entry, documented):
+        edited = CatalogEntry(**{**vars(entry), "documented_mismatches": frozenset(documented)})
+        report = next(s for s in verify_entry(edited).subreports if s.check_name == "table")
+        return report, [(w.row, w.col, str(w.residual), w.label) for w in report.witnesses]
+
+    def test_undocumented_mismatches_fail(self, ex33):
+        report, witnesses = self.table(ex33, ())
+        assert not report.holds
+        assert witnesses == [
+            (7, 0, "1", "B(a2⊗a): undocumented mismatch"),
+            (8, 0, "1", "B(a2⊗a2): undocumented mismatch"),
+        ]
+        assert report.metadata == {"mismatches": "(a2,a), (a2,a2)", "documented": "none"}
+
+    def test_a_documented_row_that_matches_fails(self, ex33):
+        report, witnesses = self.table(ex33, ex33.documented_mismatches | {("1", "1")})
+        assert not report.holds
+        assert witnesses == [(0, 0, "1", "B(1⊗1): documented row now matches")]
+        assert report.metadata["documented"] == "(1,1), (a2,a), (a2,a2)"
+
+    def test_an_entry_without_a_printed_table_is_refused(self, ex25_verbatim):
+        with pytest.raises(UnknownEntryError, match="ex2.5-verbatim has no printed table"):
+            compare_table(ex25_verbatim)
 
 
 class TestVerifyAll:

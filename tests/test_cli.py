@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+from homyb import catalog_get
 from homyb.cli import main
+from homyb.files import structure_to_dict
 
 
 @pytest.fixture()
@@ -82,6 +84,18 @@ class TestAxioms:
         assert main(["axioms", str(bad)]) == 2
         assert "comult[2][0]: indices out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("parameters, message", [
+        (["lam", "1x"], "parameters: invalid parameter name '1x'"),
+        (["lam", "lam"], "parameters: duplicate parameter names in ('lam', 'lam')"),
+    ], ids=["invalid", "duplicate"])
+    def test_bad_parameter_list_exits_two(self, export, tmp_path, capsys, parameters, message):
+        doc = json.loads(open(export("ex2.3")).read())
+        doc["parameters"] = parameters
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        assert main(["axioms", str(path)]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["axioms", "/no/such/file.json"]) == 2
 
@@ -115,6 +129,19 @@ class TestBuild:
         )
         assert code == 0
         assert "alpha-invariant" in capsys.readouterr().err
+
+    def test_system_without_out_goes_to_stdout(self, export, capsys):
+        assert main(["build", export("ex3.3"), "--construction", "thm5.3"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "{"
+        doc = json.loads(out)
+        assert doc["kind"] == "operator-system"
+        assert [key for key in ("W", "Z", "X") if key in doc] == ["W", "Z", "X"]
+
+    def test_short_u_exits_two(self, export, capsys):
+        assert main(["build", export("ex4.3"), "--construction", "thm4.1", "--u", "0,0"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0] == "error: --u: expected 3 comma-separated coordinates"
 
     def test_kind_mismatch_exits_two(self, export, capsys):
         assert main(["build", export("ex3.3"), "--construction", "thm2.1"]) == 2
@@ -225,6 +252,46 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_undeclared_lambda_name_extends_the_parameters(self, export, capsys):
+        # the file declares l, lam and nu; t is added for this run only
+        code = main(
+            ["verify", export("ex2.3"), "--construction", "thm2.1", "--check", "hybe",
+             "--lambda", "t"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[0] == "hybe: PASS"
+
+    @pytest.mark.parametrize("entry_id, argv, message", [
+        ("ex2.3", ["--check", "hybe", "--construction", "thm5.2"],
+         "--check hybe needs a single-operator construction"),
+        ("ex2.3", ["--check", "inverse", "--construction", "thm2.1"],
+         "--check inverse needs --construction among "
+         "cor2.2, cor3.2, cor4.2, thm2.4-inverse, thm3.4-inverse"),
+        ("ex2.3", ["--check", "system", "--construction", "thm2.1"],
+         "--check system needs --construction thm5.2 or thm5.3"),
+        ("ex2.3", ["--check", "chybe"], "--check chybe requires a hom-lie structure"),
+        ("ex4.3", ["--check", "chybe", "--x", "1,0,0"], "--check chybe needs --x, --y and --u"),
+    ], ids=["hybe-system", "inverse", "system", "chybe-algebra", "chybe-missing"])
+    def test_usage_error_exits_two(self, export, capsys, entry_id, argv, message):
+        assert main(["verify", export(entry_id), *argv]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
+
+    def test_negative_twist_power_on_a_non_involutive_alpha_exits_two(
+        self, export, tmp_path, capsys
+    ):
+        doc = json.loads(open(export("ex4.3")).read())
+        doc["alpha"][0][0] = "2"
+        path = tmp_path / "stretched.json"
+        path.write_text(json.dumps(doc))
+        code = main(
+            ["verify", str(path), "--check", "chybe",
+             "--x", "1,0,0", "--y", "0,1,0", "--u", "0,0,1", "--m", "-1"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "error: negative twist powers need an invertible alpha; this alpha is not involutive"
+        )
+
     def test_check_without_construction_exits_two(self, export, capsys):
         assert main(["verify", export("ex2.3"), "--check", "hybe"]) == 2
 
@@ -263,6 +330,16 @@ class TestCatalog:
     def test_unknown_export_exits_two(self, capsys):
         assert main(["catalog", "export", "nope"]) == 2
         assert "unknown catalog id" in capsys.readouterr().err
+
+    def test_export_without_out_goes_to_stdout(self, capsys):
+        assert main(["catalog", "export", "ex2.3"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "{"
+        assert json.loads(out) == structure_to_dict(catalog_get("ex2.3").structure)
+
+    def test_export_without_id_exits_two(self, capsys):
+        assert main(["catalog", "export"]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == "error: catalog export needs an entry id"
 
     def test_export_axioms_round_trip(self, export):
         assert main(["axioms", export("ex4.3"), "--require-multiplicative"]) == 0
@@ -361,6 +438,7 @@ class TestUndecodableFile:
     }
     CONTENTS = {
         "not UTF-8": (b'{"kind": "\xff"}', "not UTF-8 text"),
+        "not JSON": (b'{"kind": ', "invalid JSON: Expecting value"),
         "nested 100000 deep": (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
     }
 

@@ -7,6 +7,7 @@ import pytest
 from homyb import (
     Construction,
     ConstructionWarning,
+    DimensionError,
     HomAlgebra,
     HomCoalgebra,
     HomLieAlgebra,
@@ -301,3 +302,30 @@ class TestSystems:
         assert w.matrix[0, 0] == lam
         assert z.matrix[0, 0] == nu
         assert x.matrix[0, 0].is_one()
+
+
+class TestMalformedArguments:
+    def test_short_u_is_refused(self, ex43):
+        lie = ex43.structure
+        lam, nu = symbols(lie)
+        with pytest.raises(DimensionError, match="u must have length 3, got 2"):
+            lie_solution(lie, ex43.u_vector()[:2], lam, nu)
+
+    def test_algebra_builder_refuses_an_inverse_construction(self, ex23):
+        a = ex23.structure
+        lam, nu = symbols(a)
+        message = "expected construction thm2.1 or thm2.4, got cor2.2"
+        with pytest.raises(PreconditionError, match=message):
+            algebra_solution(a, Construction.ALG_INV22, lam, nu)
+
+    def test_chybe_r_refuses_a_short_x(self, ex43):
+        lie = ex43.structure
+        e1, e2 = lie.basis_vec(0), lie.basis_vec(1)
+        with pytest.raises(DimensionError, match="x, y, u must have length 3"):
+            chybe_r(lie, e1[:2], e2, ex43.u_vector(), 0, 0)
+
+    def test_chybe_r_refuses_a_non_central_u(self, ex43):
+        lie = ex43.structure
+        e1, e2 = lie.basis_vec(0), lie.basis_vec(1)
+        with pytest.raises(PreconditionError, match="u is not central"):
+            chybe_r(lie, e1, e2, e1, 0, 0)

@@ -36,8 +36,11 @@ def test_importing_the_cli_does_not_load_the_catalog():
 
 
 def test_importing_homyb_loads_neither_dataclasses_nor_inspect():
+    # nor, after a whole catalog pass, any of the test-only packages
     code = ("import sys, homyb, homyb.cli, homyb.catalog; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "homyb.catalog.verify_all(); "
+            "print(sorted({'dataclasses', 'inspect', 'numpy', 'sympy', 'hypothesis'}"
+            " & set(sys.modules)))")
     proc = _python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
