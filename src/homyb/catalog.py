@@ -33,10 +33,10 @@ from .constructions import (
     chybe_r,
 )
 from .errors import ConstructionWarning, UnknownEntryError
-from .files import structure_from_dict
+from .files import _parse_at, structure_from_dict
 from .scalar import Scalar, parse_scalar
 from .structures import HomAlgebra, HomCoalgebra, HomLieAlgebra, HomStructure, validate
-from .tensor import Vector, zero_vector
+from .tensor import Vector
 from .verify import (
     DEFAULT_WITNESS_CAP,
     VerificationReport,
@@ -436,13 +436,10 @@ def _printed_coords(entry: CatalogEntry, summands: list[tuple[str, str, str]],
     """The printed column's coordinates; `parsed` holds each distinct expression, parsed once."""
     structure = entry.structure
     d = structure.dim
-    out = list(zero_vector(d * d, structure.params))
+    out = [Scalar.zero(structure.params)] * (d * d)
     for p_name, q_name, expr in summands:
-        p = structure.basis_index(p_name)
-        q = structure.basis_index(q_name)
-        if expr not in parsed:
-            parsed[expr] = parse_scalar(expr, structure.params)
-        out[p * d + q] = out[p * d + q] + parsed[expr]
+        k = structure.basis_index(p_name) * d + structure.basis_index(q_name)
+        out[k] += _parse_at(expr, structure.params, f"{entry.id} table", parsed)
     return tuple(out)
 
 
@@ -459,13 +456,14 @@ def compare_table(
     op = op if op is not None else build_operator(entry)
     structure = entry.structure
     d = structure.dim
+    data = op.matrix.data  # decoded once; column c is data[c::d²]
     rows: list[TableComparison] = []
     parsed: dict[str, Scalar] = {}
     for i in range(d):
         for j in range(d):
             pair = (structure.basis[i], structure.basis[j])
             expected = _printed_coords(entry, entry.expected_table[pair], parsed)
-            computed = op.matrix.column(i * d + j)
+            computed = tuple(data[i * d + j::d * d])
             rows.append(TableComparison(i, j, *pair, expected, computed, expected == computed))
     return rows
 

@@ -126,28 +126,18 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- helpers ---------------------------------------------------------------------
 
 
-def _extended(structure: HomStructure, exprs: list[str]) -> HomStructure:
-    """Extend the structure's ParamSet by names used in CLI expressions.
-
-    Vector arguments arrive as comma-separated expression lists; scan each
-    component separately.
-    """
-    names: list[str] = []
-    for expr in exprs:
-        for part in expr.split(","):
-            for name in expression_names(part):
-                if name not in names:
-                    names.append(name)
+def _extended(structure: HomStructure, names: list[str]) -> HomStructure:
+    """The structure over its own parameters followed by any new `names`."""
     target = structure.params.union(names)
-    if target == structure.params:
-        return structure
-    return structure.extend(target)
+    return structure if target == structure.params else structure.extend(target)
 
 
 def _load(args, vectors: list[str | None]) -> tuple[HomStructure, Scalar, Scalar]:
     """The structure file over every parameter the expression arguments name, λ and ν."""
     structure = files.load_structure(args.file)
-    structure = _extended(structure, [args.lam, args.nu] + [v for v in vectors if v])
+    # vector arguments are comma-separated expression lists: scan each component
+    parts = [p for text in (args.lam, args.nu, *filter(None, vectors)) for p in text.split(",")]
+    structure = _extended(structure, [name for p in parts for name in expression_names(p)])
     params = structure.params
     return structure, parse_scalar(args.lam, params), parse_scalar(args.nu, params)
 
@@ -180,6 +170,13 @@ def _build(args, structure, lam, nu, unchecked, constructions=None):
     return build_many(structure, constructions, lam, nu, u=u, unchecked=unchecked)
 
 
+def _write(doc: dict, path: str | None) -> None:
+    """Write the document to `path`, or to stdout when there is none."""
+    text = files.dump_json(doc, path)
+    if not path:
+        sys.stdout.write(text)
+
+
 def _print_report(report: VerificationReport, indent: int = 0) -> None:
     pad = "  " * indent
     print(f"{pad}{report.check_name}: {'PASS' if report.holds else 'FAIL'}")
@@ -208,9 +205,7 @@ def cmd_build(args) -> int:
         doc = files.system_to_dict(ops)
     else:
         doc = files.operator_to_dict(ops[0])
-    text = files.dump_json(doc, args.out)
-    if not args.out:
-        sys.stdout.write(text)
+    _write(doc, args.out)
     return 0
 
 
@@ -235,10 +230,10 @@ def _run_check(args, structure, lam, nu) -> VerificationReport:
     check = args.check
     if check in ("alpha", "hybe"):
         if args.operator:
-            matrix, doc = files.load_operator(args.operator)
-            target = structure.params.union(matrix.params.names)
-            structure = structure.extend(target) if target != structure.params else structure
-            matrix = matrix.extend(target) if target != matrix.params else matrix
+            matrix, _ = files.load_operator(args.operator)
+            structure = _extended(structure, matrix.params.names)
+            if matrix.params != structure.params:
+                matrix = matrix.extend(structure.params)
         elif args.construction:
             if args.construction in SYSTEMS:
                 raise HomybError(f"--check {check} needs a single-operator construction")
@@ -293,10 +288,7 @@ def cmd_catalog(args) -> int:
     if args.action == "export":
         if not args.id:
             raise HomybError("catalog export needs an entry id")
-        entry = cat.catalog_get(args.id)
-        text = files.dump_json(files.structure_to_dict(entry.structure), args.out)
-        if not args.out:
-            sys.stdout.write(text)
+        _write(files.structure_to_dict(cat.catalog_get(args.id).structure), args.out)
         return 0
 
     # verify-all

@@ -39,10 +39,11 @@ a narrower width first, so no exponent the scalar ring accepts and no column
 count is ever refused or wrapped around.
 
 Scalars appear only at the boundary.  Entries from outside -- the
-constructor, `from_rows` and `from_cols` -- are checked to lie over the matrix
-ParamSet and are encoded there; entries are grouped by column and decoded to
-Scalars only where they are read: `[i, j]`, `column`, `data`, `nonzero`, `map`
-and `repr`.  `apply` goes through `@`.  A product `@` adds the products of
+constructor and `from_rows`, which `from_cols` transposes into -- are checked
+to lie over the matrix ParamSet and are encoded there.  One decoder,
+`_entries`, groups a row's terms by column and turns them into Scalars; every
+read goes through it: `[i, j]`, `column`, `data`, `nonzero`, `map` and
+`repr`.  `apply` goes through `@`.  A product `@` adds the products of
 the terms of a row into one term map per output row, and
 `product_difference(a, b, c, d)` runs the same accumulation for both products
 of a·b − c·d, the second negated, so a residual that vanishes decodes nothing.
@@ -262,9 +263,7 @@ class Matrix:
         if any(len(col) != height for col in columns):
             raise DimensionError("ragged columns in matrix literal")
         _check_shape(height, len(columns))
-        rows = [[col[i] for col in columns] for i in range(height)]
-        n = len(columns)
-        return cls._new(height, n, params, *_packed(_nonzero_rows(rows, params), n))
+        return cls.from_rows(params, [[col[i] for col in columns] for i in range(height)])
 
     # -- access ---------------------------------------------------------------
 
@@ -272,23 +271,17 @@ class Matrix:
         if not 0 <= j < self.cols:
             raise DimensionError(f"column {j} out of range for {self.cols} columns")
 
-    def _entry(self, row: Terms, j: int) -> Scalar:
-        """The entry in column j of a packed row."""
-        w, count = self._w, len(self.params)
-        mask = (1 << w) - 1
-        terms = {_decode(k >> w, count, w): c for k, c in row.items() if k & mask == j}
-        return Scalar._new(self.params, terms)
-
     def __getitem__(self, key: tuple[int, int]) -> Scalar:
         i, j = key
         if not 0 <= i < self.rows:
             raise DimensionError(f"row {i} out of range for {self.rows} rows")
         self._check_column(j)
-        return self._entry(self._rows[i], j)
+        return self._entries(self._rows[i]).get(j, Scalar.zero(self.params))
 
     def column(self, j: int) -> Vector:
         self._check_column(j)
-        return tuple(self._entry(row, j) for row in self._rows)
+        zero = Scalar.zero(self.params)
+        return tuple(self._entries(row).get(j, zero) for row in self._rows)
 
     @property
     def data(self) -> list[Scalar]:
@@ -522,10 +515,6 @@ def leg13(s: Matrix, alpha_mid: Matrix, dim_first: int, dim_third: int) -> Matri
 
 
 # -- coordinate-vector inputs -----------------------------------------------------
-
-
-def zero_vector(n: int, params: ParamSet) -> Vector:
-    return (Scalar.zero(params),) * n
 
 
 def basis_vector(n: int, i: int, params: ParamSet) -> Vector:
