@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from homyb import catalog_get
+from homyb import catalog_get, verify_entry
 from homyb.cli import main
-from homyb.files import structure_to_dict
+from homyb.files import report_to_dict, structure_to_dict
 
 
 @pytest.fixture()
@@ -318,6 +318,48 @@ class TestVerify:
         warning, error = capsys.readouterr().err.splitlines()
         assert warning.startswith("warning: building on a structure that fails axioms")
         assert error.startswith("error: u is not central")
+
+
+class TestFrontEndsAgree:
+    """`homyb verify` on an exported entry reports what `verify_entry` reports for it."""
+
+    U = ["--u", "0,0,1"]
+    CASES = {
+        "ex2.3 thm2.1 hybe": ("ex2.3", ["--construction", "thm2.1", "--check", "hybe"], "hybe"),
+        "ex2.3 thm2.1 alpha": ("ex2.3", ["--construction", "thm2.1", "--check", "alpha"],
+                               "alpha-commute"),
+        "ex2.3 thm5.2 system": ("ex2.3", ["--construction", "thm5.2", "--check", "system"],
+                                "system"),
+        "ex2.3 cor2.2 inverse": ("ex2.3", ["--construction", "cor2.2", "--check", "inverse"],
+                                 "inverse-symbolic"),
+        "ex3.3 cor3.2 inverse": ("ex3.3", ["--construction", "cor3.2", "--check", "inverse"],
+                                 "inverse"),
+        "ex3.5 thm5.3 system": ("ex3.5", ["--construction", "thm5.3", "--check", "system"],
+                                "system"),
+        "ex4.3 thm4.1 hybe": ("ex4.3", ["--construction", "thm4.1", "--check", "hybe", *U],
+                              "hybe"),
+        "ex4.3 thm4.1 alpha": ("ex4.3", ["--construction", "thm4.1", "--check", "alpha", *U],
+                               "alpha-commute"),
+        "ex4.3 cor4.2 inverse": ("ex4.3", ["--construction", "cor4.2", "--check", "inverse", *U],
+                                 "inverse"),
+        "ex4.3 chybe": ("ex4.3", ["--check", "chybe", "--x", "1,0,0", "--y", "0,1,0", *U],
+                        "chybe"),
+    }
+
+    @staticmethod
+    def _verdict(doc):
+        witnesses = [(w["row"], w["col"], w["residual"], w["label"]) for w in doc["witnesses"]]
+        return doc["holds"], witnesses
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cli_matches_the_catalog(self, export, tmp_path, capsys, case):
+        entry_id, argv, subcheck = self.CASES[case]
+        out = tmp_path / "report.json"
+        code = main(["verify", export(entry_id), *argv, "--json", str(out)])
+        cli = json.loads(out.read_text())
+        assert code == (0 if cli["holds"] else 1)
+        subs = {sub.check_name: sub for sub in verify_entry(catalog_get(entry_id)).subreports}
+        assert self._verdict(cli) == self._verdict(report_to_dict(subs[subcheck]))
 
 
 class TestCatalog:
