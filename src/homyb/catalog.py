@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 
 from ._record import field, record
 from .constructions import (
+    CHECKS,
     INVERSE,
     RECIPES,
     SYSTEMS,
@@ -37,18 +38,9 @@ from .files import _parse_at, structure_from_dict
 from .scalar import Scalar, parse_scalar
 from .structures import HomAlgebra, HomCoalgebra, HomLieAlgebra, HomStructure, validate
 from .tensor import Vector
-from .verify import (
-    DEFAULT_WITNESS_CAP,
-    VerificationReport,
-    Witness,
-    chybe_holds,
-    clip,
-    combine,
-    commutes_with_alpha,
-    hybe_holds,
-    inverse_holds,
-    system_holds,
-)
+from .verify import DEFAULT_WITNESS_CAP, VerificationReport, Witness, clip, combine
+# not called here; perfbench/test_perfbench.py::test_tracer_counts_and_restores reads it
+from .verify import hybe_holds  # noqa: F401
 
 # printed table: (left basis name, right basis name) -> summands (p, q, coeff expr)
 PrintedTable = dict[tuple[str, str], list[tuple[str, str, str]]]
@@ -476,48 +468,58 @@ def mismatched_pairs(rows: Sequence[TableComparison]) -> set[tuple[str, str]]:
 
 
 class _Run:
-    """One verify_entry call: its entry, witness cap, axiom report and operators, each made once.
-
-    Each check is a method; `_CHECKS` maps the check names to them.
-    """
+    """One verify_entry call: its entry, witness cap, axiom report and operators, each made once."""
 
     def __init__(self, entry: CatalogEntry, cap: int | None):
         self.entry = entry
         self.cap = cap
-        self.structure = entry.structure
+        self.structure, self.variant = entry.structure, entry.variant
         self.lam, self.nu = entry.lam(), entry.nu()
         self.u = entry.u_vector()
+        self.ops: dict[tuple[bool, Construction, bool], SolutionOperator] = {}
 
     @cached_property
     def valid(self) -> VerificationReport:
         lie = isinstance(self.structure, HomLieAlgebra)
         return validate(self.structure, lie, witness_cap=self.cap)
 
-    def build(self, constructions, structure=None, unchecked=False) -> list[SolutionOperator]:
-        """Build on the entry's structure, whose axioms this run checks once, or on `structure`."""
-        report = None if structure else self.valid
-        return _build_many(structure or self.structure, constructions, self.lam, self.nu,
-                           self.u, unchecked, report)
-
     @cached_property
-    def op(self) -> SolutionOperator:
-        return self.build((self.entry.variant,))[0]
+    def involutive(self) -> HomStructure:
+        """The structure at `involutive_at`, where α is involutive; the entry's own without one."""
+        at = {k: Fraction(v) for k, v in self.entry.involutive_at.items()}
+        return self.structure.substitute(at) if at else self.structure
 
-    @cached_property
-    def pair(self) -> tuple[SolutionOperator, SolutionOperator]:
-        """The operator and its closed-form inverse, where α is involutive."""
-        at = self.entry.involutive_at
-        structure = self.structure.substitute({k: Fraction(v) for k, v in at.items()}) if at else None
-        return tuple(self.build((self.entry.variant, INVERSE[self.entry.variant]), structure))
+    def build(self, constructions, structure, unchecked=False) -> list[SolutionOperator]:
+        """The operators of `constructions` as built together on `structure`, each built once.
 
-    def axioms(self) -> VerificationReport:
-        return self.valid
+        An operator is kept under its structure, its construction and whether
+        its set is built at ν = 1, so a Lie pair never takes the operator built
+        alone at ν = nu.
+        """
+        at_one = any(RECIPES[c].nu_is_one for c in constructions)
+        key = {c: (structure is self.structure, c, at_one) for c in constructions}
+        missing = [c for c in constructions if key[c] not in self.ops]
+        if missing:
+            nu = Scalar.one(structure.params) if at_one else self.nu
+            report = self.valid if structure is self.structure else None
+            built = _build_many(structure, missing, self.lam, nu, self.u, unchecked, report)
+            self.ops.update((key[c], op) for c, op in zip(missing, built))
+        return [self.ops[key[c]] for c in constructions]
+
+    def check(self, name: str, given: str = "", structure=None, unchecked=False):
+        """Row `name` of `CHECKS` on what it builds from `given` on `structure`, or the entry's."""
+        check, structure = CHECKS[name], structure or self.structure
+        if check.builds:
+            built = self.build(check.builds[given], structure, unchecked)
+        else:  # chybe builds no operator: r = [e_1, e_2] ⊗ u
+            built = chybe_r(structure, structure.basis_vec(0), structure.basis_vec(1), self.u, 0, 0)
+        return check.report(structure, built, self.cap)
 
     def table(self) -> VerificationReport:
         """Deviations from the printed table, against the documented ones."""
         started = time.perf_counter()
         entry, structure = self.entry, self.structure
-        actual = mismatched_pairs(compare_table(entry, self.op))
+        actual = mismatched_pairs(compare_table(entry, self.build((self.variant,), structure)[0]))
         documented = set(entry.documented_mismatches)
         unexpected = sorted(actual ^ documented)
         witnesses = []
@@ -540,50 +542,24 @@ class _Run:
             },
         )
 
-    def alpha_commute(self) -> VerificationReport:
-        return commutes_with_alpha(self.op.matrix, self.structure.alpha, witness_cap=self.cap)
 
-    def hybe(self) -> VerificationReport:
-        return hybe_holds(self.op.matrix, self.structure.alpha, witness_cap=self.cap)
+# structure kind -> the name of its system
+_SYSTEM_OF = {RECIPES[t[0]].kind: name for name, t in SYSTEMS.items()}
 
-    def system(self) -> VerificationReport:
-        """The system of the structure's kind."""
-        kind = type(self.structure)
-        triple = next(t for t in SYSTEMS.values() if RECIPES[t[0]].kind is kind)
-        w, z, x = self.build(triple)
-        return system_holds(w, z, x, self.structure.alpha, witness_cap=self.cap)
-
-    def inverse(self) -> VerificationReport:
-        b, binv = self.pair
-        return inverse_holds(b.matrix, binv.matrix, witness_cap=self.cap)
-
-    def symbolic_inverse(self) -> VerificationReport:
-        """The inverse law with α as it is, which fails where α is not involutive."""
-        inverse = INVERSE[self.entry.variant]
-        binv = self.build((inverse,), unchecked=True)[0]
-        return inverse_holds(self.op.matrix, binv.matrix, witness_cap=self.cap)
-
-    def hybe_inverse(self) -> VerificationReport:
-        binv = self.pair[1]
-        return hybe_holds(binv.matrix, binv.source.alpha, witness_cap=self.cap)
-
-    def chybe(self) -> VerificationReport:
-        s = self.structure
-        r = chybe_r(s, s.basis_vec(0), s.basis_vec(1), self.u, 0, 0)
-        return chybe_holds(r, s, witness_cap=self.cap)
-
-
-# check name, as an entry lists it -> the check
+# check name, as an entry lists it -> the check: the run's own, or a row of `CHECKS`
+# on what it builds from the entry's construction
 _CHECKS: dict[str, Callable[[_Run], VerificationReport]] = {
-    "axioms": _Run.axioms,
+    "axioms": lambda run: run.valid,
     "table": _Run.table,
-    "alpha-commute": _Run.alpha_commute,
-    "hybe": _Run.hybe,
-    "system": _Run.system,
-    "inverse": _Run.inverse,
-    "inverse-symbolic": _Run.symbolic_inverse,
-    "hybe-inverse": _Run.hybe_inverse,
-    "chybe": _Run.chybe,
+    "alpha-commute": lambda run: run.check("alpha", run.variant.value),
+    "hybe": lambda run: run.check("hybe", run.variant.value),
+    "system": lambda run: run.check("system", _SYSTEM_OF[type(run.structure)]),
+    "inverse": lambda run: run.check("inverse", INVERSE[run.variant].value, run.involutive),
+    # the inverse law with α as it is, which fails where α is not involutive
+    "inverse-symbolic": lambda run: run.check(
+        "inverse", INVERSE[run.variant].value, unchecked=True),
+    "hybe-inverse": lambda run: run.check("hybe", INVERSE[run.variant].value, run.involutive),
+    "chybe": lambda run: run.check("chybe"),
 }
 
 

@@ -21,10 +21,9 @@ import warnings
 
 from . import files
 from .constructions import (
-    INVERSE,
+    CHECKS,
     RECIPES,
     SYSTEMS,
-    Construction,
     build_many,
     chybe_r,
     is_involutive,
@@ -32,20 +31,10 @@ from .constructions import (
 from .errors import ConstructionWarning, HomybError
 from .scalar import Scalar, expression_names, parse_scalar
 from .structures import HomLieAlgebra, HomStructure, validate
-from .verify import (
-    VerificationReport,
-    chybe_holds,
-    commutes_with_alpha,
-    hybe_holds,
-    inverse_holds,
-    system_holds,
-)
+from .verify import DEFAULT_WITNESS_CAP, VerificationReport, commutes_with_alpha, hybe_holds
 
-# --construction names: the single operators, then the systems
-_CONSTRUCTIONS = sorted(
-    c.value for c in Construction if all(c not in triple for triple in SYSTEMS.values())
-) + sorted(SYSTEMS)
-_INVERSES = sorted(c.value for c in INVERSE.values())
+# --construction name -> the constructions it builds: the single operators, then the systems
+_CONSTRUCTIONS = dict(sorted(CHECKS["hybe"].builds.items())) | dict(sorted(SYSTEMS.items()))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -98,9 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run an exact identity check")
     p.add_argument("file")
-    p.add_argument(
-        "--check", required=True, choices=("alpha", "hybe", "inverse", "system", "chybe")
-    )
+    p.add_argument("--check", required=True, choices=tuple(CHECKS))
     p.add_argument("--construction", choices=_CONSTRUCTIONS)
     p.add_argument("--operator", help="operator JSON file (alpha/hybe checks only)")
     p.add_argument("--lambda", dest="lam", default="lam")
@@ -160,11 +147,8 @@ def _with_warnings(run):
                 print(f"warning: {text}", file=sys.stderr)
 
 
-def _build(args, structure, lam, nu, unchecked, constructions=None):
-    """The operators --construction names: one, a system's three, or the given ones."""
-    if constructions is None:
-        name = args.construction
-        constructions = SYSTEMS[name] if name in SYSTEMS else (Construction(name),)
+def _build(args, structure, lam, nu, unchecked, constructions):
+    """The given constructions, built together on the structure with --u where it is Lie."""
     lie = isinstance(structure, HomLieAlgebra) and RECIPES[constructions[0]].kind is HomLieAlgebra
     u = _vector_arg(args.u, structure, "--u") if args.u and lie else None
     return build_many(structure, constructions, lam, nu, u=u, unchecked=unchecked)
@@ -200,7 +184,8 @@ def cmd_axioms(args) -> int:
 
 def cmd_build(args) -> int:
     structure, lam, nu = _load(args, [args.u])
-    ops = _with_warnings(lambda: _build(args, structure, lam, nu, args.unchecked))
+    constructions = _CONSTRUCTIONS[args.construction]
+    ops = _with_warnings(lambda: _build(args, structure, lam, nu, args.unchecked, constructions))
     if args.construction in SYSTEMS:
         doc = files.system_to_dict(ops)
     else:
@@ -227,45 +212,32 @@ def cmd_verify(args) -> int:
 
 
 def _run_check(args, structure, lam, nu) -> VerificationReport:
-    check = args.check
-    if check in ("alpha", "hybe"):
-        if args.operator:
-            matrix, _ = files.load_operator(args.operator)
-            structure = _extended(structure, matrix.params.names)
-            if matrix.params != structure.params:
-                matrix = matrix.extend(structure.params)
-        elif args.construction:
-            if args.construction in SYSTEMS:
-                raise HomybError(f"--check {check} needs a single-operator construction")
-            matrix = _build(args, structure, lam, nu, True)[0].matrix
-        else:
-            raise HomybError(f"--check {check} needs --construction or --operator")
-        checker = commutes_with_alpha if check == "alpha" else hybe_holds
+    """The check of `CHECKS` that --check names, on what it builds from the arguments."""
+    name, check = args.check, CHECKS[args.check]
+    takes_operator = name in ("alpha", "hybe")
+    if takes_operator and args.operator:
+        matrix, _ = files.load_operator(args.operator)
+        structure = _extended(structure, matrix.params.names)
+        if matrix.params != structure.params:
+            matrix = matrix.extend(structure.params)
+        checker = commutes_with_alpha if name == "alpha" else hybe_holds
         return checker(matrix, structure.alpha)
+    if not check.builds:  # chybe builds no operator
+        return check.report(structure, _chybe_r(args, structure, check), DEFAULT_WITNESS_CAP)
+    if args.construction not in check.builds:
+        needs = "--construction or --operator" if takes_operator and not args.construction else None
+        raise HomybError(f"--check {name} needs {needs or check.needs}")
+    ops = _build(args, structure, lam, nu, True, check.builds[args.construction])
+    return check.report(structure, ops, DEFAULT_WITNESS_CAP)
 
-    if check == "inverse":
-        if args.construction not in _INVERSES:
-            raise HomybError(
-                "--check inverse needs --construction among " + ", ".join(_INVERSES)
-            )
-        inverse = Construction(args.construction)
-        b, binv = _build(args, structure, lam, nu, True, (RECIPES[inverse].inverts, inverse))
-        return inverse_holds(b.matrix, binv.matrix)
 
-    if check == "system":
-        if args.construction not in SYSTEMS:
-            raise HomybError("--check system needs --construction " + " or ".join(SYSTEMS))
-        w, z, x = _build(args, structure, lam, nu, True)
-        return system_holds(w, z, x, structure.alpha)
-
-    # chybe
+def _chybe_r(args, structure, check):
+    """r from --x, --y, --u, --m and --n; a negative power twists by α as its own inverse."""
     if not isinstance(structure, HomLieAlgebra):
         raise HomybError("--check chybe requires a hom-lie structure")
     if not (args.x and args.y and args.u):
-        raise HomybError("--check chybe needs --x, --y and --u")
-    x = _vector_arg(args.x, structure, "--x")
-    y = _vector_arg(args.y, structure, "--y")
-    u = _vector_arg(args.u, structure, "--u")
+        raise HomybError(f"--check chybe needs {check.needs}")
+    x, y, u = (_vector_arg(getattr(args, k), structure, f"--{k}") for k in "xyu")
     alpha_inverse = None
     if args.m < 0 or args.n < 0:
         if not is_involutive(structure):
@@ -274,8 +246,7 @@ def _run_check(args, structure, lam, nu) -> VerificationReport:
                 "this alpha is not involutive"
             )
         alpha_inverse = structure.alpha
-    r = chybe_r(structure, x, y, u, args.m, args.n, alpha_inverse=alpha_inverse)
-    return chybe_holds(r, structure)
+    return chybe_r(structure, x, y, u, args.m, args.n, alpha_inverse=alpha_inverse)
 
 
 def cmd_catalog(args) -> int:

@@ -25,8 +25,9 @@ from __future__ import annotations
 import enum
 import sys
 import warnings
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
+from . import verify
 from ._record import record
 from .errors import ConstructionWarning, DimensionError, PreconditionError
 from .scalar import Scalar
@@ -469,3 +470,40 @@ def chybe_r(
             f"alpha^{n}(u) is not central, so the middle bracket does not vanish"
         )
     return tensor2(first, second)
+
+
+# -- the identity checks -------------------------------------------------------------
+
+
+@record(frozen=True)
+class Check:
+    """An identity check: the constructions it builds for each name it takes, and its report.
+
+    chybe takes no name: it is given r from `chybe_r`.  `report(structure,
+    built, cap)` decides the identity on what was built on the structure, with
+    at most `cap` witnesses.  `needs` says what the check must be given, as the
+    command line asks for it.
+    """
+
+    builds: dict[str, tuple[Construction, ...]]
+    needs: str
+    report: Callable[[HomStructure, Any, int | None], VerificationReport]
+
+
+_SINGLES = {c.value: (c,) for c in Construction if all(c not in t for t in SYSTEMS.values())}
+_PAIRS = {c.value: (RECIPES[c].inverts, c) for c in sorted(INVERSE.values(), key=lambda c: c.value)}
+
+# check name -> the check.  Each report looks its checker up in `verify` when it
+# runs, so a wrapper bound there in place of the checker is the one called.
+CHECKS: dict[str, Check] = {
+    "alpha": Check(_SINGLES, "a single-operator construction", lambda s, ops, cap:
+                   verify.commutes_with_alpha(ops[0].matrix, s.alpha, witness_cap=cap)),
+    "hybe": Check(_SINGLES, "a single-operator construction", lambda s, ops, cap:
+                  verify.hybe_holds(ops[0].matrix, s.alpha, witness_cap=cap)),
+    "inverse": Check(_PAIRS, "--construction among " + ", ".join(_PAIRS), lambda s, ops, cap:
+                     verify.inverse_holds(ops[0].matrix, ops[1].matrix, witness_cap=cap)),
+    "system": Check(SYSTEMS, "--construction " + " or ".join(SYSTEMS), lambda s, ops, cap:
+                    verify.system_holds(*ops, s.alpha, witness_cap=cap)),
+    "chybe": Check({}, "--x, --y and --u", lambda s, r, cap:
+                   verify.chybe_holds(r, s, witness_cap=cap)),
+}

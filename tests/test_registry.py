@@ -17,7 +17,8 @@ from homyb import (
     verify_entry,
 )
 from homyb.catalog import _CHECKS
-from homyb.constructions import INVERSE, RECIPES, SYSTEMS
+from homyb.cli import _build_parser
+from homyb.constructions import CHECKS, INVERSE, RECIPES, SYSTEMS
 
 
 def test_every_construction_has_exactly_one_recipe():
@@ -67,6 +68,11 @@ def test_check_list_yields_exactly_the_expectations(entry_id):
     assert entry.expected_failures <= set(entry.check_names())
     report = verify_entry(entry)
     assert [sub.check_name for sub in report.subreports] == list(entry.expectations())
+
+
+def test_the_cli_offers_exactly_the_shared_checks():
+    verify = next(a for a in _build_parser()._actions if a.dest == "command").choices["verify"]
+    assert next(a for a in verify._actions if a.dest == "check").choices == tuple(CHECKS)
 
 
 def test_build_refuses_a_structure_of_another_kind(ex33):
