@@ -216,7 +216,7 @@ def _run_check(args, structure, lam, nu) -> VerificationReport:
     name, check = args.check, CHECKS[args.check]
     takes_operator = name in ("alpha", "hybe")
     if takes_operator and args.operator:
-        matrix, _ = files.load_operator(args.operator)
+        matrix = _operator_file(args, structure)
         structure = _extended(structure, matrix.params.names)
         if matrix.params != structure.params:
             matrix = matrix.extend(structure.params)
@@ -229,6 +229,19 @@ def _run_check(args, structure, lam, nu) -> VerificationReport:
         raise HomybError(f"--check {name} needs {needs or check.needs}")
     ops = _build(args, structure, lam, nu, True, check.builds[args.construction])
     return check.report(structure, ops, DEFAULT_WITNESS_CAP)
+
+
+def _operator_file(args, structure):
+    """The --operator matrix; its header must name this structure and a construction of its kind."""
+    matrix, doc = files.load_operator(args.operator)
+    built_on, construction = doc.get("structure"), doc.get("construction")
+    fits = [n for n, (c,) in CHECKS["hybe"].builds.items() if RECIPES[c].kind is type(structure)]
+    if built_on != structure.name or construction not in fits:
+        raise HomybError(
+            f"{args.operator}: an operator of construction {construction!r} on structure "
+            f"{built_on!r} does not fit {args.file}, a {structure.kind} named {structure.name!r}"
+        )
+    return matrix
 
 
 def _chybe_r(args, structure, check):

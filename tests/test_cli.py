@@ -173,6 +173,41 @@ class TestBuild:
         assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe"]) == 2
         assert message in capsys.readouterr().err
 
+    def test_operator_of_another_structure_exits_two(self, export, tmp_path, capsys):
+        # same dimension, so only the header tells the two structures apart
+        op_path = tmp_path / "op.json"
+        argv = ["--construction", "thm4.1", "--u", "0,0,1", "--out", str(op_path)]
+        assert main(["build", export("ex4.3"), *argv]) == 0
+        structure = export("ex2.3")
+        capsys.readouterr()
+        assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {op_path}: an operator of construction 'thm4.1' on structure 'ex4.3' "
+            f"does not fit {structure}, a hom-algebra named 'ex2.3'\n"
+        )
+
+    @pytest.mark.parametrize("key,value", [
+        ("construction", "thm3.1"), ("construction", "thm5.2"), ("construction", ["thm2.1"]),
+        ("construction", None), ("structure", None),
+    ], ids=["coalgebra", "system", "list", "no-construction", "no-structure"])
+    def test_operator_header_must_match_the_structure(self, export, tmp_path, capsys, key, value):
+        op_path = tmp_path / "op.json"
+        structure = export("ex2.3")
+        assert main(["build", structure, "--construction", "thm2.1", "--out", str(op_path)]) == 0
+        doc = json.loads(op_path.read_text())
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        op_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", structure, "--operator", str(op_path), "--check", "alpha"]) == 2
+        header = {"structure": "ex2.3", "construction": "thm2.1", key: value}
+        assert capsys.readouterr().err == (
+            f"error: {op_path}: an operator of construction {header['construction']!r} on "
+            f"structure {header['structure']!r} does not fit {structure}, a hom-algebra named 'ex2.3'\n"
+        )
+
     def test_first_bad_cell_of_an_operator_table_is_named(self, export, tmp_path, capsys):
         # distinct expressions are parsed once per table; a bad one is still
         # reported at its first cell in row-major order
