@@ -155,8 +155,8 @@ def _build(args, structure, lam, nu, unchecked, constructions):
 
 
 def _write(doc: dict, path: str | None) -> None:
-    """Write the document to `path`, or to stdout when there is none."""
-    text = files.dump_json(doc, path)
+    """Write the document to `path`, or to stdout when there is none or it is empty."""
+    text = files.dump_json(doc, path or None)
     if not path:
         sys.stdout.write(text)
 

@@ -531,6 +531,21 @@ class TestUndecodableFile:
         assert err.startswith(f"error: {bad}: ") and message in err and err.count("\n") == 1
 
 
+class TestEmptyOut:
+    COMMANDS = {
+        "build": ["build", "{structure}", "--construction", "thm2.1"],
+        "catalog export": ["catalog", "export", "ex2.3"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_empty_out_writes_to_stdout(self, export, capsys, command):
+        argv = [arg.format(structure=export("ex2.3")) for arg in self.COMMANDS[command]]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        assert main([*argv, "--out", ""]) == 0
+        assert capsys.readouterr() == (expected, "")
+
+
 class TestUnwritableOutput:
     COMMANDS = {
         "axioms --json": ["axioms", "{structure}", "--json", "{out}"],
