@@ -175,6 +175,29 @@ class TestVerifyAll:
             # (ex2.3, ex2.5, ex3.5), and the unmultiplicative check of chybe_r (ex4.3)
             assert len(calls) <= 10
 
+    def test_each_operator_is_built_once_per_entry(self, monkeypatch):
+        import homyb.catalog
+
+        original = homyb.catalog._build_many
+        built = []  # holds every operator, so no structure's id is reused
+
+        def recording(*args):
+            ops = original(*args)
+            built[-1].extend(ops)
+            return ops
+
+        monkeypatch.setattr(homyb.catalog, "_build_many", recording)
+        for eid, _ in catalog_list():
+            built.append([])
+            verify_entry(catalog_get(eid))
+        for ops in built:
+            keys = [(id(op.source), op.construction, str(op.nu)) for op in ops]
+            assert len(keys) == len(set(keys))
+        # the Lie pair is built at nu = 1, apart from the operator built alone
+        lie = [(op.construction.value, str(op.nu)) for op in built[-1]]
+        assert lie == [("thm4.1", "nu"), ("thm4.1", "1"), ("cor4.2", "1")]
+        assert sum(map(len, built)) == 27
+
     def test_check_names_match_expectations_keys(self):
         for eid, _ in catalog_list():
             entry = catalog_get(eid)
