@@ -594,3 +594,82 @@ class TestPackedExactness:
             m = Matrix.from_rows(PS2, [[s, S("lam + 1", PS2)]])
             assert kron(m, m)[0, 0] == s * s
             assert m[0, 0] == s and str(m[0, 0]) == text
+
+
+# -- packed storage at the slot floor -------------------------------------------------
+
+# an exponent slot of w bits holds |e| < 2^(w-1) and a column slot j < 2^w; at a
+# floor of 8 bits, 2^7 - 1 and column 255 are the last values an 8-bit slot holds
+FLOOR_EXPONENTS = [2 ** 7 - 1, -(2 ** 7 - 1), 2 ** 7, -(2 ** 7)]
+
+
+class TestPackedExactnessAtTheFloor:
+    """Exponents, columns and products at the edge of an 8-bit slot."""
+
+    def test_exponents_at_the_edge_of_a_byte_decode_in_every_slot(self):
+        params = ParamSet(["a", "b", "c"])
+        one = Scalar(params, {(1, -1, 1): 1})
+        for exps in itertools.product(FLOOR_EXPONENTS + [-1, 0, 1], repeat=3):
+            entry = Scalar(params, {exps: Fraction(-3, 7), (0, 0, 0): 2})
+            m = Matrix(1, 1, params, [entry])
+            assert m[0, 0] == entry and str(m[0, 0]) == str(entry)
+            assert (m @ m)[0, 0] == entry * entry
+            # a product whose bound is one past the operand's, and a sum at the wider width
+            shifted = m @ Matrix(1, 1, params, [one])
+            assert shifted[0, 0] == entry * one
+            assert (shifted + m)[0, 0] == entry * one + entry
+            assert product_difference(m, m, m, m).is_zero()
+
+    @pytest.mark.parametrize("cols", [255, 256, 257])
+    def test_the_last_column_of_a_wide_row_is_kept(self, cols):
+        zero = Scalar.zero(PS2)
+        first, last = S("lam^127*nu^-127 + 1", PS2), S("lam^-128*nu^128 - 2/3", PS2)
+        row = Matrix(1, cols, PS2, [first] + [zero] * (cols - 2) + [last])
+        assert row[0, cols - 1] == last and row[0, 0] == first
+        assert list(row.nonzero()) == [(0, 0, first), (0, cols - 1, last)]
+        assert list((row @ Matrix.identity(cols, PS2)).nonzero()) == list(row.nonzero())
+        nu = S("nu^-1", PS2)
+        assert list(row.scale(nu).nonzero()) == [(0, 0, first * nu), (0, cols - 1, last * nu)]
+        assert list((row + row).nonzero()) == [(0, 0, first + first), (0, cols - 1, last + last)]
+        column = Matrix.from_cols(PS2, [row.data])
+        assert (row @ column)[0, 0] == first * first + last * last
+        assert (column @ row)[cols - 1, cols - 1] == last * last
+        assert (column @ row)[cols - 1, 0] == last * first
+
+    def test_a_chain_of_squarings_crosses_the_floor(self):
+        # the bound runs 11, 22, 44, 88, 176, 352: past 127 the product needs a
+        # 9-bit slot and then a 10-bit one, and its operands are re-encoded
+        m = mat([["lam^9*nu^-11", "1 - 2/3*lam"], ["0", "-nu^5*lam^-2"]], PS2)
+        for _ in range(5):
+            got = m @ m
+            assert dense(got) == dense_matmul(m, m)
+            assert is_stored_form(got)
+            assert product_difference(m, m, got, Matrix.identity(2, PS2)).is_zero()
+            m = got
+        assert m._bound == 352
+        assert m[0, 0] == S("lam^288*nu^-352", PS2) and m[1, 1] == S("nu^160*lam^-64", PS2)
+
+    @pytest.mark.parametrize("scale", [1, 30])
+    def test_kron_onto_216_columns(self, scale):
+        # 6 and 36 columns kron to 216, whose last index 215 still fits a byte;
+        # at scale 30 the product's bound crosses 127 while neither operand's does
+        rng = random.Random(216 + scale)
+
+        def entry():
+            if rng.random() < 0.5:
+                return Scalar.zero(PS2)
+            exps = (scale * rng.randint(-3, 3), scale * rng.randint(-3, 3))
+            return Scalar(PS2, {exps: Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)),
+                                (0, 0): 1})
+
+        a = Matrix(1, 6, PS2, [entry() for _ in range(6)])
+        b = Matrix(2, 36, PS2, [entry() for _ in range(72)])
+        got = kron(a, b)
+        assert (got.rows, got.cols) == (2, 216)
+        if scale > 1:
+            assert max(a._bound, b._bound) < 2 ** 7 <= got._bound
+        want = reference_kron(a, b)
+        assert list(got.nonzero()) == [
+            (i, j, x) for i, row in enumerate(want) for j, x in enumerate(row) if x.terms
+        ]
+        assert got[1, 215] == want[1][215]
