@@ -30,6 +30,7 @@ from homyb import (
     lie_solution,
     lie_solution_inverse,
     parse_scalar,
+    product_difference,
     system_algebra,
     system_coalgebra,
     system_holds,
@@ -257,6 +258,29 @@ class TestCommutatorAndSystems:
         nu = parse_scalar("nu", c.params)
         w, z, x = system_coalgebra(c, lam, nu)
         assert system_holds(w, z, x, c.alpha).holds
+
+    def test_a_failing_system_matches_its_left_associated_commutators(self, ex23):
+        # ex2.3's thm5.2 triple with X replaced by the thm2.1 operator fails
+        # [W,X,X] and [X,X,Z]; the report keeps every witness of R¹²S¹³ times T²³
+        # minus T²³S¹³ times R¹², in the order the left-associated residual gives
+        a, lam, nu = ex23.structure, ex23.lam(), ex23.nu()
+        w, z, _ = (op.matrix for op in build_many(a, SYSTEMS["thm5.2"], lam, nu))
+        x = build(a, Construction.ALG21, lam, nu).matrix
+        alpha, n = a.alpha, a.dim
+        report = system_holds(w, z, x, alpha, witness_cap=None)
+        expected = []
+        for name, (r, s, t) in system_commutators(w, z, x):
+            r12, s13, t23 = leg12(r, alpha), leg13(s, alpha, n, n), leg23(t, alpha)
+            residual = product_difference(r12 @ s13, t23, t23 @ s13, r12)
+            expected.append((name, [Witness(i, j, v, name) for i, j, v in residual.nonzero()]))
+        assert [len(witnesses) for _, witnesses in expected] == [0, 0, 80, 92]
+        assert [(p.check_name, p.witnesses) for p in report.subreports] == expected
+        assert [p.metadata["witness_count"] for p in report.subreports] == ["0", "0", "80", "92"]
+        assert not report.holds
+        assert report.witnesses == sorted(
+            (w for _, witnesses in expected for w in witnesses),
+            key=lambda w: (w.row, w.col, w.label),
+        )
 
     def test_identity_system(self):
         i2 = Matrix.identity(2, PS2)
