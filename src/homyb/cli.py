@@ -196,43 +196,46 @@ def cmd_build(args) -> int:
 
 def cmd_verify(args) -> int:
     structure, lam, nu = _load(args, [args.u, args.x, args.y])
-    report = _with_warnings(lambda: _run_check(args, structure, lam, nu))
+    report, source = _with_warnings(lambda: _run_check(args, structure, lam, nu))
     _print_report(report)
     if args.json_path:
         doc = files.report_to_dict(report)
         meta = doc["metadata"]
         meta.setdefault("structure", structure.name)
         meta.setdefault("parameters", ",".join(structure.params.names))
-        meta.setdefault("lambda", args.lam)
-        meta.setdefault("nu", args.nu)
-        if args.construction:
-            meta.setdefault("construction", args.construction)
+        for key in ("lambda", "nu", "construction"):
+            if isinstance(source.get(key), str):
+                meta.setdefault(key, source[key])
         files.dump_json(doc, args.json_path)
     return 0 if report.holds else 1
 
 
-def _run_check(args, structure, lam, nu) -> VerificationReport:
-    """The check of `CHECKS` that --check names, on what it builds from the arguments."""
+def _run_check(args, structure, lam, nu) -> tuple[VerificationReport, dict]:
+    """The check of `CHECKS` that --check names, on what it builds from the arguments,
+    and what names the operator checked: the --operator file's header, else the arguments."""
     name, check = args.check, CHECKS[args.check]
+    source = {"lambda": args.lam, "nu": args.nu, "construction": args.construction}
     takes_operator = name in ("alpha", "hybe")
     if takes_operator and args.operator:
-        matrix = _operator_file(args, structure)
+        matrix, source = _operator_file(args, structure)
         structure = _extended(structure, matrix.params.names)
         if matrix.params != structure.params:
             matrix = matrix.extend(structure.params)
         checker = commutes_with_alpha if name == "alpha" else hybe_holds
-        return checker(matrix, structure.alpha)
+        return checker(matrix, structure.alpha), source
     if not check.builds:  # chybe builds no operator
-        return check.report(structure, _chybe_r(args, structure, check), DEFAULT_WITNESS_CAP)
+        r = _chybe_r(args, structure, check)
+        return check.report(structure, r, DEFAULT_WITNESS_CAP), source
     if args.construction not in check.builds:
         needs = "--construction or --operator" if takes_operator and not args.construction else None
         raise HomybError(f"--check {name} needs {needs or check.needs}")
     ops = _build(args, structure, lam, nu, True, check.builds[args.construction])
-    return check.report(structure, ops, DEFAULT_WITNESS_CAP)
+    return check.report(structure, ops, DEFAULT_WITNESS_CAP), source
 
 
 def _operator_file(args, structure):
-    """The --operator matrix; its header must name this structure and a construction of its kind."""
+    """The --operator matrix and its header, which must name this structure and a
+    construction of its kind."""
     matrix, doc = files.load_operator(args.operator)
     built_on, construction = doc.get("structure"), doc.get("construction")
     fits = [n for n, (c,) in CHECKS["hybe"].builds.items() if RECIPES[c].kind is type(structure)]
@@ -241,7 +244,7 @@ def _operator_file(args, structure):
             f"{args.operator}: an operator of construction {construction!r} on structure "
             f"{built_on!r} does not fit {args.file}, a {structure.kind} named {structure.name!r}"
         )
-    return matrix
+    return matrix, doc
 
 
 def _chybe_r(args, structure, check):

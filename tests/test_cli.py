@@ -158,6 +158,19 @@ class TestBuild:
         assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe"]) == 0
         assert main(["verify", structure, "--operator", str(op_path), "--check", "alpha"]) == 0
 
+    def test_report_on_an_operator_file_names_the_file_s_operator(self, export, tmp_path, capsys):
+        # --construction, --lambda and --nu build nothing when --operator is given,
+        # so the report's metadata takes all three from the file's header
+        op_path, report_path = tmp_path / "op.json", tmp_path / "report.json"
+        structure = export("ex2.3")
+        argv = ["--construction", "thm2.1", "--lambda", "2", "--nu", "lam", "--out", str(op_path)]
+        assert main(["build", structure, *argv]) == 0
+        assert main(["verify", structure, "--operator", str(op_path), "--construction", "thm2.4",
+                     "--lambda", "3", "--check", "hybe", "--json", str(report_path)]) == 0
+        meta = json.loads(report_path.read_text())["metadata"]
+        assert meta == {"witness_count": "0", "structure": "ex2.3", "parameters": "l,lam,nu",
+                        "lambda": "2", "nu": "lam", "construction": "thm2.1"}
+
     @pytest.mark.parametrize("key,value,message", [
         ("parameters", [1], "parameters: expected strings"),
         ("format_version", 99, "format_version: unsupported value 99"),
