@@ -26,7 +26,7 @@ keys.  A term map is never changed once stored, so matrices share them freely.
 
 Exactness.  Every matrix carries an exponent bound B: no exponent of any
 entry, nor of any partial sum the matrix was accumulated from, exceeds B in
-absolute value.  Its slot width is at least max(32, bits of B + 1, bits of
+absolute value.  Its slot width is at least max(8, bits of B + 1, bits of
 cols − 1), so every column satisfies 0 ≤ j < 2^w and every exponent
 |e_i| < 2^(w−1).  In that range a key decodes uniquely: key & (2^w − 1) is
 the column and key >> w is exactly E, whose lowest slot holds
@@ -37,6 +37,14 @@ a sum or difference takes the larger bound.  An operation runs at a width
 that holds its result and every operand, and re-encodes an operand stored at
 a narrower width first, so no exponent the scalar ring accepts and no column
 count is ever refused or wrapped around.
+
+The floor of 8 bits keeps keys short.  CPython stores an int in 30-bit
+digits, and every add, hash and dict probe of a kernel pays for each digit
+of a key.  A cube of up to 216 columns with small exponent bounds then packs
+a key into one digit, or two, where 32-bit slots would take three to five.  A
+lower floor saves no digit there and costs re-encoding: below 8 bits an
+operand with n columns and one with n³ ≤ 216 columns get different widths,
+so a product of the two re-encodes one of them first.
 
 Scalars appear only at the boundary.  Entries from outside -- the
 constructor and `from_rows`, which `from_cols` transposes into -- are checked
@@ -64,7 +72,7 @@ from .scalar import Fraction, ParamSet, Scalar
 Vector = tuple[Scalar, ...]
 Terms = dict[int, "int | Fraction"]
 
-_MIN_WIDTH = 32
+_MIN_WIDTH = 8
 _ONE: Terms = {0: 1}
 
 

@@ -408,9 +408,9 @@ class TestProductDifference:
                 product_difference(*operands)
 
 
-# -- packed storage: exponents near and beyond the default slot ---------------------
+# -- packed storage: exponents near and beyond a 32-bit slot ------------------------
 
-# |e| < 2^31 fits the default 32-bit slot; sums of two such exponents, and 2^40,
+# |e| < 2^31 fits a 32-bit slot; sums of two such exponents, and 2^40,
 # do not, so products of these entries need a wider slot than their operands
 BIG_EXPONENTS = [2 ** 31 - 1, -(2 ** 31 - 1), 2 ** 31, -(2 ** 31), 2 ** 40 - 1, 2 ** 40,
                  -(2 ** 40), 2 ** 40 + 1, -(2 ** 40) - 1]
@@ -570,7 +570,7 @@ class TestPackedExactness:
         assert m[0, 0] == Scalar(PS2, {(2 ** 48, -(2 ** 8)): 1})
 
     def test_a_column_beyond_the_default_slot(self):
-        # the column sits in the key's lowest slot, which must widen past 32 bits
+        # the column sits in the key's lowest slot, which must widen to 34 bits
         n = 2 ** 17
         zero, entry = Scalar.zero(PS2), S("lam^-3*nu + 2/3", PS2)
         row = Matrix(1, n, PS2, [zero] * (n - 1) + [entry])

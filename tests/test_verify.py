@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+import homyb.verify
 from homyb import (
     Construction,
     ConstructionWarning,
@@ -39,6 +40,7 @@ from homyb import (
     yb_commutator,
 )
 from homyb.constructions import INVERSE, RECIPES, SYSTEMS
+from homyb.files import structure_from_dict
 from conftest import PS2, random_assignment, structure
 
 
@@ -92,7 +94,43 @@ class TestCommutesWithAlpha:
         assert not commutes_with_alpha(op.matrix, ex43.structure.alpha).holds
 
 
+def z6_document():
+    """k[Z_6] twisted by g ↦ g^5, over λ and ν only, as a structure file document."""
+    n = 6
+
+    def delta(i, j):
+        return "1" if i == j else "0"
+
+    return {
+        "format_version": 1, "kind": "hom-algebra", "name": "Z6", "dim": n,
+        "basis": [f"e{i}" for i in range(n)], "parameters": ["lam", "nu"],
+        "alpha": [[delta(r, 5 * i % n) for i in range(n)] for r in range(n)],
+        "unit": [delta(i, 0) for i in range(n)],
+        "mult": [[[delta(r, 5 * (i + j) % n) for r in range(n)] for j in range(n)]
+                 for i in range(n)],
+    }
+
+
 class TestHybe:
+    def test_keys_of_the_cube_fit_one_digit(self, monkeypatch):
+        # CPython keeps an int of absolute value below 2^30 in one digit; every
+        # wider packed key makes each add, hash and probe of the kernels slower
+        s = structure_from_dict(z6_document())
+        lam, nu = parse_scalar("lam", s.params), parse_scalar("nu", s.params)
+        operands = []
+
+        def recorded(*matrices):
+            operands.extend(matrices)
+            return product_difference(*matrices)
+
+        monkeypatch.setattr(homyb.verify, "product_difference", recorded)
+        for construction in (Construction.ALG21, Construction.ALG24):
+            assert hybe_holds(build(s, construction, lam, nu).matrix, s.alpha).holds
+        # the operands are P, α⊗B, B⊗α and P again, with P = (α⊗B)(B⊗α)
+        assert len(operands) == 8 and {m.rows for m in operands} == {216}
+        keys = [k for m in operands for row in m._rows for k in row]
+        assert keys and all(-(2 ** 30) < k < 2 ** 30 for k in keys)
+
     def test_identity_operator(self, ex23):
         # with B = id the two composites are alpha^2⊗1⊗alpha and alpha⊗1⊗alpha^2:
         # equal for idempotent or identity twists, not in general
