@@ -158,7 +158,7 @@ class TestBuild:
         assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe"]) == 0
         assert main(["verify", structure, "--operator", str(op_path), "--check", "alpha"]) == 0
 
-    def test_report_on_an_operator_file_names_the_file_s_operator(self, export, tmp_path, capsys):
+    def test_report_on_an_operator_file_takes_its_header(self, export, tmp_path, capsys):
         # --construction, --lambda and --nu build nothing when --operator is given,
         # so the report's metadata takes all three from the file's header
         op_path, report_path = tmp_path / "op.json", tmp_path / "report.json"
