@@ -235,6 +235,32 @@ class TestBuild:
         assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe"]) == 2
         assert capsys.readouterr().err == "error: matrix[1][4]: expected ')' (at position 7)\n"
 
+    @pytest.mark.parametrize("cell", [["1"], {"1": "1"}, 1, 0.5], ids=["array", "object", "int", "float"])
+    def test_a_cell_that_is_not_a_string_is_named(self, export, tmp_path, capsys, cell):
+        # the bad cells come after cells already parsed, so a lookup among the
+        # parsed expressions sees them first; an array or object cannot be hashed
+        op_path = tmp_path / "op.json"
+        structure = export("ex2.3")
+        assert main(["build", structure, "--construction", "thm2.1", "--out", str(op_path)]) == 0
+        doc = json.loads(op_path.read_text())
+        doc["matrix"][8][7] = cell
+        op_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe"]) == 2
+        assert capsys.readouterr().err == "error: matrix[8][7]: expected an expression string\n"
+        for key, path in (("alpha", (2, 2)), ("unit", (2,)), ("mult", (2, 1, 0))):
+            doc = json.loads(open(structure).read())
+            *outer, last = path
+            table = doc[key]
+            for index in outer:
+                table = table[index]
+            table[last] = cell
+            bad = tmp_path / f"{key}.json"
+            bad.write_text(json.dumps(doc))
+            assert main(["axioms", str(bad)]) == 2
+            where = "".join(f"[{index}]" for index in path)
+            assert capsys.readouterr().err == f"error: {key}{where}: expected an expression string\n"
+
 
 class TestVerify:
     def test_braid_check_passes_on_3dim_algebra(self, export, capsys):
