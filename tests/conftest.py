@@ -16,10 +16,19 @@ PS2 = ParamSet(["lam", "nu"])
 PS3 = ParamSet(["l", "lam", "nu"])
 
 
+# Every nonzero fraction in [-5, 5] with denominator at most 4, smallest first.
+# Sampling them draws no zero to throw away, unlike filtering `st.fractions`,
+# whose rejected draws made input generation slow enough to fail a health check.
+COEFFICIENTS = sorted(
+    {Fraction(p, q) for q in range(1, 5) for p in range(-5 * q, 5 * q + 1) if p},
+    key=lambda c: (abs(c), c < 0),
+)
+
+
 def scalars(params: ParamSet = PS2, max_terms: int = 4, exp_range: int = 3):
     """Random Laurent polynomials with small exponents and small coefficients."""
     n = len(params)
-    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    coeff = st.sampled_from(COEFFICIENTS)
     exps = st.tuples(*([st.integers(-exp_range, exp_range)] * n))
     return st.dictionaries(exps, coeff, max_size=max_terms).map(
         lambda terms: Scalar(params, terms)
@@ -28,7 +37,7 @@ def scalars(params: ParamSet = PS2, max_terms: int = 4, exp_range: int = 3):
 
 def monomials(params: ParamSet = PS2):
     n = len(params)
-    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool)
+    coeff = st.sampled_from(COEFFICIENTS)
     exps = st.tuples(*([st.integers(-3, 3)] * n))
     return st.builds(lambda e, c: Scalar(params, {e: c}), exps, coeff)
 
