@@ -62,9 +62,10 @@ def _parse_at(expr: Any, params: ParamSet, where: str, parsed: dict[str, Scalar]
     return parsed[expr]
 
 
-def _string_vector(doc: dict, key: str, dim: int, params: ParamSet, parsed: dict) -> list[Scalar]:
-    raw = _get_list(doc, key, dim)
-    return [_parse_at(expr, params, f"{key}[{i}]", parsed) for i, expr in enumerate(raw)]
+def _parse_all(cells: list, params: ParamSet, where: str, parsed: dict) -> list[Scalar]:
+    """The cells of the array at `where`; a string parsed before builds no path."""
+    return [parsed[e] if e.__class__ is str and e in parsed else _parse_at(e, params, f"{where}[{i}]", parsed)
+            for i, e in enumerate(cells)]
 
 
 def _string_matrix(doc: dict, key: str, rows: int, cols: int, params: ParamSet, parsed: dict) -> Matrix:
@@ -72,7 +73,7 @@ def _string_matrix(doc: dict, key: str, rows: int, cols: int, params: ParamSet, 
     data: list[list[Scalar]] = []
     for i, row in enumerate(raw):
         _require(isinstance(row, list) and len(row) == cols, f"{key}: expected {rows}×{cols}")
-        data.append([_parse_at(e, params, f"{key}[{i}][{j}]", parsed) for j, e in enumerate(row)])
+        data.append(_parse_all(row, params, f"{key}[{i}]", parsed))
     return Matrix.from_rows(params, data)
 
 
@@ -88,7 +89,7 @@ def _coord_map(doc: dict, key: str, dim: int, params: ParamSet, parsed: dict) ->
                 isinstance(cell, list) and len(cell) == dim,
                 f"{where}: expected a length-{dim} coordinate vector",
             )
-            cells.append([_parse_at(e, params, f"{where}[{k}]", parsed) for k, e in enumerate(cell)])
+            cells.append(_parse_all(cell, params, where, parsed))
     return Matrix.from_cols(params, cells)
 
 
@@ -153,13 +154,13 @@ def structure_from_dict(doc: dict) -> HomStructure:
     if kind == HomAlgebra.kind:
         return HomAlgebra(
             **base,
-            eta=Matrix.from_cols(params, [_string_vector(doc, "unit", dim, params, parsed)]),
+            eta=Matrix.from_cols(params, [_parse_all(_get_list(doc, "unit", dim), params, "unit", parsed)]),
             mu=_coord_map(doc, "mult", dim, params, parsed),
         )
     if kind == HomCoalgebra.kind:
         return HomCoalgebra(
             **base,
-            epsilon=Matrix.from_rows(params, [_string_vector(doc, "counit", dim, params, parsed)]),
+            epsilon=Matrix.from_rows(params, [_parse_all(_get_list(doc, "counit", dim), params, "counit", parsed)]),
             delta=_comult(doc, dim, params, parsed),
         )
     return HomLieAlgebra(**base, bracket=_coord_map(doc, "bracket", dim, params, parsed))
@@ -214,8 +215,11 @@ def _coord_table(matrix: Matrix, dim: int) -> list:
 
 
 def _matrix_strings(matrix: Matrix) -> list[list[str]]:
-    cells, cols = [format_scalar(s) for s in matrix.data], matrix.cols
-    return [cells[i:i + cols] for i in range(0, len(cells), cols)]
+    """Every cell as an expression string; only the nonzero ones are formatted."""
+    cells = [["0"] * matrix.cols for _ in range(matrix.rows)]
+    for i, j, s in matrix.nonzero():
+        cells[i][j] = format_scalar(s)
+    return cells
 
 
 def _operator_header(op: SolutionOperator, kind: str, construction: str) -> dict:

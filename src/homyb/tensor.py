@@ -51,10 +51,12 @@ constructor and `from_rows`, which `from_cols` transposes into -- are checked
 to lie over the matrix ParamSet and are encoded there.  One decoder,
 `_entries`, groups a row's terms by column and turns them into Scalars; every
 read goes through it: `[i, j]`, `column`, `data`, `nonzero`, `map` and
-`repr`.  `apply` goes through `@`.  A product `@` adds the products of
-the terms of a row into one term map per output row, and
-`product_difference(a, b, c, d)` runs the same accumulation for both products
-of a·b − c·d, the second negated, so a residual that vanishes decodes nothing.
+`repr`.  `apply` goes through `@`.  Each matrix operation is one kernel call
+over all of its rows: `_accumulate` for `@`, `+`, `−` and
+`product_difference(a, b, c, d)`, which adds both products of a·b − c·d into
+one term map per row, the second negated, so a residual that vanishes holds
+neither product whole; `_products`, the same loop without the column
+lookup, for `kron`, `leg13` and `scale`.
 
 Matrices act on coordinate columns, and composition f∘g is the product F·G.
 Tensor legs use the flat-index convention: the basis vector e_i⊗e_j of V⊗W
@@ -64,6 +66,7 @@ way, so e_i⊗e_j⊗e_k of V⊗W⊗U sits at (i·m + j)·p + k with p = dim U.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionError, ParamMismatchError
@@ -73,7 +76,6 @@ Vector = tuple[Scalar, ...]
 Terms = dict[int, "int | Fraction"]
 
 _MIN_WIDTH = 8
-_ONE: Terms = {0: 1}
 
 
 def _check_shape(rows: int, cols: int) -> None:
@@ -122,38 +124,53 @@ def _pack(s: Scalar, width: int) -> Terms:
     return {_encode(exps, width) << width: c for exps, c in s.terms.items()}
 
 
-def _accumulate(acc: Terms, row: Terms, right: Sequence[Terms], mask: int, negate: bool) -> None:
-    """Add the row times the matrix with rows `right`, or its negation, into `acc`.
+def _accumulate(jobs: Iterable[tuple[Terms, Terms, Sequence[Terms], bool]], mask: int) -> None:
+    """For each job (acc, row, right, negate), add row × right, or its negation, into acc.
 
     A term k1 of the row lies in column k = k1 & mask and meets every term k2
     of right row k at key k1 − k + k2, so the products of every output entry
-    are summed term by term without building a Scalar.  With mask 0 every
-    term meets the one row right[0] at key k1 + k2: the product of two term
-    maps, or with right = (_ONE,) a plain sum.
+    are summed term by term without building a Scalar.  With mask 0 and
+    right = ({0: 1},) the row is added as it is.
     """
-    for k1, c1 in row.items():
-        k = k1 & mask
-        k1 -= k
-        if negate:
-            c1 = -c1
-        for k2, c2 in right[k].items():
-            key = k1 + k2
-            c = c1 * c2
-            prev = acc.get(key)
-            if prev is not None:
-                c += prev
-                if not c:
-                    del acc[key]
-                    continue
-            if c.__class__ is not int and c.denominator == 1:
-                c = c.numerator
-            acc[key] = c
+    for acc, row, right, negate in jobs:
+        for k1, c1 in row.items():
+            k = k1 & mask
+            k1 -= k
+            if negate:
+                c1 = -c1
+            for k2, c2 in right[k].items():
+                key = k1 + k2
+                c = c1 * c2
+                prev = acc.get(key)
+                if prev is not None:
+                    c += prev
+                    if not c:
+                        del acc[key]
+                        continue
+                if c.__class__ is not int and c.denominator == 1:
+                    c = c.numerator
+                acc[key] = c
 
 
-def _product(left: Terms, right: Terms) -> Terms:
-    """The product of two packed term maps whose keys add."""
-    out: Terms = {}
-    _accumulate(out, left, (right,), 0, False)
+def _products(pairs: Iterable[tuple[Terms, Terms]]) -> list[Terms]:
+    """The product of the two packed term maps of each pair, whose keys add."""
+    out = []
+    for left, right in pairs:
+        acc: Terms = {}
+        for k1, c1 in left.items():
+            for k2, c2 in right.items():
+                key = k1 + k2
+                c = c1 * c2
+                prev = acc.get(key)
+                if prev is not None:
+                    c += prev
+                    if not c:
+                        del acc[key]
+                        continue
+                if c.__class__ is not int and c.denominator == 1:
+                    c = c.numerator
+                acc[key] = c
+        out.append(acc)
     return out
 
 
@@ -169,7 +186,7 @@ def _nonzero_rows(rows: Iterable[Sequence[Scalar]], params: ParamSet) -> list[di
     for entries in rows:
         row = {}
         for j, entry in enumerate(entries):
-            if entry.params != params:
+            if entry.params is not params and entry.params != params:
                 raise ParamMismatchError("matrix entries must share the matrix ParamSet")
             if entry.terms:
                 row[j] = entry
@@ -316,7 +333,7 @@ class Matrix:
     # -- arithmetic -------------------------------------------------------------
 
     def _check(self, other: "Matrix", same_shape: bool) -> None:
-        if self.params != other.params:
+        if self.params is not other.params and self.params != other.params:
             raise ParamMismatchError("matrices over different parameter sets")
         if same_shape and (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError(
@@ -328,11 +345,8 @@ class Matrix:
         self._check(other, same_shape=True)
         bound = max(self._bound, other._bound)
         width = _width(bound, self.cols, self, other)
-        rows = []
-        for mine, theirs in zip(self._rows_at(width), other._rows_at(width)):
-            row = dict(mine)
-            _accumulate(row, theirs, (_ONE,), 0, negate)
-            rows.append(row)
+        rows = [dict(row) for row in self._rows_at(width)]
+        _accumulate(zip(rows, other._rows_at(width), repeat(({0: 1},)), repeat(negate)), 0)
         return Matrix._new(self.rows, self.cols, self.params, rows, bound, width)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -353,7 +367,7 @@ class Matrix:
         bound = self._bound + _bound([c]) if c.terms else 0
         width = _width(bound, self.cols, self)
         factor = _pack(c, width)
-        rows = [_product(row, factor) for row in self._rows_at(width)]
+        rows = _products((row, factor) for row in self._rows_at(width))
         return Matrix._new(self.rows, self.cols, self.params, rows, bound, width)
 
     def _check_product(self, other: "Matrix") -> None:
@@ -367,12 +381,9 @@ class Matrix:
         self._check_product(other)
         bound = self._bound + other._bound
         width = _width(bound, other.cols, self, other)
-        right, mask = other._rows_at(width), (1 << width) - 1
-        rows = []
-        for row in self._rows_at(width):
-            acc: Terms = {}
-            _accumulate(acc, row, right, mask, False)
-            rows.append(acc)
+        rows: list[Terms] = [{} for _ in range(self.rows)]
+        right = repeat(other._rows_at(width))
+        _accumulate(zip(rows, self._rows_at(width), right, repeat(False)), (1 << width) - 1)
         return Matrix._new(self.rows, other.cols, self.params, rows, bound, width)
 
     def apply(self, vec: Sequence[Scalar]) -> Vector:
@@ -422,7 +433,8 @@ def product_difference(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     """The residual a·b − c·d, accumulated without building either product.
 
     Both products of an output row go term by term into one packed term map,
-    the second negated, and only terms that do not cancel are kept.  When the
+    the second negated and right after the first, and only terms that do not
+    cancel are kept.  When the
     two products agree, the result is empty.
     """
     a._check_product(b)
@@ -432,13 +444,11 @@ def product_difference(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
         raise DimensionError(f"shape mismatch: {a.rows}x{b.cols} vs {c.rows}x{d.cols}")
     bound = max(a._bound + b._bound, c._bound + d._bound)
     width = _width(bound, b.cols, a, b, c, d)
-    b_rows, d_rows, mask = b._rows_at(width), d._rows_at(width), (1 << width) - 1
-    rows = []
-    for row_a, row_c in zip(a._rows_at(width), c._rows_at(width)):
-        acc: Terms = {}
-        _accumulate(acc, row_a, b_rows, mask, False)
-        _accumulate(acc, row_c, d_rows, mask, True)
-        rows.append(acc)
+    b_rows, d_rows = b._rows_at(width), d._rows_at(width)
+    rows: list[Terms] = [{} for _ in range(a.rows)]
+    jobs = (job for acc, row_a, row_c in zip(rows, a._rows_at(width), c._rows_at(width))
+            for job in ((acc, row_a, b_rows, False), (acc, row_c, d_rows, True)))
+    _accumulate(jobs, (1 << width) - 1)
     return Matrix._new(a.rows, b.cols, a.params, rows, bound, width)
 
 
@@ -469,7 +479,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     # a term of A[i,j] moves to column j·m, so adding the key of B[k,l] lands on j·m + l
     a_rows = _shifted(a._rows_at(width), width, lambda j: j * (m - 1))
     b_rows = b._rows_at(width)
-    rows = [_product(arow, brow) for arow in a_rows for brow in b_rows]
+    rows = _products((arow, brow) for arow in a_rows for brow in b_rows)
     return Matrix._new(a.rows * b.rows, a.cols * m, a.params, rows, bound, width)
 
 
@@ -513,12 +523,12 @@ def leg13(s: Matrix, alpha_mid: Matrix, dim_first: int, dim_third: int) -> Matri
     # so adding the two keys lands on (j·mid + l)·d₃ + p
     s_rows = _shifted(s._rows_at(width), width, lambda c: c // dim_third * dim_third * (mid - 1))
     mid_rows = _shifted(alpha_mid._rows_at(width), width, lambda l: l * (dim_third - 1))
-    rows = [
-        _product(s_rows[i * dim_third + k], arow)
+    rows = _products(
+        (s_rows[i * dim_third + k], arow)
         for i in range(dim_first)
         for arow in mid_rows
         for k in range(dim_third)
-    ]
+    )
     return Matrix._new(dim_first * alpha_mid.rows * dim_third, cols, s.params, rows, bound, width)
 
 

@@ -16,6 +16,7 @@ such column, built from the bracket matrix of the Lie algebra and r⊗r.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from itertools import product
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -196,6 +197,12 @@ def inverse_holds(
     return combine("inverse", parts, started, witness_cap=witness_cap)
 
 
+def _commutator(r12: Matrix, s13: Matrix, t23: Matrix) -> Matrix:
+    """[R,S,T] from its embeddings, as R¹²·(S¹³T²³) − T²³·(S¹³R¹²): as many products
+    as from the left, but on a dense alpha about a fifth fewer pairs of terms."""
+    return product_difference(r12, s13 @ t23, t23, s13 @ r12)
+
+
 def yb_commutator(
     r: Matrix,
     s: Matrix,
@@ -208,10 +215,7 @@ def yb_commutator(
     """[R,S,T] = R¹²∘S¹³∘T²³ − T²³∘S¹³∘R¹² on V⊗V'⊗V''.
 
     R acts on V⊗V', S on V⊗V'', T on V'⊗V''; the spare leg of each embedding
-    is twisted by the corresponding space's alpha.  Each side is associated
-    from the right, R¹²·(S¹³T²³) − T²³·(S¹³R¹²).  That is the same matrix,
-    with as many products, as from the left; where alpha is dense, it
-    multiplies about a fifth fewer pairs of terms.
+    is twisted by the corresponding space's alpha.
     """
     n, n2, n3 = dims
     r, s, t = _as_matrix(r), _as_matrix(s), _as_matrix(t)
@@ -219,10 +223,7 @@ def yb_commutator(
         raise DimensionError("commutator operand sizes do not match dims")
     if (alpha_first.rows, alpha_mid.rows, alpha_third.rows) != (n, n2, n3):
         raise DimensionError("twist map sizes do not match dims")
-    r12 = leg12(r, alpha_third)
-    s13 = leg13(s, alpha_mid, n, n3)
-    t23 = leg23(t, alpha_first)
-    return product_difference(r12, s13 @ t23, t23, s13 @ r12)
+    return _commutator(leg12(r, alpha_third), leg13(s, alpha_mid, n, n3), leg23(t, alpha_first))
 
 
 def system_holds(
@@ -231,24 +232,29 @@ def system_holds(
     """The four commutator conditions [W,W,W]=[Z,Z,Z]=[W,X,X]=[X,X,Z]=0.
 
     All three operators act on the same twisted space (the constructions here
-    only produce that case, with V = V').
+    only produce that case, with V = V').  Evaluated in the order of `triples`,
+    each condition shares one of the nine leg embeddings with the next, so
+    each is built once, dropped after its last use, and at most three are held.
     """
     started = time.perf_counter()
     w, z, x = _as_matrix(w), _as_matrix(z), _as_matrix(x)
     n = alpha.rows
-    dims = (n, n, n)
-    parts = []
-    for name, (r, s, t) in (
-        ("[W,W,W]", (w, w, w)),
-        ("[Z,Z,Z]", (z, z, z)),
-        ("[W,X,X]", (w, x, x)),
-        ("[X,X,Z]", (x, x, z)),
-    ):
-        residual = yb_commutator(r, s, t, dims, alpha, alpha, alpha)
-        parts.append(
-            leaf_report(name, residual_witnesses(residual, name), witness_cap=witness_cap)
-        )
-    return combine("system", parts, started, witness_cap=witness_cap)
+    triples = {"[Z,Z,Z]": (z, z, z), "[X,X,Z]": (x, x, z), "[W,X,X]": (w, x, x), "[W,W,W]": (w, w, w)}
+    embed = (lambda op: leg12(op, alpha), lambda op: leg13(op, alpha, n, n), lambda op: leg23(op, alpha))
+    uses = Counter((leg, id(op)) for ops in triples.values() for leg, op in enumerate(ops))
+    built, parts = {}, {}
+    for name, ops in triples.items():
+        legs = []
+        for leg, op in enumerate(ops):
+            key = (leg, id(op))
+            uses[key] -= 1
+            legs.append(built.pop(key) if key in built else embed[leg](op))
+            if uses[key]:
+                built[key] = legs[-1]
+        residual = _commutator(*legs)
+        parts[name] = leaf_report(name, residual_witnesses(residual, name), witness_cap=witness_cap)
+    canonical = [parts[name] for name in ("[W,W,W]", "[Z,Z,Z]", "[W,X,X]", "[X,X,Z]")]
+    return combine("system", canonical, started, witness_cap=witness_cap)
 
 
 def chybe_holds(

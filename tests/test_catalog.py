@@ -1,13 +1,18 @@
 """Catalog entries, printed-table comparison, whole-catalog verification."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homyb import (
+    Matrix,
+    Scalar,
     StructureError,
     UnknownEntryError,
     catalog_get,
     catalog_list,
     compare_table,
+    format_scalar,
     mismatched_pairs,
     parse_scalar,
     validate,
@@ -15,7 +20,8 @@ from homyb import (
     verify_entry,
 )
 from homyb.catalog import CatalogEntry, all_as_expected, build_operator
-from homyb.files import structure_from_dict, structure_to_dict
+from homyb.files import _matrix_strings, structure_from_dict, structure_to_dict
+from conftest import PS2, scalars
 
 
 class TestLookup:
@@ -246,6 +252,20 @@ class TestExportRoundTrip:
         a = dump_json(structure_to_dict(entry.structure))
         b = dump_json(structure_to_dict(entry.structure))
         assert a == b
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_only_nonzero_cells_are_formatted(self, data):
+        # the dense form formats every cell, zeros included, and is the oracle
+        rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+        zero = Scalar.zero(PS2)
+        cells = data.draw(st.lists(st.one_of(st.just(zero), scalars(PS2, max_terms=3)),
+                                   min_size=rows * cols, max_size=rows * cols))
+        for i in data.draw(st.sets(st.integers(0, rows - 1))):
+            cells[i * cols:(i + 1) * cols] = [zero] * cols
+        matrix = Matrix(rows, cols, PS2, cells)
+        dense = [format_scalar(s) for s in matrix.data]
+        assert _matrix_strings(matrix) == [dense[i:i + cols] for i in range(0, len(dense), cols)]
 
 
 def _strings(value):

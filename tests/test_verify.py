@@ -41,6 +41,7 @@ from homyb import (
 )
 from homyb.constructions import INVERSE, RECIPES, SYSTEMS
 from homyb.files import structure_from_dict
+from homyb.verify import residual_witnesses
 from conftest import PS2, random_assignment, structure
 
 
@@ -319,6 +320,31 @@ class TestCommutatorAndSystems:
             (w for _, witnesses in expected for w in witnesses),
             key=lambda w: (w.row, w.col, w.label),
         )
+
+    def test_each_leg_embedding_is_built_once(self, ex23, monkeypatch):
+        # the four conditions share their embeddings: nine distinct ones for W, Z
+        # and X, three when one operator stands for all three; sharing them
+        # changes no subreport of the failing triple above
+        a, lam, nu = ex23.structure, ex23.lam(), ex23.nu()
+        w, z, _ = (op.matrix for op in build_many(a, SYSTEMS["thm5.2"], lam, nu))
+        x = build(a, Construction.ALG21, lam, nu).matrix
+        n, alpha = a.dim, a.alpha
+        expected = [
+            (name, list(residual_witnesses(yb_commutator(r, s, t, (n, n, n), alpha, alpha, alpha), name)))
+            for name, (r, s, t) in system_commutators(w, z, x)
+        ]
+        legs = ("leg12", "leg13", "leg23")
+        calls = []
+        for leg in legs:
+            embed = getattr(homyb.verify, leg)
+            monkeypatch.setattr(homyb.verify, leg, lambda op, *rest, leg=leg, embed=embed: (
+                calls.append((leg, id(op))) or embed(op, *rest)))
+        report = system_holds(w, z, x, alpha, witness_cap=None)
+        assert sorted(calls) == sorted((leg, id(op)) for leg in legs for op in (w, z, x))
+        assert [(p.check_name, p.witnesses) for p in report.subreports] == expected
+        calls.clear()
+        assert system_holds(w, w, w, alpha).holds
+        assert sorted(calls) == [(leg, id(w)) for leg in legs]
 
     def test_identity_system(self):
         i2 = Matrix.identity(2, PS2)
