@@ -6,11 +6,19 @@ deviate from the closed-form operator are recorded per entry, so the catalog
 doubles as an errata record: `verify-all` treats a deviation as expected
 exactly when it is documented.
 
+Each entry is a JSON document, `entries/<id>.json` next to this module, read
+when the entry is first asked for.  Its `structure` is a structure-file
+document in the canonical form `catalog export` writes, loaded by
+`files.structure_from_dict`, so the built-in examples pass the same checks as
+user files.  Beside it are the entry's `description`, its construction
+(`variant`), the `checks` it runs (names of `_CHECKS`, in report order), the
+printed `table` as [left, right, [[p, q, coefficient], ...]] rows,
+`documented_mismatches`, `expected_failures`, `u`, `involutive_at` and
+`notes`.  To add an entry, write its document and add its id to `_IDS`.
+
 Basis names, tables and twist maps follow the published examples; the
 parameter printed as k is named `kk` here to avoid colliding with the ground
-field in prose and file formats.  Each structure is written as a structure-file
-document and loaded by `files.structure_from_dict`, so the built-in examples
-pass the same checks as user files.
+field in prose and file formats.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import time
 import warnings
 from fractions import Fraction
 from functools import cached_property
+from pathlib import Path
 from typing import Callable, Sequence
 
 from ._record import field, record
@@ -33,10 +42,10 @@ from .constructions import (
     build,
     chybe_r,
 )
-from .errors import ConstructionWarning, UnknownEntryError
-from .files import _parse_at, structure_from_dict
+from .errors import ConstructionWarning, StructureError, UnknownEntryError
+from .files import _parse_at, _read_json, structure_from_dict
 from .scalar import Scalar, parse_scalar
-from .structures import HomAlgebra, HomCoalgebra, HomLieAlgebra, HomStructure, validate
+from .structures import HomLieAlgebra, HomStructure, validate
 from .tensor import Vector
 from .verify import DEFAULT_WITNESS_CAP, VerificationReport, Witness, clip, combine
 # not called here; perfbench/test_perfbench.py::test_tracer_counts_and_restores reads it
@@ -44,9 +53,6 @@ from .verify import hybe_holds  # noqa: F401
 
 # printed table: (left basis name, right basis name) -> summands (p, q, coeff expr)
 PrintedTable = dict[tuple[str, str], list[tuple[str, str, str]]]
-
-# the checks every entry with an operator runs first
-_OPERATOR_CHECKS = ("axioms", "table", "alpha-commute", "hybe")
 
 
 @record(frozen=True)
@@ -105,310 +111,53 @@ class TableComparison:
     match: bool
 
 
-# -- the published structures ---------------------------------------------------
+# -- the published entries -------------------------------------------------------
 
-
-def _structure(cls: type, **doc) -> HomStructure:
-    """A structure-file document, given all but its kind and dim, loaded as a file is."""
-    return structure_from_dict({"kind": cls.kind, "dim": len(doc["basis"]), **doc})
-
-
-def _entry_ex23() -> CatalogEntry:
-    structure = _structure(
-        HomAlgebra,
-        name="ex2.3",
-        basis=["x1", "x2", "x3"],
-        parameters=["l", "lam", "nu"],
-        unit=["1", "0", "0"],
-        mult=[
-            [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "l"]],
-            [["0", "1", "0"], ["0", "1", "0"], ["0", "0", "l"]],
-            [["0", "0", "l"], ["0", "0", "0"], ["0", "0", "0"]],
-        ],
-        alpha=[["1", "0", "0"], ["0", "1", "0"], ["0", "0", "l"]],
-    )
-    table: PrintedTable = {
-        ("x1", "x1"): [("x1", "x1", "nu")],
-        ("x1", "x2"): [("x2", "x1", "lam"), ("x1", "x2", "nu - lam")],
-        ("x1", "x3"): [("x3", "x1", "lam*l"), ("x1", "x3", "l*(nu - lam)")],
-        ("x2", "x1"): [("x1", "x2", "nu")],
-        ("x2", "x2"): [("x2", "x1", "lam"), ("x1", "x2", "nu"), ("x2", "x2", "-lam")],
-        ("x2", "x3"): [("x3", "x1", "lam*l"), ("x1", "x3", "nu*l"), ("x2", "x3", "-lam*l")],
-        ("x3", "x1"): [("x1", "x3", "nu*l")],
-        ("x3", "x2"): [("x3", "x2", "-lam*l")],
-        ("x3", "x3"): [("x3", "x3", "-lam*l^2")],
-    }
-    return CatalogEntry(
-        id="ex2.3",
-        description="3-dim twisted algebra with parameter l; algebra operator, first variant",
-        structure=structure,
-        variant=Construction.ALG21,
-        expected_table=table,
-        expected_failures=frozenset({"inverse-symbolic"}),
-        notes=(
-            "alpha = diag(1,1,l) is involutive only at l = 1; the closed-form "
-            "inverse is checked there, and with symbolic l the inverse law fails "
-            "with every residual divisible by (l^2 - 1).",
-        ),
-        involutive_at={"l": "1"},
-        checks=_OPERATOR_CHECKS + ("system", "inverse", "inverse-symbolic"),
-    )
-
-
-def _entry_ex25(verbatim: bool) -> CatalogEntry:
-    gg = ["0", "1", "0", "0"] if verbatim else ["1", "0", "0", "0"]
-    xg = ["0", "0", "0", "kk"] if verbatim else ["0", "0", "0", "-kk"]
-    structure = _structure(
-        HomAlgebra,
-        name="ex2.5-verbatim" if verbatim else "ex2.5",
-        basis=["1", "g", "x", "y"],
-        parameters=["kk", "lam", "nu"],
-        unit=["1", "0", "0", "0"],
-        mult=[
-            [["1", "0", "0", "0"], ["0", "1", "0", "0"],
-             ["0", "0", "kk", "0"], ["0", "0", "0", "kk"]],
-            [["0", "1", "0", "0"], gg,
-             ["0", "0", "0", "kk"], ["0", "0", "kk", "0"]],
-            [["0", "0", "kk", "0"], xg,
-             ["0", "0", "0", "0"], ["0", "0", "0", "0"]],
-            [["0", "0", "0", "kk"], ["0", "0", "-kk", "0"],
-             ["0", "0", "0", "0"], ["0", "0", "0", "0"]],
-        ],
-        alpha=[
-            ["1", "0", "0", "0"],
-            ["0", "1", "0", "0"],
-            ["0", "0", "kk", "0"],
-            ["0", "0", "0", "kk"],
-        ],
-    )
-    table: PrintedTable = {
-        ("1", "1"): [("1", "1", "lam")],
-        ("1", "g"): [("g", "1", "lam")],
-        ("1", "x"): [("x", "1", "lam*kk")],
-        ("1", "y"): [("1", "y", "lam*kk")],
-        ("g", "1"): [("g", "1", "lam - nu"), ("1", "g", "nu")],
-        ("g", "g"): [("1", "1", "lam + nu"), ("g", "g", "-nu")],
-        ("g", "x"): [("y", "1", "lam*kk"), ("1", "y", "nu*kk"), ("g", "x", "-nu*kk")],
-        ("g", "y"): [("x", "1", "lam*kk"), ("1", "x", "nu*kk"), ("g", "y", "-nu*kk")],
-        ("x", "1"): [("x", "1", "kk*(lam - nu)"), ("1", "x", "nu*kk")],
-        ("x", "g"): [("y", "1", "-lam*kk"), ("1", "y", "-nu*kk"), ("x", "g", "-lam*kk")],
-        ("x", "x"): [("x", "x", "-kk^2")],
-        ("x", "y"): [("x", "y", "-kk^2")],
-        ("y", "1"): [("y", "1", "kk*(lam - nu)"), ("1", "y", "nu*kk")],
-        ("y", "g"): [("x", "1", "-lam*kk"), ("1", "x", "-nu*kk"), ("y", "g", "-lam*kk")],
-        ("y", "x"): [("y", "x", "-kk^2")],
-        ("y", "y"): [("y", "y", "-kk^2")],
-    }
-    if verbatim:
-        return CatalogEntry(
-            id="ex2.5-verbatim",
-            description="4-dim twisted algebra, multiplication table exactly as printed (broken)",
-            structure=structure,
-            expected_failures=frozenset({"axioms"}),
-            notes=(
-                "With the printed mu(g,g)=g and mu(x,g)=kk*y the twisted "
-                "associativity fails; first witness triple (g,g,x).",
-            ),
-        )
-    return CatalogEntry(
-        id="ex2.5",
-        description="4-dim twisted algebra (corrected gg=1, xg=-kk*y); algebra operator, second variant",
-        structure=structure,
-        variant=Construction.ALG24,
-        expected_table=table,
-        documented_mismatches=frozenset(
-            {("1", "y"), ("x", "g"), ("y", "g"), ("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")}
-        ),
-        notes=(
-            "Corrections relative to the printed table: gg = 1 (the printed "
-            "B(g⊗g) and the axioms force it) and xg = -kk*y (the axioms and the "
-            "printed B(x⊗g) summands force the sign).",
-            "Documented table deviations: B(1⊗y) appears with the legs swapped; "
-            "B(x⊗g) and B(y⊗g) print the twist coefficient -lam*kk where the "
-            "operator has -nu*kk; the four -kk^2 rows drop the nu factor.",
-        ),
-        involutive_at={"kk": "1"},
-        checks=_OPERATOR_CHECKS + ("system", "inverse"),
-    )
-
-
-def _entry_ex33() -> CatalogEntry:
-    structure = _structure(
-        HomCoalgebra,
-        name="ex3.3",
-        basis=["1", "a", "a2"],
-        parameters=["lam", "nu"],
-        counit=["1", "1", "1"],
-        comult=[
-            [[0, 0, "1"]],
-            [[2, 2, "1"]],
-            [[1, 1, "1"]],
-        ],
-        alpha=[
-            ["1", "0", "0"],
-            ["0", "0", "1"],
-            ["0", "1", "0"],
-        ],
-    )
-    table: PrintedTable = {
-        ("1", "1"): [("1", "1", "nu")],
-        ("1", "a"): [("a2", "a2", "lam"), ("1", "1", "nu"), ("1", "a2", "-lam")],
-        ("1", "a2"): [("a", "a", "lam"), ("1", "1", "nu"), ("1", "a", "-lam")],
-        ("a", "1"): [("1", "1", "lam"), ("a2", "a2", "nu"), ("a2", "1", "-lam")],
-        ("a", "a"): [("a2", "a2", "nu")],
-        ("a", "a2"): [("a", "a", "lam"), ("a2", "a2", "nu"), ("a2", "a", "-lam")],
-        ("a2", "1"): [("1", "1", "lam"), ("a", "a", "nu"), ("a", "1", "-lam")],
-        ("a2", "a"): [("a", "a", "nu")],
-        ("a2", "a2"): [("a2", "a2", "lam"), ("a", "a", "nu"), ("a", "a2", "-lam")],
-    }
-    return CatalogEntry(
-        id="ex3.3",
-        description="3-dim twisted coalgebra on {1, a, a2}; coalgebra operator, first variant",
-        structure=structure,
-        variant=Construction.COALG31,
-        expected_table=table,
-        documented_mismatches=frozenset({("a2", "a"), ("a2", "a2")}),
-        notes=(
-            "The source defines alpha(a)=a2 twice and never alpha(a2); the "
-            "counit compatibility forces alpha(a2)=a, which is what is stored.",
-            "The printed rows B(a2⊗a) and B(a2⊗a2) are each other's correct "
-            "values (swapped in print); both deviations are documented.",
-        ),
-        checks=_OPERATOR_CHECKS + ("system", "inverse"),
-    )
-
-
-def _entry_ex35() -> CatalogEntry:
-    structure = _structure(
-        HomCoalgebra,
-        name="ex3.5",
-        basis=["1", "g", "x", "y"],
-        parameters=["kk", "lam", "nu"],
-        counit=["1", "1", "0", "0"],
-        comult=[
-            [[0, 0, "1"]],
-            [[1, 1, "1"]],
-            [[2, 0, "kk"], [1, 2, "kk"]],
-            [[3, 1, "kk"], [0, 3, "kk"]],
-        ],
-        alpha=[
-            ["1", "0", "0", "0"],
-            ["0", "1", "0", "0"],
-            ["0", "0", "kk", "0"],
-            ["0", "0", "0", "kk"],
-        ],
-    )
-    table: PrintedTable = {
-        ("1", "1"): [("1", "1", "lam")],
-        ("1", "g"): [("g", "g", "lam"), ("1", "1", "nu"), ("1", "g", "-nu")],
-        ("1", "x"): [("x", "1", "lam*kk"), ("g", "x", "lam*kk"), ("1", "x", "-nu*kk")],
-        ("1", "y"): [("y", "g", "lam*kk"), ("1", "y", "lam*kk"), ("1", "y", "-nu*kk")],
-        ("g", "1"): [("1", "1", "lam"), ("g", "g", "nu"), ("g", "1", "-nu")],
-        ("g", "g"): [("g", "g", "lam")],
-        ("g", "x"): [("x", "1", "lam*kk"), ("g", "x", "lam*kk"), ("g", "x", "-nu*kk")],
-        ("g", "y"): [("y", "g", "lam*kk"), ("1", "y", "nu*kk"), ("g", "y", "-nu*kk")],
-        ("x", "1"): [("g", "x", "nu*kk")],
-        ("x", "g"): [("x", "1", "nu*kk"), ("g", "x", "nu*kk"), ("x", "g", "-nu*kk")],
-        ("x", "x"): [("x", "x", "-kk^2")],
-        ("x", "y"): [("x", "y", "-kk^2")],
-        ("y", "1"): [("y", "g", "nu*kk"), ("1", "y", "nu*kk"), ("y", "1", "-nu*kk")],
-        ("y", "g"): [("y", "g", "nu*kk"), ("1", "y", "nu*kk"), ("y", "g", "-nu*kk")],
-        ("y", "x"): [("y", "x", "-kk^2")],
-        ("y", "y"): [("y", "y", "-kk^2")],
-    }
-    return CatalogEntry(
-        id="ex3.5",
-        description="4-dim twisted coalgebra on {1, g, x, y}; coalgebra operator, second variant",
-        structure=structure,
-        variant=Construction.COALG34,
-        expected_table=table,
-        documented_mismatches=frozenset(
-            {("g", "y"), ("x", "x"), ("x", "y"), ("y", "x"), ("y", "y")}
-        ),
-        notes=(
-            "Documented table deviations: B(g⊗y) prints nu*kk on the middle "
-            "summand where the operator has lam*kk; the four -kk^2 rows drop "
-            "the nu factor.",
-        ),
-        involutive_at={"kk": "1"},
-        checks=_OPERATOR_CHECKS + ("system", "inverse"),
-    )
-
-
-def _entry_ex43() -> CatalogEntry:
-    structure = _structure(
-        HomLieAlgebra,
-        name="ex4.3",
-        basis=["e1", "e2", "e3"],
-        parameters=["lam", "nu"],
-        bracket=[
-            [["0", "0", "0"], ["1", "0", "0"], ["0", "0", "0"]],
-            [["-1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
-            [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
-        ],
-        alpha=[
-            ["1", "0", "0"],
-            ["0", "1", "0"],
-            ["0", "0", "-1"],
-        ],
-    )
-    table: PrintedTable = {
-        ("e1", "e1"): [("e1", "e1", "-nu")],
-        ("e1", "e2"): [("e1", "e3", "lam"), ("e2", "e1", "-nu")],
-        ("e1", "e3"): [("e3", "e1", "nu")],
-        ("e2", "e1"): [("e1", "e3", "-lam"), ("e1", "e2", "-nu")],
-        ("e2", "e2"): [("e2", "e2", "-nu")],
-        ("e2", "e3"): [("e3", "e2", "nu")],
-        ("e3", "e1"): [("e1", "e3", "nu")],
-        ("e3", "e2"): [("e2", "e3", "nu")],
-        ("e3", "e3"): [("e3", "e3", "-nu")],
-    }
-    return CatalogEntry(
-        id="ex4.3",
-        description="3-dim twisted Lie algebra [e1,e2]=e1, alpha = diag(1,1,-1); bracket operator with u=e3",
-        structure=structure,
-        variant=Construction.LIE41,
-        expected_table=table,
-        expected_failures=frozenset({"alpha-commute", "hybe", "hybe-inverse"}),
-        notes=(
-            "u = e3 is central but not fixed by alpha (alpha(e3) = -e3), so the "
-            "stated invariance hypothesis of the bracket construction fails and "
-            "the builder warns.  The published table is reproduced exactly, but "
-            "the operator does not commute with alpha⊗alpha and the braid "
-            "identity genuinely fails: the residual is supported on exactly two "
-            "entries, +-2*lam^2*nu at output e1⊗e3⊗e3 against inputs e1⊗e2⊗e2 "
-            "and e2⊗e1⊗e2 (hand-checkable; it vanishes whenever alpha fixes u, "
-            "and the same operator over alpha = id passes).  Likewise the "
-            "nu = 1 inverse operator fails the braid identity.  The inverse "
-            "law itself and the classical bracket condition do hold.",
-        ),
-        u=("0", "0", "1"),
-        checks=_OPERATOR_CHECKS + ("inverse", "hybe-inverse", "chybe"),
-    )
-
-
-_BUILDERS: dict[str, Callable[[], CatalogEntry]] = {
-    "ex2.3": _entry_ex23,
-    "ex2.5": lambda: _entry_ex25(verbatim=False),
-    "ex2.5-verbatim": lambda: _entry_ex25(verbatim=True),
-    "ex3.3": _entry_ex33,
-    "ex3.5": _entry_ex35,
-    "ex4.3": _entry_ex43,
-}
+# entry ids in catalog order; entry `id` is the document `entries/<id>.json`
+_IDS = ("ex2.3", "ex2.5", "ex2.5-verbatim", "ex3.3", "ex3.5", "ex4.3")
+_ENTRIES = Path(__file__).with_name("entries")
 
 _CACHE: dict[str, CatalogEntry] = {}
 
 
+def _load(entry_id: str) -> CatalogEntry:
+    """The entry in its document; a missing or malformed one raises StructureError naming it."""
+    path = _ENTRIES / f"{entry_id}.json"
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise StructureError(f"{path}: expected a JSON object")
+    try:
+        table = doc.get("table")
+        return CatalogEntry(
+            id=entry_id,
+            description=doc["description"],
+            structure=structure_from_dict(doc["structure"]),
+            notes=tuple(doc["notes"]),
+            variant=Construction(doc["variant"]) if "variant" in doc else None,
+            expected_table=None if table is None else {
+                (a, b): [tuple(s) for s in summands] for a, b, summands in table},
+            documented_mismatches=frozenset(map(tuple, doc.get("documented_mismatches", ()))),
+            expected_failures=frozenset(doc.get("expected_failures", ())),
+            u=tuple(doc["u"]) if "u" in doc else None,
+            involutive_at=doc.get("involutive_at", {}),
+            checks=tuple(doc["checks"]),
+        )
+    except KeyError as exc:
+        raise StructureError(f"{path}: missing {exc}") from None
+    except (StructureError, TypeError, ValueError) as exc:
+        raise StructureError(f"{path}: {exc}") from None
+
+
 def catalog_list() -> list[tuple[str, str]]:
     """All entry ids with one-line descriptions, in stable order."""
-    return [(eid, catalog_get(eid).description) for eid in _BUILDERS]
+    return [(eid, catalog_get(eid).description) for eid in _IDS]
 
 
 def catalog_get(entry_id: str) -> CatalogEntry:
-    if entry_id not in _BUILDERS:
+    if entry_id not in _IDS:
         raise UnknownEntryError(f"unknown catalog id {entry_id!r}")
     if entry_id not in _CACHE:
-        _CACHE[entry_id] = _BUILDERS[entry_id]()
+        _CACHE[entry_id] = _load(entry_id)
     return _CACHE[entry_id]
 
 
@@ -587,7 +336,7 @@ def verify_entry(
 
 def verify_all(*, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> list[VerificationReport]:
     """Verify every catalog entry; one composite report per entry, stable order."""
-    return [verify_entry(catalog_get(eid), witness_cap=witness_cap) for eid in _BUILDERS]
+    return [verify_entry(catalog_get(eid), witness_cap=witness_cap) for eid in _IDS]
 
 
 def all_as_expected(reports: Sequence[VerificationReport]) -> bool:

@@ -9,11 +9,16 @@ import pytest
 from hypothesis import strategies as st
 
 from homyb import Matrix, ParamSet, Scalar, catalog_get
-from homyb.catalog import _structure as structure  # a document loaded as a file is
+from homyb.files import structure_from_dict
 
 
 PS2 = ParamSet(["lam", "nu"])
 PS3 = ParamSet(["l", "lam", "nu"])
+
+
+def structure(cls: type, **doc):
+    """A structure-file document, given all but its kind and dim, loaded as a file is."""
+    return structure_from_dict({"kind": cls.kind, "dim": len(doc["basis"]), **doc})
 
 
 # Every nonzero fraction in [-5, 5] with denominator at most 4, smallest first.

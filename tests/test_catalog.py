@@ -1,10 +1,15 @@
-"""Catalog entries, printed-table comparison, whole-catalog verification."""
+"""Catalog entries and their documents, printed-table comparison, whole-catalog verification."""
+
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homyb.catalog
 from homyb import (
+    Construction,
     Matrix,
     Scalar,
     StructureError,
@@ -19,9 +24,12 @@ from homyb import (
     verify_all,
     verify_entry,
 )
-from homyb.catalog import CatalogEntry, all_as_expected, build_operator
-from homyb.files import _matrix_strings, structure_from_dict, structure_to_dict
+from homyb.catalog import _CHECKS, _IDS, CatalogEntry, all_as_expected, build_operator
+from homyb.cli import main
+from homyb.files import _matrix_strings, dump_json, structure_from_dict, structure_to_dict
 from conftest import PS2, scalars
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestLookup:
@@ -44,6 +52,67 @@ class TestLookup:
     def test_unknown_id(self):
         with pytest.raises(UnknownEntryError):
             catalog_get("nope")
+
+
+class TestDocuments:
+    """Each entry is the document `entries/<id>.json` beside the catalog module."""
+
+    @staticmethod
+    def document(entry_id):
+        return json.loads((homyb.catalog._ENTRIES / f"{entry_id}.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("entry_id", _IDS)
+    def test_export_writes_the_stored_structure_document(self, entry_id, tmp_path):
+        stored = self.document(entry_id)["structure"]
+        assert structure_to_dict(structure_from_dict(stored)) == stored
+        out = tmp_path / "export.json"
+        assert main(["catalog", "export", entry_id, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == dump_json(stored)  # key order included
+
+    @pytest.mark.parametrize("entry_id", _IDS)
+    def test_every_reference_resolves(self, entry_id):
+        entry = catalog_get(entry_id)
+        basis = entry.structure.basis
+        if entry.expected_table is not None:
+            assert sorted(entry.expected_table) == [(a, b) for a in basis for b in basis]
+            for summands in entry.expected_table.values():
+                for p, q, expr in summands:
+                    assert p in basis and q in basis and isinstance(expr, str)
+        for pair in entry.documented_mismatches:
+            assert len(pair) == 2 and set(pair) <= set(basis)
+        if entry.u is not None:
+            assert len(entry.u) == entry.structure.dim
+        assert set(entry.checks) <= set(_CHECKS)
+        assert entry.expected_failures <= set(entry.check_names())
+        variant = self.document(entry_id).get("variant")
+        assert variant is None or variant in {c.value for c in Construction}
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read"),
+        ("{", "invalid JSON"),
+        ("[]", "expected a JSON object"),
+        ('{"description": "d", "notes": [], "checks": []}', "missing 'structure'"),
+    ], ids=["missing", "not-json", "not-an-object", "no-structure"])
+    def test_a_bad_document_exits_two_and_is_named(self, content, message, tmp_path, monkeypatch,
+                                                   capsys):
+        path = tmp_path / "ex2.3.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        monkeypatch.setattr(homyb.catalog, "_ENTRIES", tmp_path)
+        monkeypatch.setattr(homyb.catalog, "_CACHE", {})
+        assert main(["catalog", "list"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and message in err
+
+    def test_every_document_is_package_data(self):
+        tomllib = pytest.importorskip("tomllib")
+        config = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))
+        package = ROOT / "src" / "homyb"
+        shipped = {p for pattern in config["tool"]["setuptools"]["package-data"]["homyb"]
+                   for p in package.glob(pattern)}
+        documents = set(homyb.catalog._ENTRIES.iterdir())
+        assert documents == {homyb.catalog._ENTRIES / f"{eid}.json" for eid in _IDS}
+        assert documents <= shipped
 
 
 class TestCompareTable:
