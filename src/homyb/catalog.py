@@ -127,15 +127,14 @@ def _load(entry_id: str) -> CatalogEntry:
     if not isinstance(doc, dict):
         raise StructureError(f"{path}: expected a JSON object")
     try:
-        table = doc.get("table")
+        structure, table = structure_from_dict(doc["structure"]), doc.get("table")
         return CatalogEntry(
             id=entry_id,
             description=doc["description"],
-            structure=structure_from_dict(doc["structure"]),
+            structure=structure,
             notes=tuple(doc["notes"]),
             variant=Construction(doc["variant"]) if "variant" in doc else None,
-            expected_table=None if table is None else {
-                (a, b): [tuple(s) for s in summands] for a, b, summands in table},
+            expected_table=None if table is None else _printed_table(table, structure.basis),
             documented_mismatches=frozenset(map(tuple, doc.get("documented_mismatches", ()))),
             expected_failures=frozenset(doc.get("expected_failures", ())),
             u=tuple(doc["u"]) if "u" in doc else None,
@@ -146,6 +145,16 @@ def _load(entry_id: str) -> CatalogEntry:
         raise StructureError(f"{path}: missing {exc}") from None
     except (StructureError, TypeError, ValueError) as exc:
         raise StructureError(f"{path}: {exc}") from None
+
+
+def _printed_table(table: list, basis: Sequence[str]) -> PrintedTable:
+    """The table by basis pair, its shape checked; the coefficients are parsed when compared."""
+    rows = {(a, b): [tuple(s) for s in summands] for a, b, summands in table}
+    if len(rows) != len(table) or set(rows) != {(a, b) for a in basis for b in basis}:
+        raise StructureError("table: expected one [left, right, summands] row per pair of basis names")
+    if any(len(s) != 3 or not {s[0], s[1]} <= set(basis) for summands in rows.values() for s in summands):
+        raise StructureError("table: expected each summand as [p, q, coefficient] with p, q basis names")
+    return rows
 
 
 def catalog_list() -> list[tuple[str, str]]:

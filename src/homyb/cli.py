@@ -31,7 +31,9 @@ from .constructions import (
 from .errors import ConstructionWarning, HomybError
 from .scalar import Scalar, expression_names, parse_scalar
 from .structures import HomLieAlgebra, HomStructure, validate
-from .verify import DEFAULT_WITNESS_CAP, VerificationReport, commutes_with_alpha, hybe_holds
+from .verify import DEFAULT_WITNESS_CAP, VerificationReport
+# not called here; perfbench/test_perfbench.py::test_tracer_counts_and_restores reads it
+from .verify import hybe_holds  # noqa: F401
 
 # --construction name -> the constructions it builds: the single operators, then the systems
 _CONSTRUCTIONS = dict(sorted(CHECKS["hybe"].builds.items())) | dict(sorted(SYSTEMS.items()))
@@ -221,8 +223,7 @@ def _run_check(args, structure, lam, nu) -> tuple[VerificationReport, dict]:
         structure = _extended(structure, matrix.params.names)
         if matrix.params != structure.params:
             matrix = matrix.extend(structure.params)
-        checker = commutes_with_alpha if name == "alpha" else hybe_holds
-        return checker(matrix, structure.alpha), source
+        return check.report(structure, (matrix,), DEFAULT_WITNESS_CAP), source
     if not check.builds:  # chybe builds no operator
         r = _chybe_r(args, structure, check)
         return check.report(structure, r, DEFAULT_WITNESS_CAP), source

@@ -480,9 +480,9 @@ class Check:
     """An identity check: the constructions it builds for each name it takes, and its report.
 
     chybe takes no name: it is given r from `chybe_r`.  `report(structure,
-    built, cap)` decides the identity on what was built on the structure, with
-    at most `cap` witnesses.  `needs` says what the check must be given, as the
-    command line asks for it.
+    built, cap)` decides the identity on what was built on the structure (alpha
+    and hybe also take a bare operator matrix), with at most `cap` witnesses.
+    `needs` says what the check must be given, as the command line asks for it.
     """
 
     builds: dict[str, tuple[Construction, ...]]
@@ -497,9 +497,9 @@ _PAIRS = {c.value: (RECIPES[c].inverts, c) for c in sorted(INVERSE.values(), key
 # runs, so a wrapper bound there in place of the checker is the one called.
 CHECKS: dict[str, Check] = {
     "alpha": Check(_SINGLES, "a single-operator construction", lambda s, ops, cap:
-                   verify.commutes_with_alpha(ops[0].matrix, s.alpha, witness_cap=cap)),
+                   verify.commutes_with_alpha(ops[0], s.alpha, witness_cap=cap)),
     "hybe": Check(_SINGLES, "a single-operator construction", lambda s, ops, cap:
-                  verify.hybe_holds(ops[0].matrix, s.alpha, witness_cap=cap)),
+                  verify.hybe_holds(ops[0], s.alpha, witness_cap=cap)),
     "inverse": Check(_PAIRS, "--construction among " + ", ".join(_PAIRS), lambda s, ops, cap:
                      verify.inverse_holds(ops[0].matrix, ops[1].matrix, witness_cap=cap)),
     "system": Check(SYSTEMS, "--construction " + " or ".join(SYSTEMS), lambda s, ops, cap:

@@ -10,20 +10,19 @@ Each matrix identity is written as X·Y = Z·W, and its residual X·Y − Z·W
 comes from `tensor.product_difference`: both sides are added into one packed
 term map per entry and only the entries that do not cancel are read back as
 Scalars, so a pass builds no Scalar.  The classical condition on r is one
-such column, built from the bracket matrix of the Lie algebra and r⊗r.
+such column, from the Lie bracket and r⊗r = `kron(r, r)` with legs 2, 3 flipped.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from itertools import product
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from ._record import record
 from .errors import DimensionError
 from .scalar import Scalar
-from .tensor import Matrix, kron, leg12, leg13, leg23, product_difference, tensor2
+from .tensor import Matrix, flip, kron, leg12, leg13, leg23, product_difference
 
 if TYPE_CHECKING:  # pragma: no cover
     from .structures import HomLieAlgebra
@@ -111,6 +110,12 @@ def residual_witnesses(residual: Matrix, label: str = "") -> Iterator[Witness]:
     return (Witness(i, j, s, label) for i, j, s in residual.nonzero())
 
 
+def _report(name: str, residual: Matrix, cap: int | None, started: float | None = None,
+            label: str = "", **metadata: str) -> VerificationReport:
+    """The report on an identity whose residual is `residual`, one witness per nonzero entry."""
+    return leaf_report(name, residual_witnesses(residual, label), witness_cap=cap, started=started, **metadata)
+
+
 def combine(
     name: str,
     parts: list[VerificationReport],
@@ -152,10 +157,7 @@ def commutes_with_alpha(
     started = time.perf_counter()
     b = _operator_on_square(b, alpha)
     aa = kron(alpha, alpha)
-    return leaf_report(
-        "alpha-commute", residual_witnesses(product_difference(aa, b, b, aa)),
-        witness_cap=witness_cap, started=started,
-    )
+    return _report("alpha-commute", product_difference(aa, b, b, aa), witness_cap, started)
 
 
 def hybe_holds(
@@ -172,10 +174,7 @@ def hybe_holds(
     ab = kron(alpha, b)
     ba = kron(b, alpha)
     p = ab @ ba
-    return leaf_report(
-        "hybe", residual_witnesses(product_difference(p, ab, ba, p)),
-        witness_cap=witness_cap, started=started,
-    )
+    return _report("hybe", product_difference(p, ab, ba, p), witness_cap, started)
 
 
 def inverse_holds(
@@ -189,9 +188,7 @@ def inverse_holds(
         raise DimensionError("inverse check needs equal square matrices")
     ident = Matrix.identity(b.rows, b.params)
     parts = [
-        leaf_report(f"inverse:{label}",
-                    residual_witnesses(product_difference(x, y, ident, ident), label),
-                    witness_cap=witness_cap)
+        _report(f"inverse:{label}", product_difference(x, y, ident, ident), witness_cap, label=label)
         for label, x, y in (("B∘Binv", b, binv), ("Binv∘B", binv, b))
     ]
     return combine("inverse", parts, started, witness_cap=witness_cap)
@@ -251,8 +248,7 @@ def system_holds(
             legs.append(built.pop(key) if key in built else embed[leg](op))
             if uses[key]:
                 built[key] = legs[-1]
-        residual = _commutator(*legs)
-        parts[name] = leaf_report(name, residual_witnesses(residual, name), witness_cap=witness_cap)
+        parts[name] = _report(name, _commutator(*legs), witness_cap, label=name)
     canonical = [parts[name] for name in ("[W,W,W]", "[Z,Z,Z]", "[W,X,X]", "[X,X,Z]")]
     return combine("system", canonical, started, witness_cap=witness_cap)
 
@@ -269,25 +265,16 @@ def chybe_holds(
     vanishes identically in L⊗L⊗L.
     """
     started = time.perf_counter()
-    coords = tuple(r)
-    n = lie.dim
+    coords, n = tuple(r), lie.dim
     if len(coords) != n * n:
         raise DimensionError(f"r must have length {n * n}, got {len(coords)}")
-    params = lie.params
-    alpha, bracket = lie.alpha, lie.bracket
+    params, alpha, bracket = lie.params, lie.alpha, lie.bracket
     aa = kron(alpha, alpha)
-    # r⊗r has legs a_i⊗b_i⊗a_j⊗b_j; the outer terms read a_i⊗a_j⊗b_i⊗b_j off it
-    rr = tensor2(coords, coords)
-    swapped = [rr[((p * n + q) * n + s) * n + t] for p, s, q, t in product(range(n), repeat=4)]
+    column = Matrix.from_cols(params, [coords])
+    rr = kron(column, column)
+    ident = Matrix.identity(n, params)
+    # r⊗r has legs a_i⊗b_i⊗a_j⊗b_j; the outer terms read a_i⊗a_j⊗b_i⊗b_j, its middle legs swapped
+    swapped = kron(kron(ident, flip(n, n, params)), ident) @ rr
     # α⊗L⊗α is L on the middle leg of the legs-1,3 operator α⊗α
-    total = product_difference(
-        kron(bracket, aa) + kron(aa, bracket), Matrix.from_cols(params, [swapped]),
-        -leg13(aa, bracket, n, n), Matrix.from_cols(params, [rr]),
-    )
-    return leaf_report(
-        "chybe",
-        residual_witnesses(total),
-        witness_cap=witness_cap,
-        started=started,
-        typo_readings=CHYBE_READING,
-    )
+    total = product_difference(kron(bracket, aa) + kron(aa, bracket), swapped, -leg13(aa, bracket, n, n), rr)
+    return _report("chybe", total, witness_cap, started, typo_readings=CHYBE_READING)

@@ -32,6 +32,13 @@ from conftest import PS2, scalars
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def edited_ex23(edit) -> str:
+    """The shipped ex2.3 document after `edit(document)`, as JSON text."""
+    doc = json.loads((homyb.catalog._ENTRIES / "ex2.3.json").read_text(encoding="utf-8"))
+    edit(doc)
+    return json.dumps(doc)
+
+
 class TestLookup:
     def test_list_has_the_six_entries_in_stable_order(self):
         ids = [eid for eid, _ in catalog_list()]
@@ -92,7 +99,13 @@ class TestDocuments:
         ("{", "invalid JSON"),
         ("[]", "expected a JSON object"),
         ('{"description": "d", "notes": [], "checks": []}', "missing 'structure'"),
-    ], ids=["missing", "not-json", "not-an-object", "no-structure"])
+        (edited_ex23(lambda d: d["structure"].update(kind="hom-group")), "kind: expected one of"),
+        (edited_ex23(lambda d: d["table"].pop()), "one [left, right, summands] row per pair"),
+        (edited_ex23(lambda d: d["table"].append(d["table"][0])), "one [left, right, summands] row"),
+        (edited_ex23(lambda d: d["table"][0][2][0].__setitem__(1, "x9")), "p, q basis names"),
+        (edited_ex23(lambda d: d["table"][1][2][1].pop()), "[p, q, coefficient]"),
+    ], ids=["missing", "not-json", "not-an-object", "no-structure", "bad-structure",
+            "table-row-missing", "table-row-repeated", "unknown-basis-name", "two-element-summand"])
     def test_a_bad_document_exits_two_and_is_named(self, content, message, tmp_path, monkeypatch,
                                                    capsys):
         path = tmp_path / "ex2.3.json"

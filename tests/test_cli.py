@@ -158,6 +158,21 @@ class TestBuild:
         assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe"]) == 0
         assert main(["verify", structure, "--operator", str(op_path), "--check", "alpha"]) == 0
 
+    def test_an_operator_over_fewer_parameters_is_widened_to_the_structure(self, tmp_path, capsys):
+        # built at λ = 2, ν = 3 the operator has no parameters; verify's default
+        # --lambda lam and --nu nu add two to the structure, so the matrix is extended
+        doc = {"format_version": 1, "kind": "hom-algebra", "name": "one", "dim": 1, "basis": ["e"],
+               "parameters": [], "alpha": [["1"]], "unit": ["1"], "mult": [[["1"]]]}
+        structure, op_path = tmp_path / "one.json", tmp_path / "op.json"
+        structure.write_text(json.dumps(doc))
+        assert main(["build", str(structure), "--construction", "thm2.1", "--lambda", "2", "--nu", "3",
+                     "--out", str(op_path)]) == 0
+        assert json.loads(op_path.read_text())["parameters"] == []
+        for check, name in (("hybe", "hybe"), ("alpha", "alpha-commute")):
+            capsys.readouterr()
+            assert main(["verify", str(structure), "--operator", str(op_path), "--check", check]) == 0
+            assert capsys.readouterr().out.splitlines() == [f"{name}: PASS"]
+
     def test_report_on_an_operator_file_takes_its_header(self, export, tmp_path, capsys):
         # --construction, --lambda and --nu build nothing when --operator is given,
         # so the report's metadata takes all three from the file's header
@@ -365,6 +380,22 @@ class TestVerify:
         assert capsys.readouterr().err.splitlines()[0] == (
             "error: negative twist powers need an invertible alpha; this alpha is not involutive"
         )
+
+    def test_chybe_refuses_a_twisted_u_that_is_not_central(self, tmp_path, capsys):
+        # Heisenberg [p,q] = z with α(z) = p: the axioms hold, as α need not be
+        # multiplicative, and u = z is central but α(u) = p is not
+        zero, z = ["0", "0", "0"], ["0", "0", "1"]
+        doc = {"format_version": 1, "kind": "hom-lie", "name": "heisenberg", "dim": 3,
+               "basis": ["p", "q", "z"], "parameters": [],
+               "alpha": [["1", "0", "1"], ["0", "1", "0"], ["0", "0", "0"]],
+               "bracket": [[zero, z, zero], [["0", "0", "-1"], zero, zero], [zero, zero, zero]]}
+        path = tmp_path / "heisenberg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["axioms", str(path)]) == 0
+        code = main(["verify", str(path), "--check", "chybe",
+                     "--x", "1,0,0", "--y", "0,1,0", "--u", "0,0,1", "--n", "1"])
+        assert code == 2
+        assert "error: alpha^1(u) is not central" in capsys.readouterr().err
 
     def test_check_without_construction_exits_two(self, export, capsys):
         assert main(["verify", export("ex2.3"), "--check", "hybe"]) == 2

@@ -503,7 +503,7 @@ class TestPackedExactness:
         assert dense(got) == reference_kron(a, b)
         assert is_stored_form(got)
 
-    @settings(max_examples=30)
+    @settings(max_examples=30, deadline=None)
     @given(st.data(), dims, dims, dims, dims)
     def test_leg13_with_a_rectangular_middle(self, data, dim_first, rows, cols, dim_third):
         s = data.draw(wide_matrices(dim_first * dim_third, dim_first * dim_third))
