@@ -53,10 +53,8 @@ from .tensor import (
     leg12,
     leg13,
     leg23,
-    pair_index,
     product_difference,
     tensor2,
-    triple_index,
 )
 from .verify import (
     VerificationReport,
@@ -117,10 +115,8 @@ __all__ = [
     "lie_solution",
     "lie_solution_inverse",
     "mismatched_pairs",
-    "pair_index",
     "parse_scalar",
     "product_difference",
-    "triple_index",
     "system_algebra",
     "system_coalgebra",
     "system_holds",

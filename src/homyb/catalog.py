@@ -47,7 +47,7 @@ from .files import _parse_at, _read_json, structure_from_dict
 from .scalar import Scalar, parse_scalar
 from .structures import HomLieAlgebra, HomStructure, validate
 from .tensor import Vector
-from .verify import DEFAULT_WITNESS_CAP, VerificationReport, Witness, clip, combine
+from .verify import DEFAULT_WITNESS_CAP, VerificationReport, Witness, combine
 # not called here; perfbench/test_perfbench.py::test_tracer_counts_and_restores reads it
 from .verify import hybe_holds  # noqa: F401
 
@@ -75,10 +75,6 @@ class CatalogEntry:
     u: tuple[str, ...] | None = None
     involutive_at: dict[str, str] = field(default_factory=dict)
     checks: tuple[str, ...] = ("axioms",)
-
-    @property
-    def kind(self) -> str:
-        return self.structure.kind
 
     def lam(self) -> Scalar:
         return parse_scalar("lam", self.structure.params)
@@ -292,7 +288,7 @@ class _Run:
         return VerificationReport(
             check_name="table",
             holds=not unexpected,
-            witnesses=clip(witnesses, self.cap),
+            witnesses=witnesses[:self.cap],
             elapsed_ms=(time.perf_counter() - started) * 1000.0,
             metadata={
                 "mismatches": ", ".join(f"({a},{b})" for a, b in sorted(actual)) or "none",

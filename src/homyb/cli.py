@@ -288,7 +288,7 @@ def cmd_catalog(args) -> int:
         entry = cat.catalog_get(report.check_name)
         expected = entry.expectations()
         print(report.check_name)
-        entry_ok = all(sub.holds == expected[sub.check_name] for sub in report.subreports)
+        entry_ok = cat.all_as_expected([report])
         for sub in report.subreports:
             want = expected[sub.check_name]
             flag = "" if sub.holds == want else "  <-- UNEXPECTED"

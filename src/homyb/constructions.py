@@ -140,10 +140,6 @@ class SolutionOperator:
     nu: Scalar
     source: HomStructure
 
-    @property
-    def dim(self) -> int:
-        return self.source.dim
-
 
 def is_involutive(structure: HomStructure) -> bool:
     """α² = id exactly."""
@@ -429,7 +425,6 @@ def chybe_r(
     n: int,
     *,
     alpha_inverse: Matrix | None = None,
-    unchecked: bool = False,
 ) -> Vector:
     """The coordinates in L⊗L of the rank-one tensor αᵐ([x,y]) ⊗ αⁿ(u) for a central u.
 
@@ -442,7 +437,7 @@ def chybe_r(
         raise PreconditionError(
             f"twist powers m = {m}, n = {n} exceed the bound {MAX_TWIST_POWER}"
         )
-    _require_valid(lie, validate(lie), unchecked)
+    _require_valid(lie, validate(lie), False)
     x, y, u = (tuple(s.extend(lie.params) for s in vec) for vec in (x, y, u))
     if len(x) != lie.dim or len(y) != lie.dim or len(u) != lie.dim:
         raise DimensionError(f"x, y, u must have length {lie.dim}")

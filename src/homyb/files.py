@@ -228,7 +228,7 @@ def _operator_header(op: SolutionOperator, kind: str, construction: str) -> dict
         "kind": kind,
         "construction": construction,
         "structure": op.source.name,
-        "dim": op.dim,
+        "dim": op.source.dim,
         "parameters": list(op.matrix.params.names),
         "lambda": format_scalar(op.lam),
         "nu": format_scalar(op.nu),

@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import EvalError, NonInvertibleError, ParamMismatchError, ParseError
 
@@ -59,9 +59,6 @@ class ParamSet:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ParamSet) and self.names == other.names
@@ -153,9 +150,6 @@ class Scalar:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_one(self) -> bool:
-        return self.terms == {(0,) * len(self.params): 1}
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1

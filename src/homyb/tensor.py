@@ -455,16 +455,6 @@ def product_difference(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
 # -- tensor helpers -------------------------------------------------------------
 
 
-def pair_index(i: int, j: int, dim_second: int) -> int:
-    """Flat index of e_i⊗e_j when the second factor has the given dimension."""
-    return i * dim_second + j
-
-
-def triple_index(i: int, j: int, k: int, dim_second: int, dim_third: int) -> int:
-    """Flat index of e_i⊗e_j⊗e_k under the nested pair convention."""
-    return (i * dim_second + j) * dim_third + k
-
-
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product realizing f⊗g under the flat-index convention.
 

@@ -75,11 +75,6 @@ class VerificationReport:
         return "; ".join(parts)
 
 
-def clip(witnesses: list[Witness], cap: int | None) -> list[Witness]:
-    """The first `cap` witnesses, or all of them when `cap` is None."""
-    return witnesses if cap is None else witnesses[:cap]
-
-
 def leaf_report(
     name: str,
     witnesses: Iterable[Witness],
@@ -97,7 +92,7 @@ def leaf_report(
     report = VerificationReport(
         check_name=name,
         holds=not witnesses,
-        witnesses=clip(witnesses, witness_cap),
+        witnesses=witnesses[:witness_cap],
         metadata={"witness_count": str(len(witnesses)), **metadata},
     )
     if started is not None:
@@ -127,7 +122,7 @@ def combine(
     return VerificationReport(
         check_name=name,
         holds=all(part.holds for part in parts),
-        witnesses=clip(witnesses, witness_cap),
+        witnesses=witnesses[:witness_cap],
         elapsed_ms=(time.perf_counter() - started) * 1000.0,
         subreports=parts,
     )

@@ -301,8 +301,8 @@ class TestExportRoundTrip:
         entry = catalog_get(entry_id)
         doc = structure_to_dict(entry.structure)
         loaded = structure_from_dict(doc)
-        original = validate(entry.structure, entry.kind == "hom-lie")
-        reloaded = validate(loaded, entry.kind == "hom-lie")
+        original = validate(entry.structure, entry.structure.kind == "hom-lie")
+        reloaded = validate(loaded, entry.structure.kind == "hom-lie")
         assert loaded == entry.structure
         assert original.holds == reloaded.holds
         assert [s.holds for s in original.subreports] == [s.holds for s in reloaded.subreports]

@@ -98,7 +98,7 @@ def operator_pairs() -> list[tuple[str, str]]:
     return [
         (entry_id, name)
         for entry_id, _ in catalog_list()
-        for name in _APPLICABLE[catalog_get(entry_id).kind]
+        for name in _APPLICABLE[catalog_get(entry_id).structure.kind]
     ]
 
 
