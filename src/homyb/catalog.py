@@ -23,6 +23,7 @@ field in prose and file formats.
 
 from __future__ import annotations
 
+import re
 import time
 import warnings
 from fractions import Fraction
@@ -112,6 +113,7 @@ class TableComparison:
 # entry ids in catalog order; entry `id` is the document `entries/<id>.json`
 _IDS = ("ex2.3", "ex2.5", "ex2.5-verbatim", "ex3.3", "ex3.5", "ex4.3")
 _ENTRIES = Path(__file__).with_name("entries")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")  # an `involutive_at` value: n, or n/d with d ≠ 0
 
 _CACHE: dict[str, CatalogEntry] = {}
 
@@ -124,7 +126,7 @@ def _load(entry_id: str) -> CatalogEntry:
         raise StructureError(f"{path}: expected a JSON object")
     try:
         structure, table = structure_from_dict(doc["structure"]), doc.get("table")
-        return CatalogEntry(
+        return _resolved(CatalogEntry(
             id=entry_id,
             description=doc["description"],
             structure=structure,
@@ -134,13 +136,30 @@ def _load(entry_id: str) -> CatalogEntry:
             documented_mismatches=frozenset(map(tuple, doc.get("documented_mismatches", ()))),
             expected_failures=frozenset(doc.get("expected_failures", ())),
             u=tuple(doc["u"]) if "u" in doc else None,
-            involutive_at=doc.get("involutive_at", {}),
+            involutive_at=dict(doc.get("involutive_at", {})),
             checks=tuple(doc["checks"]),
-        )
+        ))
     except KeyError as exc:
         raise StructureError(f"{path}: missing {exc}") from None
     except (StructureError, TypeError, ValueError) as exc:
         raise StructureError(f"{path}: {exc}") from None
+
+
+def _resolved(entry: CatalogEntry) -> CatalogEntry:
+    """The entry, once every name its document gives is known to resolve."""
+    s, checks, pairs = entry.structure, set(entry.checks), entry.documented_mismatches
+    for key, ok, expected in (
+        ("checks", checks <= set(_CHECKS), f"a list of names among {', '.join(_CHECKS)}"),
+        ("expected_failures", entry.expected_failures <= set(entry.check_names()), "names of its checks"),
+        ("variant", entry.variant or checks <= {"axioms", "system", "chybe"}, "the construction to check"),
+        ("documented_mismatches", all(len(p) == 2 and {*p} <= {*s.basis} for p in pairs), "basis name pairs"),
+        ("u", entry.u is None or len(entry.u) == s.dim, f"{s.dim} coordinates"),
+        ("involutive_at", all(k in s.params and _RATIONAL.fullmatch(str(v))
+                              for k, v in entry.involutive_at.items()), "parameter names mapped to n or n/d"),
+    ):
+        if not ok:
+            raise StructureError(f"{key}: expected {expected}")
+    return entry
 
 
 def _printed_table(table: list, basis: Sequence[str]) -> PrintedTable:

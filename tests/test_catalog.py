@@ -32,9 +32,9 @@ from conftest import PS2, scalars
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def edited_ex23(edit) -> str:
-    """The shipped ex2.3 document after `edit(document)`, as JSON text."""
-    doc = json.loads((homyb.catalog._ENTRIES / "ex2.3.json").read_text(encoding="utf-8"))
+def edited_ex23(edit, entry_id: str = "ex2.3") -> str:
+    """The shipped document of `entry_id` (ex2.3 by default) after `edit(document)`, as JSON text."""
+    doc = json.loads((homyb.catalog._ENTRIES / f"{entry_id}.json").read_text(encoding="utf-8"))
     edit(doc)
     return json.dumps(doc)
 
@@ -104,8 +104,21 @@ class TestDocuments:
         (edited_ex23(lambda d: d["table"].append(d["table"][0])), "one [left, right, summands] row"),
         (edited_ex23(lambda d: d["table"][0][2][0].__setitem__(1, "x9")), "p, q basis names"),
         (edited_ex23(lambda d: d["table"][1][2][1].pop()), "[p, q, coefficient]"),
+        (edited_ex23(lambda d: d["checks"].append("nope")), "checks: expected a list of names"),
+        (edited_ex23(lambda d: d.update(checks="axioms")), "checks: expected a list of names"),
+        (edited_ex23(lambda d: d.update(involutive_at={"zz": "1"})), "involutive_at: expected"),
+        (edited_ex23(lambda d: d.update(involutive_at={"l": "x"})), "involutive_at: expected"),
+        (edited_ex23(lambda d: d.update(involutive_at={"l": "1/0"})), "involutive_at: expected"),
+        (edited_ex23(lambda d: d.pop("variant")), "variant: expected"),
+        (edited_ex23(lambda d: d.update(documented_mismatches=[["x9", "x1"]])),
+         "documented_mismatches: expected"),
+        (edited_ex23(lambda d: d.update(expected_failures=["nope"])), "expected_failures: expected"),
+        (edited_ex23(lambda d: d["u"].pop(), "ex4.3"), "u: expected 3 coordinates"),
     ], ids=["missing", "not-json", "not-an-object", "no-structure", "bad-structure",
-            "table-row-missing", "table-row-repeated", "unknown-basis-name", "two-element-summand"])
+            "table-row-missing", "table-row-repeated", "unknown-basis-name", "two-element-summand",
+            "unknown-check", "checks-not-a-list", "unknown-involutive-parameter",
+            "involutive-value-not-a-number", "involutive-value-divides-by-zero", "no-variant",
+            "mismatch-not-in-basis", "unknown-expected-failure", "short-u"])
     def test_a_bad_document_exits_two_and_is_named(self, content, message, tmp_path, monkeypatch,
                                                    capsys):
         path = tmp_path / "ex2.3.json"
