@@ -397,6 +397,12 @@ class TestVerify:
         assert code == 2
         assert "error: alpha^1(u) is not central" in capsys.readouterr().err
 
+    def test_a_symbolic_denominator_exits_two(self, export, capsys):
+        code = main(["verify", export("ex2.3"), "--construction", "thm2.1", "--check", "hybe",
+                     "--lambda", "1/x"])
+        assert code == 2
+        assert "'/' requires an integer literal denominator" in capsys.readouterr().err
+
     def test_check_without_construction_exits_two(self, export, capsys):
         assert main(["verify", export("ex2.3"), "--check", "hybe"]) == 2
 

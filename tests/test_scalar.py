@@ -341,3 +341,17 @@ class TestAgainstSympy:
         ]
         for got, expected in cases:
             assert got.terms == self.terms_of(expected, symbols)
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: PS2.index("zz"), KeyError, "unknown parameter 'zz'"),
+        (lambda: Scalar(PS2, {(1,): 1}), ParamMismatchError, r"exponent vector \(1,\) does not match 2"),
+        (lambda: S("lam + 1").constant_value(), EvalError, "is not a constant"),
+        (lambda: S("lam") ** 1.5, TypeError, "Scalar exponent must be an integer"),
+        (lambda: S("1/lam"), ParseError, "'/' requires an integer literal denominator"),
+    ], ids=["unknown-parameter", "exponent-width", "not-a-constant", "fractional-power",
+            "symbolic-denominator"])
+    def test_each_misuse_is_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()

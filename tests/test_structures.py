@@ -3,6 +3,7 @@
 import pytest
 
 from homyb import (
+    DimensionError,
     HomAlgebra,
     HomCoalgebra,
     HomLieAlgebra,
@@ -13,6 +14,7 @@ from homyb import (
     is_alpha_invariant,
     is_central,
     parse_scalar,
+    validate,
     validate_hom_algebra,
     validate_hom_coalgebra,
     validate_hom_lie,
@@ -215,3 +217,17 @@ class TestParameterMaps:
             replace(lie, bracket=Matrix.zeros(1, 2, lie.params))
         with pytest.raises(StructureError, match="alpha: matrix over a different parameter set"):
             replace(lie, alpha=lie.alpha.extend(ParamSet(["a", "b"])))
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda lie: lie.basis_index("zz"), StructureError, "unknown basis element 'zz'"),
+        (lambda lie: validate(3), TypeError, "not a Hom structure: int"),
+        (lambda lie: is_central(lie, lie.basis_vec(0)[:2]), DimensionError,
+         "vector of length 2 in dimension 3"),
+        (lambda lie: is_alpha_invariant(lie, lie.basis_vec(0)[:2]), DimensionError,
+         "vector of length 2 in dimension 3"),
+    ], ids=["unknown-basis-name", "not-a-structure", "is-central-length", "is-alpha-invariant-length"])
+    def test_each_misuse_is_refused(self, call, error, message, ex43):
+        with pytest.raises(error, match=message):
+            call(ex43.structure)

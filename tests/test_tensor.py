@@ -666,3 +666,30 @@ class TestPackedExactnessAtTheFloor:
             (i, j, x) for i, row in enumerate(want) for j, x in enumerate(row) if x.terms
         ]
         assert got[1, 215] == want[1][215]
+
+
+ONE2, I2, I3 = Scalar.one(PS2), Matrix.identity(2, PS2), Matrix.identity(3, PS2)
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: Matrix.zeros(0, 2, PS2), DimensionError, "dimensions must be positive, got 0x2"),
+        (lambda: Matrix(2, 2, PS2, [ONE2] * 3), DimensionError, "2x2 matrix needs 4 entries, got 3"),
+        (lambda: Matrix.from_rows(PS2, [[ONE2, ONE2], [ONE2]]), DimensionError, "ragged rows"),
+        (lambda: Matrix.from_cols(PS2, [[ONE2, ONE2], [ONE2]]), DimensionError, "ragged columns"),
+        (lambda: I2 + I3, DimensionError, "shape mismatch: 2x2 vs 3x3"),
+        (lambda: I2.scale(Scalar.one(PS3)), ParamMismatchError, "scaling factor over a different"),
+        (lambda: I2.apply((ONE2,)), DimensionError, "vector of length 1 against 2 columns"),
+        (lambda: I2.map(lambda s: s, PS3), ParamMismatchError, "must lie over the target ParamSet"),
+        (lambda: kron(I2, Matrix.identity(2, PS3)), ParamMismatchError, "kron factors over different"),
+        (lambda: leg13(Matrix.identity(4, PS2), Matrix.identity(2, PS3), 2, 2), ParamMismatchError,
+         "leg13 operands over different"),
+    ], ids=["non-positive-shape", "wrong-entry-count", "ragged-rows", "ragged-cols", "add-shapes",
+            "scale-params", "apply-length", "map-params", "kron-params", "leg13-params"])
+    def test_each_misuse_is_refused(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+    def test_a_matrix_never_equals_a_number(self):
+        assert (Matrix.identity(1, PS2) == 1) is False
+        assert (I2 == 3) is False

@@ -1,6 +1,7 @@
 """Identity checkers: braid form, inverse laws, commutators, classical condition."""
 
 import random
+import re
 import warnings
 
 import pytest
@@ -9,6 +10,7 @@ import homyb.verify
 from homyb import (
     Construction,
     ConstructionWarning,
+    DimensionError,
     HomLieAlgebra,
     Matrix,
     Scalar,
@@ -611,3 +613,21 @@ class TestFusedResidualsMatchTheFormulas:
         calls.clear()
         assert system_holds(w, z, x, c.alpha).holds
         assert len(calls) == 8
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("call, message", [
+        (lambda i2, i3, i4: commutes_with_alpha(i4, Matrix.zeros(2, 3, PS2)), "twist map must be square"),
+        (lambda i2, i3, i4: hybe_holds(i3, i2), "operator must be square of size 2^2=4, got 3x3"),
+        (lambda i2, i3, i4: inverse_holds(i4, i2), "inverse check needs equal square matrices"),
+        (lambda i2, i3, i4: yb_commutator(i4, i4, i2, (2, 2, 2), i2, i2, i2),
+         "commutator operand sizes do not match dims"),
+        (lambda i2, i3, i4: yb_commutator(i4, i4, i4, (2, 2, 2), i2, i2, i3),
+         "twist map sizes do not match dims"),
+        (lambda i2, i3, i4: chybe_holds(i4.column(0), catalog_get("ex4.3").structure),
+         "r must have length 9, got 4"),
+    ], ids=["twist-not-square", "operator-size", "inverse-shapes", "commutator-operands",
+            "commutator-twists", "chybe-r-length"])
+    def test_each_size_mismatch_is_refused(self, call, message):
+        with pytest.raises(DimensionError, match=re.escape(message)):
+            call(*(Matrix.identity(n, PS2) for n in (2, 3, 4)))
