@@ -151,7 +151,7 @@ def _resolved(entry: CatalogEntry) -> CatalogEntry:
     for key, ok, expected in (
         ("checks", checks <= set(_CHECKS), f"a list of names among {', '.join(_CHECKS)}"),
         ("expected_failures", entry.expected_failures <= set(entry.check_names()), "names of its checks"),
-        ("variant", entry.variant or checks <= {"axioms", "system", "chybe"}, "the construction to check"),
+        ("variant", entry.variant is not None or checks <= {"axioms", "system", "chybe"}, "a construction"),
         ("documented_mismatches", all(len(p) == 2 and {*p} <= {*s.basis} for p in pairs), "basis name pairs"),
         ("u", entry.u is None or len(entry.u) == s.dim, f"{s.dim} coordinates"),
         ("involutive_at", all(k in s.params and _RATIONAL.fullmatch(str(v))
