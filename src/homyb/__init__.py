@@ -34,7 +34,7 @@ from .errors import (
     StructureError,
     UnknownEntryError,
 )
-from .scalar import ParamSet, Rational, Scalar, format_scalar, parse_scalar
+from .scalar import ParamSet, Scalar, format_scalar, parse_scalar
 from .structures import (
     HomAlgebra,
     HomCoalgebra,
@@ -83,7 +83,6 @@ __all__ = [
     "ParamSet",
     "ParseError",
     "PreconditionError",
-    "Rational",
     "Scalar",
     "SolutionOperator",
     "StructureError",

@@ -188,12 +188,11 @@ def catalog_get(entry_id: str) -> CatalogEntry:
 # -- regeneration and comparison ---------------------------------------------------
 
 
-def build_operator(entry: CatalogEntry, structure: HomStructure | None = None) -> SolutionOperator:
+def build_operator(entry: CatalogEntry) -> SolutionOperator:
     """Run the entry's recipe (suppressing the documented hypothesis warnings)."""
-    structure = structure if structure is not None else entry.structure
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConstructionWarning)
-        return build(structure, entry.variant, entry.lam(), entry.nu(), u=entry.u_vector())
+        return build(entry.structure, entry.variant, entry.lam(), entry.nu(), u=entry.u_vector())
 
 
 def _printed_coords(entry: CatalogEntry, summands: list[tuple[str, str, str]],

@@ -12,8 +12,9 @@ composed with the tensor flip when flipped.  `RECIPES` records, for
 each `Construction`, its kind, its three coefficients as powers of λ and ν,
 whether T is flipped and which construction it inverts.  `build` and
 `build_many` read it; the named builders are thin wrappers over `build`.
-`build_many` builds the legs L, R and T once per call and scales them for
-each construction it builds.
+`build_many` checks every construction's preconditions before it builds
+anything, then builds the legs L, R and T once (T flipped only if a recipe
+asks for it) and scales them for each construction.
 
 The matrix is dim²×dim²: column (i·dim + j) holds the coordinates of the image
 of e_i⊗e_j.  Builders are deterministic and make no claims -- the identities
@@ -232,8 +233,8 @@ def build_many(
 ) -> list[SolutionOperator]:
     """Operators built together: a system's triple, or a pair (B, its inverse).
 
-    The structure is validated once; then each construction's own
-    preconditions are checked in turn, before it is built.  `unchecked` turns
+    The structure is validated once, and every construction's preconditions
+    are checked before any operator is built.  `unchecked` turns
     a failed axiom and a non-involutive α into warnings; a non-monomial λ or ν
     where an inverse power needs it, and a missing or non-central u, are
     always errors.  If one construction is defined at ν = 1, all are built there.
@@ -256,36 +257,32 @@ def _build_many(structure, constructions, lam, nu, u, unchecked, report=None):
     lam, nu = lam.extend(structure.params), nu.extend(structure.params)
     lie = isinstance(structure, HomLieAlgebra)
     _require_valid(structure, validate(structure, lie) if report is None else report, unchecked)
-    # (L, R, T) for unflipped and flipped T, each built once and scaled per construction
-    legs: dict[bool, tuple[Matrix, Matrix, Matrix]] = {}
+    powers = [p for r in recipes for p in (r.first, r.second, r.twist) if p is not None]
+    for k, (name, value) in enumerate((("lambda", lam), ("nu", nu))):
+        # only a negative power needs an inverse in the Laurent ring
+        if any(p[k] < 0 for p in powers) and not value.is_monomial():
+            raise PreconditionError(f"{name} = {value} is not an invertible (monomial) scalar")
+    if any(recipe.inverts is not None for recipe in recipes):
+        _require(
+            is_involutive(structure),
+            unchecked,
+            "alpha is not involutive (alpha^2 != identity)",
+            "alpha is not involutive",
+        )
+    if not constructions:
+        return []
+    central = _central_u(structure, u, constructions[0].value) if lie else None
+    left, right, twisted = _kind_legs(structure, central)
+    if any(recipe.flipped for recipe in recipes):
+        flipped = twisted @ flip(structure.dim, structure.dim, structure.params)
     ops = []
     for c, recipe in zip(constructions, recipes):
-        powers = [p for p in (recipe.first, recipe.second, recipe.twist) if p is not None]
-        for k, (name, value) in enumerate((("lambda", lam), ("nu", nu))):
-            if all(p[k] >= 0 for p in powers):
-                continue  # only a negative power needs an inverse in the Laurent ring
-            if not value.is_monomial():
-                raise PreconditionError(f"{name} = {value} is not an invertible (monomial) scalar")
-        if recipe.inverts is not None:
-            _require(
-                is_involutive(structure),
-                unchecked,
-                "alpha is not involutive (alpha^2 != identity)",
-                "alpha is not involutive",
-            )
         coefficients = tuple(
             None if p is None else lam ** p[0] * nu ** p[1]
             for p in (recipe.first, recipe.second, recipe.twist)
         )
-        central = _central_u(structure, u, c.value) if lie else None
-        if not legs:
-            legs[False] = _kind_legs(structure, central)
-        if recipe.flipped not in legs:
-            left, right, twisted = legs[False]
-            flipped = twisted @ flip(structure.dim, structure.dim, structure.params)
-            legs[True] = (left, right, flipped)
-        matrix = _two_term_operator(legs[recipe.flipped], coefficients)
-        ops.append(SolutionOperator(matrix, c, lam, nu, structure))
+        legs = (left, right, flipped if recipe.flipped else twisted)
+        ops.append(SolutionOperator(_two_term_operator(legs, coefficients), c, lam, nu, structure))
     return ops
 
 

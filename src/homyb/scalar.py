@@ -24,8 +24,6 @@ from typing import Iterable, Mapping
 
 from .errors import EvalError, NonInvertibleError, ParamMismatchError, ParseError
 
-Rational = Fraction
-
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
@@ -138,13 +136,6 @@ class Scalar:
         exps = [0] * len(params)
         exps[params.index(name)] = 1
         return cls(params, {tuple(exps): 1})
-
-    @classmethod
-    def monomial(cls, params: ParamSet, coeff, exponents: Mapping[str, int]) -> "Scalar":
-        exps = [0] * len(params)
-        for name, e in exponents.items():
-            exps[params.index(name)] = e
-        return cls(params, {tuple(exps): coeff})
 
     # -- predicates --------------------------------------------------------
 

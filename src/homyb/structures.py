@@ -26,7 +26,7 @@ from typing import Callable, ClassVar, Mapping, Sequence
 from ._record import record, replace
 from .errors import DimensionError, StructureError
 from .scalar import ParamSet, Scalar
-from .tensor import Matrix, Vector, basis_vector, flip, kron, product_difference
+from .tensor import Matrix, Vector, flip, kron, product_difference
 from .verify import DEFAULT_WITNESS_CAP, VerificationReport, Witness, combine, leaf_report
 
 
@@ -55,11 +55,9 @@ class _StructureBase:
         return len(self.basis)
 
     def basis_vec(self, i: int) -> Vector:
-        return basis_vector(self.dim, i, self.params)
-
-    @property
-    def identity(self) -> Matrix:
-        return Matrix.identity(self.dim, self.params)
+        vec = [Scalar.zero(self.params)] * self.dim
+        vec[i] = Scalar.one(self.params)
+        return tuple(vec)
 
     def basis_index(self, name: str) -> int:
         try:
@@ -166,7 +164,7 @@ def validate_hom_algebra(
     associativity on every basis triple, and the twisted unit law.
     """
     started = time.perf_counter()
-    al, m, u, ident = a.alpha, a.mu, a.eta, a.identity
+    al, m, u, ident = a.alpha, a.mu, a.eta, Matrix.identity(a.dim, a.params)
     axioms = [
         ("HA1-mult", 2, [(al, m, m, kron(al, al), "HA1({t})->{c}")]),
         ("HA1-unit", 0, [(al, u, u, Matrix.identity(1, a.params), "HA1(unit)->{c}")]),
@@ -185,7 +183,7 @@ def validate_hom_coalgebra(
     (α⊗α)Δ = Δα, εα = ε, (α⊗Δ)Δ = (Δ⊗α)Δ and (ε⊗id)Δ = (id⊗ε)Δ = α.
     """
     started = time.perf_counter()
-    al, delta, eps, ident = c.alpha, c.delta, c.epsilon, c.identity
+    al, delta, eps, ident = c.alpha, c.delta, c.epsilon, Matrix.identity(c.dim, c.params)
     axioms = [
         ("HC1-comult", 1, [(kron(al, al), delta, delta, al, "HC1({t})->{c}")]),
         ("HC1-counit", 1, [(eps, al, eps, ident, "HC1-counit({t})")]),
@@ -248,7 +246,7 @@ def is_central(lie: HomLieAlgebra, u: Sequence[Scalar]) -> bool:
     """[u, e_i] = 0 for every basis element: L(u⊗id) is zero."""
     if len(u) != lie.dim:
         raise DimensionError(f"vector of length {len(u)} in dimension {lie.dim}")
-    return (lie.bracket @ kron(Matrix.from_cols(lie.params, [u]), lie.identity)).is_zero()
+    return (lie.bracket @ kron(Matrix.from_cols(lie.params, [u]), Matrix.identity(lie.dim, lie.params))).is_zero()
 
 
 def is_alpha_invariant(structure: _StructureBase, u: Sequence[Scalar]) -> bool:

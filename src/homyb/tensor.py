@@ -525,12 +525,6 @@ def leg13(s: Matrix, alpha_mid: Matrix, dim_first: int, dim_third: int) -> Matri
 # -- coordinate-vector inputs -----------------------------------------------------
 
 
-def basis_vector(n: int, i: int, params: ParamSet) -> Vector:
-    vec = [Scalar.zero(params)] * n
-    vec[i] = Scalar.one(params)
-    return tuple(vec)
-
-
 def tensor2(u: Sequence[Scalar], v: Sequence[Scalar]) -> Vector:
     """Coordinates of u⊗v: entry p·len(v)+q is u_p·v_q."""
     return tuple(a * b for a in u for b in v)

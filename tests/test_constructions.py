@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+import homyb.constructions
 from homyb import (
     Construction,
     ConstructionWarning,
@@ -329,3 +330,24 @@ class TestMalformedArguments:
         e1, e2 = lie.basis_vec(0), lie.basis_vec(1)
         with pytest.raises(PreconditionError, match="u is not central"):
             chybe_r(lie, e1, e2, e1, 0, 0)
+
+
+def test_build_many_checks_every_construction_before_it_builds(ex23, ex43, monkeypatch):
+    calls = {"is_central": 0, "kron": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(homyb.constructions, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(homyb.constructions, name, counted)
+    lie = ex43.structure
+    lam, nu = symbols(lie)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConstructionWarning)
+        build_many(lie, (_C.LIE41, _C.LIE_INV42), lam, nu, u=ex43.u_vector())
+    assert calls["is_central"] == 1  # u is checked once for the pair
+    a = ex23.structure
+    lam, nu = symbols(a)
+    calls["kron"] = 0
+    with pytest.raises(PreconditionError, match="lambda = 1 \\+ lam is not an invertible"):
+        build_many(a, (_C.ALG21, _C.ALG_INV22), lam + 1, nu)
+    assert calls["kron"] == 0  # thm2.1 is not built before cor2.2 is refused

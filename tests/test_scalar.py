@@ -87,8 +87,6 @@ class TestExactness:
             Scalar(PS2, {(0, 0): 0.1})
         with pytest.raises(TypeError):
             Scalar.constant(PS2, 0.5)
-        with pytest.raises(TypeError):
-            Scalar.monomial(PS2, 2.0, {"lam": 1})
 
     def test_float_assignments_are_refused(self):
         with pytest.raises(TypeError):
