@@ -170,8 +170,7 @@ def _require_valid(structure: HomStructure, report: VerificationReport, unchecke
     _require(
         report.holds,
         unchecked,
-        f"structure {structure.name or '<unnamed>'} fails axioms ({failing}); "
-        "pass unchecked=True to build anyway",
+        f"structure {structure.name or '<unnamed>'} fails axioms ({failing})",
         f"building on a structure that fails axioms ({failing})",
     )
 

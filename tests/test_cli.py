@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from homyb import catalog_get, verify_entry
+from homyb import catalog_get, validate, verify_entry
 from homyb.cli import main
-from homyb.files import report_to_dict, structure_to_dict
+from homyb.files import report_to_dict, structure_from_dict, structure_to_dict
 
 
 @pytest.fixture()
@@ -275,6 +275,18 @@ class TestBuild:
             assert main(["axioms", str(bad)]) == 2
             where = "".join(f"[{index}]" for index in path)
             assert capsys.readouterr().err == f"error: {key}{where}: expected an expression string\n"
+
+    def test_build_on_a_structure_failing_its_axioms_names_them(self, export, tmp_path, capsys):
+        doc = json.loads(open(export("ex4.3")).read())
+        doc["bracket"][2][2] = ["1", "0", "0"]  # [e3,e3] = e1 breaks the axioms
+        path = tmp_path / "broken-lie.json"
+        path.write_text(json.dumps(doc))
+        code = main(["build", str(path), "--construction", "thm4.1", "--u", "0,0,1"])
+        assert code == 2
+        failing = [s.check_name for s in validate(structure_from_dict(doc), True).subreports
+                   if not s.holds]
+        (error,) = capsys.readouterr().err.splitlines()
+        assert error == f"error: structure {doc['name']} fails axioms ({', '.join(failing)})"
 
 
 class TestVerify:

@@ -27,7 +27,9 @@ from homyb import (
     system_algebra,
     system_coalgebra,
     tensor2,
+    validate,
 )
+from homyb.files import structure_from_dict, structure_to_dict
 from conftest import PS2, structure
 
 
@@ -274,6 +276,18 @@ class TestChybeR:
         not_inverse = lie.alpha.scale(2)
         with pytest.raises(PreconditionError, match="not an inverse"):
             chybe_r(lie, e1, e2, ex43.u_vector(), -1, 0, alpha_inverse=not_inverse)
+
+    def test_a_structure_failing_its_axioms_is_refused_by_name(self, ex43):
+        doc = structure_to_dict(ex43.structure)
+        doc["bracket"][2][2] = ["1", "0", "0"]  # [e3,e3] = e1 breaks the axioms
+        lie = structure_from_dict(doc)
+        failing = [sub.check_name for sub in validate(lie).subreports if not sub.holds]
+        assert failing
+        with pytest.raises(PreconditionError, match="fails axioms") as raised:
+            chybe_r(lie, lie.basis_vec(0), lie.basis_vec(1), ex43.u_vector(), 0, 0)
+        message = str(raised.value)
+        assert all(name in message for name in failing)
+        assert "unchecked" not in message  # chybe_r has no way to build anyway
 
 
 class TestSystems:
