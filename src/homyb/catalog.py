@@ -146,16 +146,25 @@ def _load(entry_id: str) -> CatalogEntry:
 
 
 def _resolved(entry: CatalogEntry) -> CatalogEntry:
-    """The entry, once every name its document gives is known to resolve."""
-    s, checks, pairs = entry.structure, set(entry.checks), entry.documented_mismatches
+    """The entry, once every name its document gives is known to resolve and to fit its structure."""
+    s, checks, pairs, variant = entry.structure, set(entry.checks), entry.documented_mismatches, entry.variant
+    lie = isinstance(s, HomLieAlgebra)
     for key, ok, expected in (
         ("checks", checks <= set(_CHECKS), f"a list of names among {', '.join(_CHECKS)}"),
         ("expected_failures", entry.expected_failures <= set(entry.check_names()), "names of its checks"),
-        ("variant", entry.variant is not None or checks <= {"axioms", "system", "chybe"}, "a construction"),
+        ("variant", variant is not None or checks <= {"axioms", "system", "chybe"}, "a construction"),
         ("documented_mismatches", all(len(p) == 2 and {*p} <= {*s.basis} for p in pairs), "basis name pairs"),
         ("u", entry.u is None or len(entry.u) == s.dim, f"{s.dim} coordinates"),
         ("involutive_at", all(k in s.params and _RATIONAL.fullmatch(str(v))
                               for k, v in entry.involutive_at.items()), "parameter names mapped to n or n/d"),
+        ("variant", variant is None or (variant.value in CHECKS["hybe"].builds
+                                        and isinstance(s, RECIPES[variant].kind)),
+         f"a single-operator construction of a {s.kind} structure"),
+        ("variant", variant in INVERSE or not checks & {"inverse", "inverse-symbolic", "hybe-inverse"},
+         "a construction with an inverse for the inverse checks"),
+        ("checks", "system" not in checks or type(s) in _SYSTEM_OF, f"no system check on {s.kind}"),
+        ("checks", "chybe" not in checks or lie, f"no chybe check on {s.kind}"),
+        ("u", entry.u is not None or not lie or checks <= {"axioms"}, "a central element to build on"),
     ):
         if not ok:
             raise StructureError(f"{key}: expected {expected}")

@@ -115,11 +115,24 @@ class TestDocuments:
          "documented_mismatches: expected"),
         (edited_ex23(lambda d: d.update(expected_failures=["nope"])), "expected_failures: expected"),
         (edited_ex23(lambda d: d["u"].pop(), "ex4.3"), "u: expected 3 coordinates"),
+        # the checks must fit the entry's structure and construction
+        (edited_ex23(lambda d: d["checks"].append("system"), "ex4.3"),
+         "checks: expected no system check on hom-lie"),
+        (edited_ex23(lambda d: d["checks"].append("chybe")), "checks: expected no chybe check on hom-algebra"),
+        (edited_ex23(lambda d: d.update(variant="thm5.2-W")),
+         "variant: expected a single-operator construction of a hom-algebra structure"),
+        (edited_ex23(lambda d: d.update(variant="thm3.1")),
+         "variant: expected a single-operator construction of a hom-algebra structure"),
+        (edited_ex23(lambda d: d.update(variant="cor2.2")),
+         "variant: expected a construction with an inverse for the inverse checks"),
+        (edited_ex23(lambda d: d.pop("u"), "ex4.3"), "u: expected a central element to build on"),
     ], ids=["missing", "not-json", "not-an-object", "no-structure", "bad-structure",
             "table-row-missing", "table-row-repeated", "unknown-basis-name", "two-element-summand",
             "unknown-check", "checks-not-a-list", "unknown-involutive-parameter",
             "involutive-value-not-a-number", "involutive-value-divides-by-zero", "no-variant",
-            "mismatch-not-in-basis", "unknown-expected-failure", "short-u"])
+            "mismatch-not-in-basis", "unknown-expected-failure", "short-u", "system-on-a-lie-entry",
+            "chybe-on-an-algebra-entry", "system-member-variant", "variant-of-another-kind",
+            "inverse-check-without-an-inverse", "lie-entry-without-u"])
     def test_a_bad_document_exits_two_and_is_named(self, content, message, tmp_path, monkeypatch,
                                                    capsys):
         path = tmp_path / "ex2.3.json"
