@@ -59,9 +59,10 @@ def _install(cls: type, frozen: bool) -> type:
     for name, method in methods.items():
         if name not in vars(cls):
             setattr(cls, name, method)
+    cls._fields = names
     return cls
 
 
 def replace(obj, **changes):
-    """A new record of the same class, with the given fields changed and checked anew."""
-    return type(obj)(**{**vars(obj), **changes})
+    """A new record of the same class, with its fields (and nothing else) copied, changed and checked anew."""
+    return type(obj)(**{**{name: getattr(obj, name) for name in obj._fields}, **changes})

@@ -39,8 +39,8 @@ from .constructions import (
     SYSTEMS,
     Construction,
     SolutionOperator,
-    _build_many,
     build,
+    build_many,
     chybe_r,
 )
 from .errors import ConstructionWarning, StructureError, UnknownEntryError
@@ -249,7 +249,7 @@ def mismatched_pairs(rows: Sequence[TableComparison]) -> set[tuple[str, str]]:
 
 
 class _Run:
-    """One verify_entry call: its entry, witness cap, axiom report and operators, each made once."""
+    """One verify_entry call: its entry, witness cap and operators, each made once."""
 
     def __init__(self, entry: CatalogEntry, cap: int | None):
         self.entry = entry
@@ -258,11 +258,6 @@ class _Run:
         self.lam, self.nu = entry.lam(), entry.nu()
         self.u = entry.u_vector()
         self.ops: dict[tuple[bool, Construction, bool], SolutionOperator] = {}
-
-    @cached_property
-    def valid(self) -> VerificationReport:
-        lie = isinstance(self.structure, HomLieAlgebra)
-        return validate(self.structure, lie, witness_cap=self.cap)
 
     @cached_property
     def involutive(self) -> HomStructure:
@@ -282,8 +277,7 @@ class _Run:
         missing = [c for c in constructions if key[c] not in self.ops]
         if missing:
             nu = Scalar.one(structure.params) if at_one else self.nu
-            report = self.valid if structure is self.structure else None
-            built = _build_many(structure, missing, self.lam, nu, self.u, unchecked, report)
+            built = build_many(structure, missing, self.lam, nu, u=self.u, unchecked=unchecked)
             self.ops.update((key[c], op) for c, op in zip(missing, built))
         return [self.ops[key[c]] for c in constructions]
 
@@ -330,7 +324,7 @@ _SYSTEM_OF = {RECIPES[t[0]].kind: name for name, t in SYSTEMS.items()}
 # check name, as an entry lists it -> the check: the run's own, or a row of `CHECKS`
 # on what it builds from the entry's construction
 _CHECKS: dict[str, Callable[[_Run], VerificationReport]] = {
-    "axioms": lambda run: run.valid,
+    "axioms": lambda run: validate(run.structure, isinstance(run.structure, HomLieAlgebra), witness_cap=run.cap),
     "table": _Run.table,
     "alpha-commute": lambda run: run.check("alpha", run.variant.value),
     "hybe": lambda run: run.check("hybe", run.variant.value),

@@ -13,8 +13,9 @@ each `Construction`, its kind, its three coefficients as powers of λ and ν,
 whether T is flipped and which construction it inverts.  `build` and
 `build_many` read it; the named builders are thin wrappers over `build`.
 `build_many` checks every construction's preconditions before it builds
-anything, then builds the legs L, R and T once (T flipped only if a recipe
-asks for it) and scales them for each construction.
+anything, the axioms by the verdict the structure keeps (`structures.verdict`),
+then builds the legs L, R and T once (T flipped only if a recipe asks for it)
+and scales them for each construction.
 
 The matrix is dim²×dim²: column (i·dim + j) holds the coordinates of the image
 of e_i⊗e_j.  Builders are deterministic and make no claims -- the identities
@@ -39,7 +40,7 @@ from .structures import (
     HomStructure,
     is_alpha_invariant,
     is_central,
-    validate,
+    verdict,
 )
 from .tensor import Matrix, Vector, flip, kron, tensor2
 from .verify import VerificationReport
@@ -164,15 +165,12 @@ def _require(holds: bool, unchecked: bool, error: str, warning: str) -> None:
     _warn(warning)
 
 
-def _require_valid(structure: HomStructure, report: VerificationReport, unchecked: bool) -> None:
-    """Require that `report`, the structure's `validate` report, holds."""
-    failing = ", ".join(sub.check_name for sub in report.subreports if not sub.holds)
-    _require(
-        report.holds,
-        unchecked,
-        f"structure {structure.name or '<unnamed>'} fails axioms ({failing})",
-        f"building on a structure that fails axioms ({failing})",
-    )
+def _require_valid(structure: HomStructure, unchecked: bool, require_multiplicative: bool = False) -> None:
+    """Require that the structure's axioms hold, by its `verdict` with the validator flag."""
+    holds, names = verdict(structure, require_multiplicative)
+    failing = ", ".join(names)
+    _require(holds, unchecked, f"structure {structure.name or '<unnamed>'} fails axioms ({failing})",
+             f"building on a structure that fails axioms ({failing})")
 
 
 def _central_u(lie: HomLieAlgebra, u: Sequence[Scalar] | None, construction: str) -> Vector:
@@ -232,18 +230,14 @@ def build_many(
 ) -> list[SolutionOperator]:
     """Operators built together: a system's triple, or a pair (B, its inverse).
 
-    The structure is validated once, and every construction's preconditions
-    are checked before any operator is built.  `unchecked` turns
-    a failed axiom and a non-involutive α into warnings; a non-monomial λ or ν
-    where an inverse power needs it, and a missing or non-central u, are
-    always errors.  If one construction is defined at ν = 1, all are built there.
-    `u` is the central element of the Lie constructions; others ignore it.
+    The structure is validated only if it keeps no verdict yet, and every
+    construction's preconditions are checked before any operator is built.
+    `unchecked` turns a failed axiom and a non-involutive α into warnings; a
+    non-monomial λ or ν where an inverse power needs it, and a missing or
+    non-central u, are always errors.  If one construction is defined at
+    ν = 1, all are built there.  `u` is the central element of the Lie
+    constructions; others ignore it.
     """
-    return _build_many(structure, constructions, lam, nu, u, unchecked)
-
-
-def _build_many(structure, constructions, lam, nu, u, unchecked, report=None):
-    """`build_many`, given the structure's `validate` report if the caller has it."""
     recipes = [RECIPES[c] for c in constructions]
     for c, recipe in zip(constructions, recipes):
         if not isinstance(structure, recipe.kind):
@@ -255,7 +249,7 @@ def _build_many(structure, constructions, lam, nu, u, unchecked, report=None):
         nu = Scalar.one(structure.params)
     lam, nu = lam.extend(structure.params), nu.extend(structure.params)
     lie = isinstance(structure, HomLieAlgebra)
-    _require_valid(structure, validate(structure, lie) if report is None else report, unchecked)
+    _require_valid(structure, unchecked, lie)
     powers = [p for r in recipes for p in (r.first, r.second, r.twist) if p is not None]
     for k, (name, value) in enumerate((("lambda", lam), ("nu", nu))):
         # only a negative power needs an inverse in the Laurent ring
@@ -433,7 +427,7 @@ def chybe_r(
         raise PreconditionError(
             f"twist powers m = {m}, n = {n} exceed the bound {MAX_TWIST_POWER}"
         )
-    _require_valid(lie, validate(lie), False)
+    _require_valid(lie, False)
     x, y, u = (tuple(s.extend(lie.params) for s in vec) for vec in (x, y, u))
     if len(x) != lie.dim or len(y) != lie.dim or len(u) != lie.dim:
         raise DimensionError(f"x, y, u must have length {lie.dim}")

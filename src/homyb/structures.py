@@ -15,6 +15,10 @@ is the basis tuple of that arity with flat index t, so a passing report
 certifies the axiom for all elements by multilinearity, and a failing one
 carries an exact witness per nonzero entry, labelled by the template with
 `{t}` for the tuple's basis names and `{c}` for the entry's row.
+
+`validate` makes a fresh report each call and keeps its verdict (holds, failing
+subcheck names) on the structure, per validator flag; `verdict` validates only
+where none is kept.  `replace` copies fields only, so a verdict is never copied.
 """
 
 from __future__ import annotations
@@ -230,13 +234,26 @@ def validate_hom_lie(
 
 def validate(structure: HomStructure, require_multiplicative: bool = False,
              *, witness_cap: int | None = DEFAULT_WITNESS_CAP) -> VerificationReport:
+    """The kind's axiom report, made afresh; its verdict is kept on the structure."""
     if isinstance(structure, HomAlgebra):
-        return validate_hom_algebra(structure, witness_cap=witness_cap)
-    if isinstance(structure, HomCoalgebra):
-        return validate_hom_coalgebra(structure, witness_cap=witness_cap)
-    if isinstance(structure, HomLieAlgebra):
-        return validate_hom_lie(structure, require_multiplicative, witness_cap=witness_cap)
-    raise TypeError(f"not a Hom structure: {type(structure).__name__}")
+        report = validate_hom_algebra(structure, witness_cap=witness_cap)
+    elif isinstance(structure, HomCoalgebra):
+        report = validate_hom_coalgebra(structure, witness_cap=witness_cap)
+    elif isinstance(structure, HomLieAlgebra):
+        report = validate_hom_lie(structure, require_multiplicative, witness_cap=witness_cap)
+    else:
+        raise TypeError(f"not a Hom structure: {type(structure).__name__}")
+    failing = tuple(sub.check_name for sub in report.subreports if not sub.holds)
+    # validator flag -> verdict, beside the fields of the frozen record
+    vars(structure).setdefault("_verdicts", {})[require_multiplicative] = (report.holds, failing)
+    return report
+
+
+def verdict(structure: HomStructure, require_multiplicative: bool = False) -> tuple[bool, tuple[str, ...]]:
+    """(holds, failing subcheck names) of `validate`, which runs only if no verdict is kept."""
+    if require_multiplicative not in vars(structure).get("_verdicts", ()):
+        validate(structure, require_multiplicative)
+    return structure._verdicts[require_multiplicative]
 
 
 # -- element predicates -----------------------------------------------------------

@@ -272,36 +272,37 @@ class TestVerifyAll:
         assert ex23_reports["inverse-symbolic"] is False
 
     def test_each_structure_is_validated_once_per_entry(self, monkeypatch):
-        import homyb.catalog
-        import homyb.constructions
+        import homyb.structures
 
-        calls = []
+        calls, original = [], homyb.structures._check
 
-        def counting(*args, **kwargs):
-            calls.append(args[0].name)
-            return validate(*args, **kwargs)
+        def counting(*args):
+            calls.append(args[0])
+            return original(*args)
 
-        for module in (homyb.catalog, homyb.constructions):
-            monkeypatch.setattr(module, "validate", counting)
-        for _ in range(2):  # nothing is remembered from one pass to the next
+        monkeypatch.setattr(homyb.structures, "_check", counting)
+        for eid in _IDS:
+            entry = catalog_get(eid)
+            entry = replace(entry, structure=replace(entry.structure))  # keeps no verdict yet
             calls.clear()
-            assert all_as_expected(verify_all())
-            # each entry's structure once, its involutive specialisation once
-            # (ex2.3, ex2.5, ex3.5), and the unmultiplicative check of chybe_r (ex4.3)
-            assert len(calls) <= 10
+            verify_entry(entry)
+            # the structure once with the entry's validator flag, its involutive
+            # specialisation once, and the unmultiplicative check of chybe_r once
+            assert len(calls) == 1 + bool(entry.involutive_at) + ("chybe" in entry.checks), eid
+        assert all_as_expected(verify_all())
 
     def test_each_operator_is_built_once_per_entry(self, monkeypatch):
         import homyb.catalog
 
-        original = homyb.catalog._build_many
+        original = homyb.catalog.build_many
         built = []  # holds every operator, so no structure's id is reused
 
-        def recording(*args):
-            ops = original(*args)
+        def recording(*args, **kwargs):
+            ops = original(*args, **kwargs)
             built[-1].extend(ops)
             return ops
 
-        monkeypatch.setattr(homyb.catalog, "_build_many", recording)
+        monkeypatch.setattr(homyb.catalog, "build_many", recording)
         for eid, _ in catalog_list():
             built.append([])
             verify_entry(catalog_get(eid))

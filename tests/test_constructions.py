@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 import homyb.constructions
+import homyb.structures
 from homyb import (
     Construction,
     ConstructionWarning,
@@ -12,6 +13,7 @@ from homyb import (
     HomAlgebra,
     HomCoalgebra,
     HomLieAlgebra,
+    ParamSet,
     PreconditionError,
     Scalar,
     algebra_solution,
@@ -29,6 +31,8 @@ from homyb import (
     tensor2,
     validate,
 )
+from homyb._record import replace
+from homyb.constructions import SYSTEMS
 from homyb.files import structure_from_dict, structure_to_dict
 from conftest import PS2, structure
 
@@ -365,3 +369,76 @@ def test_build_many_checks_every_construction_before_it_builds(ex23, ex43, monke
     with pytest.raises(PreconditionError, match="lambda = 1 \\+ lam is not an invertible"):
         build_many(a, (_C.ALG21, _C.ALG_INV22), lam + 1, nu)
     assert calls["kron"] == 0  # thm2.1 is not built before cor2.2 is refused
+
+
+# -- the axiom verdict a structure keeps -------------------------------------------
+
+
+def counted_checks(monkeypatch) -> list:
+    """A list that gains the report name of every run of the axiom checker `structures._check`."""
+    calls, original = [], homyb.structures._check
+
+    def counting(name, *args):
+        calls.append(name)
+        return original(name, *args)
+
+    monkeypatch.setattr(homyb.structures, "_check", counting)
+    return calls
+
+
+def scaled_alpha(ex23):
+    """ex2.3 with α scaled by a fresh parameter p: HA1 fails for symbolic p and holds at p = 1."""
+    s = ex23.structure.extend(ParamSet((*ex23.structure.params.names, "p")))
+    return replace(s, name="ex2.3-p", alpha=s.alpha.scale(parse_scalar("p", s.params)))
+
+
+FAILS = "structure ex2.3-p fails axioms (HA1-mult, HA1-unit, HA2-unit)"
+
+
+@pytest.mark.parametrize("validated_first", [True, False], ids=["validated", "unvalidated"])
+def test_a_structure_is_validated_once_for_all_its_builds(ex23, validated_first, monkeypatch):
+    a = ex23.structure.substitute({"l": 1})  # a new structure, with an involutive α
+    lam, nu = symbols(a)
+    calls = counted_checks(monkeypatch)
+    if validated_first:
+        assert validate(a).holds
+    build(a, _C.ALG21, lam, nu)
+    build(a, _C.ALG24, lam, nu)
+    build_many(a, SYSTEMS["thm5.2"], lam, nu)
+    build_many(a, (_C.ALG21, _C.ALG_INV22), lam, nu)
+    assert calls == ["hom-algebra-axioms"]
+
+
+@pytest.mark.parametrize("failing_first", [True, False], ids=["failing-first", "passing-first"])
+def test_a_verdict_never_crosses_structures(ex23, failing_first, monkeypatch):
+    scaled = scaled_alpha(ex23)
+    at_one = scaled.substitute({"p": 1})
+    lam, nu = symbols(scaled)
+    calls = counted_checks(monkeypatch)
+    for _ in range(2):
+        for s in (scaled, at_one) if failing_first else (at_one, scaled):
+            if s is scaled:
+                with pytest.raises(PreconditionError) as raised:
+                    build(s, _C.ALG21, lam, nu)
+                assert str(raised.value) == FAILS
+            else:
+                assert build(s, _C.ALG21, lam, nu).source is at_one
+    assert len(calls) == 2  # each structure once, whichever is built on first
+
+
+def test_a_failing_verdict_is_kept_as_a_failure(ex23, monkeypatch):
+    scaled = scaled_alpha(ex23)
+    lam, nu = symbols(scaled)
+    calls = counted_checks(monkeypatch)
+    for _ in range(2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build(scaled, _C.ALG21, lam, nu, unchecked=True)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (ConstructionWarning, "building on a structure that fails axioms (HA1-mult, HA1-unit, HA2-unit)")
+        ]
+    for _ in range(2):
+        with pytest.raises(PreconditionError) as raised:
+            build(scaled, _C.ALG21, lam, nu)
+        assert str(raised.value) == FAILS
+    assert len(calls) == 1

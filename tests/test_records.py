@@ -8,6 +8,7 @@ the behaviour callers rely on, whatever generates the methods.
 import pytest
 
 from homyb import Matrix, ParamSet, Scalar, StructureError
+from homyb._record import replace
 from homyb.catalog import CatalogEntry, TableComparison
 from homyb.constructions import Construction, Recipe, SolutionOperator
 from homyb.structures import HomAlgebra, HomCoalgebra, HomLieAlgebra, _StructureBase
@@ -131,6 +132,15 @@ class TestRecords:
         else:
             with pytest.raises(TypeError):
                 hash(cls(*required))
+
+    def test_replace_copies_the_fields_and_nothing_else(self, cls):
+        names, required, _, _ = CASES[cls]
+        obj = cls(*required)
+        vars(obj)["extra"] = 1  # an attribute kept beside the fields, as a memo is
+        copy = replace(obj)
+        assert copy == obj and list(vars(copy)) == names
+        assert not hasattr(copy, "extra")
+        assert replace(obj, **{names[0]: required[0]}) == obj
 
     def test_frozen_classes_refuse_assignment(self, cls):
         names, required, _, _ = CASES[cls]
