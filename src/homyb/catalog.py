@@ -14,7 +14,7 @@ user files.  Beside it are the entry's `description`, its construction
 (`variant`), the `checks` it runs (names of `_CHECKS`, in report order), the
 printed `table` as [left, right, [[p, q, coefficient], ...]] rows,
 `documented_mismatches`, `expected_failures`, `u`, `involutive_at` and
-`notes`.  To add an entry, write its document and add its id to `_IDS`.
+`notes`.  To add an entry, write its document.
 
 Basis names, tables and twist maps follow the published examples; the
 parameter printed as k is named `kk` here to avoid colliding with the ground
@@ -110,9 +110,9 @@ class TableComparison:
 
 # -- the published entries -------------------------------------------------------
 
-# entry ids in catalog order; entry `id` is the document `entries/<id>.json`
-_IDS = ("ex2.3", "ex2.5", "ex2.5-verbatim", "ex3.3", "ex3.5", "ex4.3")
+# entry `id` is the document `entries/<id>.json`; the catalog lists the ids sorted
 _ENTRIES = Path(__file__).with_name("entries")
+_IDS = tuple(sorted(path.stem for path in _ENTRIES.glob("*.json")))
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")  # an `involutive_at` value: n, or n/d with d ≠ 0
 
 _CACHE: dict[str, CatalogEntry] = {}
@@ -269,15 +269,14 @@ class _Run:
         """The operators of `constructions` as built together on `structure`, each built once.
 
         An operator is kept under its structure, its construction and whether
-        its set is built at ν = 1, so a Lie pair never takes the operator built
-        alone at ν = nu.
+        its set is built at ν = 1 (as `build_many` builds a set with a ν = 1
+        member), so a Lie pair never takes the operator built alone at ν = nu.
         """
         at_one = any(RECIPES[c].nu_is_one for c in constructions)
         key = {c: (structure is self.structure, c, at_one) for c in constructions}
         missing = [c for c in constructions if key[c] not in self.ops]
         if missing:
-            nu = Scalar.one(structure.params) if at_one else self.nu
-            built = build_many(structure, missing, self.lam, nu, u=self.u, unchecked=unchecked)
+            built = build_many(structure, missing, self.lam, self.nu, u=self.u, unchecked=unchecked)
             self.ops.update((key[c], op) for c, op in zip(missing, built))
         return [self.ops[key[c]] for c in constructions]
 

@@ -29,7 +29,7 @@ from .constructions import (
     is_involutive,
 )
 from .errors import ConstructionWarning, HomybError
-from .scalar import Scalar, expression_names, parse_scalar
+from .scalar import Scalar, expression_names, format_scalar, parse_scalar
 from .structures import HomLieAlgebra, HomStructure, validate
 from .verify import DEFAULT_WITNESS_CAP, VerificationReport
 # not called here; perfbench/test_perfbench.py::test_tracer_counts_and_restores reads it
@@ -218,7 +218,9 @@ def _run_check(args, structure, lam, nu) -> tuple[VerificationReport, dict]:
     name, check = args.check, CHECKS[args.check]
     source = {"lambda": args.lam, "nu": args.nu, "construction": args.construction}
     takes_operator = name in ("alpha", "hybe")
-    if takes_operator and args.operator:
+    if args.operator and not takes_operator:
+        raise HomybError(f"--operator is read only by --check alpha and hybe, not by --check {name}")
+    if args.operator:
         matrix, source = _operator_file(args, structure)
         structure = _extended(structure, matrix.params.names)
         if matrix.params != structure.params:
@@ -231,6 +233,8 @@ def _run_check(args, structure, lam, nu) -> tuple[VerificationReport, dict]:
         needs = "--construction or --operator" if takes_operator and not args.construction else None
         raise HomybError(f"--check {name} needs {needs or check.needs}")
     ops = _build(args, structure, lam, nu, True, check.builds[args.construction])
+    if ops[0].nu != nu:  # the set was built at ν = 1
+        source["nu"] = format_scalar(ops[0].nu)
     return check.report(structure, ops, DEFAULT_WITNESS_CAP), source
 
 

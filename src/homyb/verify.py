@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._record import record
 from .errors import DimensionError
@@ -100,15 +100,11 @@ def leaf_report(
     return report
 
 
-def residual_witnesses(residual: Matrix, label: str = "") -> Iterator[Witness]:
-    """One witness per nonzero entry of an exact residual matrix, row-major."""
-    return (Witness(i, j, s, label) for i, j, s in residual.nonzero())
-
-
 def _report(name: str, residual: Matrix, cap: int | None, started: float | None = None,
             label: str = "", **metadata: str) -> VerificationReport:
-    """The report on an identity whose residual is `residual`, one witness per nonzero entry."""
-    return leaf_report(name, residual_witnesses(residual, label), witness_cap=cap, started=started, **metadata)
+    """The report on an identity whose residual is `residual`, one witness per nonzero entry, row-major."""
+    witnesses = (Witness(i, j, s, label) for i, j, s in residual.nonzero())
+    return leaf_report(name, witnesses, witness_cap=cap, started=started, **metadata)
 
 
 def combine(

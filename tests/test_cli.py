@@ -377,6 +377,41 @@ class TestVerify:
         assert main(["verify", export(entry_id), *argv]) == 2
         assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
 
+    @pytest.mark.parametrize("entry_id, build, argv", [
+        ("ex2.3", ["thm2.1"], ["--check", "system", "--construction", "thm5.2"]),
+        ("ex2.3", ["thm2.1"], ["--check", "inverse", "--construction", "thm2.4-inverse"]),
+        ("ex4.3", ["thm4.1", "--u", "0,0,1"],
+         ["--check", "chybe", "--x", "1,0,0", "--y", "0,1,0", "--u", "0,0,1"]),
+    ], ids=["system", "inverse", "chybe"])
+    def test_operator_on_a_check_that_does_not_read_it_exits_two(self, export, tmp_path, capsys,
+                                                                 entry_id, build, argv):
+        # an operator file that fits the structure, or none at all: either way the check would
+        # run on what it builds itself, so --operator is refused rather than ignored
+        structure, op_path = export(entry_id), tmp_path / "op.json"
+        assert main(["build", structure, "--construction", *build, "--out", str(op_path)]) == 0
+        for path in (str(op_path), str(tmp_path / "nonexistent.json")):
+            capsys.readouterr()
+            assert main(["verify", structure, *argv, "--operator", path]) == 2
+            assert capsys.readouterr() == ("", f"error: --operator is read only by --check alpha and hybe, "
+                                               f"not by --check {argv[1]}\n")
+
+    @pytest.mark.parametrize("construction, check, nu, recorded", [
+        ("cor4.2", "inverse", "nu", "1"),
+        ("cor4.2", "hybe", "nu", "1"),
+        ("cor4.2", "hybe", "1", "1"),
+        ("thm4.1", "hybe", "nu*2", "nu*2"),
+    ])
+    def test_report_records_the_nu_the_operators_are_built_at(self, export, tmp_path, capsys,
+                                                              construction, check, nu, recorded):
+        # cor4.2 is built at ν = 1, as its operator file says; otherwise --nu is recorded as given
+        structure, op_path, report_path = export("ex4.3"), tmp_path / "op.json", tmp_path / "report.json"
+        argv = ["--construction", construction, "--u", "0,0,1", "--nu", nu]
+        assert main(["build", structure, *argv, "--out", str(op_path)]) == 0
+        main(["verify", structure, *argv, "--check", check, "--json", str(report_path)])
+        assert json.loads(report_path.read_text())["metadata"]["nu"] == recorded
+        if construction == "cor4.2":
+            assert json.loads(op_path.read_text())["nu"] == recorded
+
     def test_negative_twist_power_on_a_non_involutive_alpha_exits_two(
         self, export, tmp_path, capsys
     ):

@@ -43,7 +43,7 @@ from homyb import (
 )
 from homyb.constructions import INVERSE, RECIPES, SYSTEMS
 from homyb.files import structure_from_dict
-from homyb.verify import residual_witnesses
+from homyb.verify import _report
 from conftest import PS2, random_assignment, structure
 
 
@@ -332,7 +332,8 @@ class TestCommutatorAndSystems:
         x = build(a, Construction.ALG21, lam, nu).matrix
         n, alpha = a.dim, a.alpha
         expected = [
-            (name, list(residual_witnesses(yb_commutator(r, s, t, (n, n, n), alpha, alpha, alpha), name)))
+            (name, _report(name, yb_commutator(r, s, t, (n, n, n), alpha, alpha, alpha), None,
+                           label=name).witnesses)
             for name, (r, s, t) in system_commutators(w, z, x)
         ]
         legs = ("leg12", "leg13", "leg23")
