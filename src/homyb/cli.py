@@ -226,9 +226,9 @@ def _run_check(args, structure, lam, nu) -> tuple[VerificationReport, dict]:
         if matrix.params != structure.params:
             matrix = matrix.extend(structure.params)
         return check.report(structure, (matrix,), DEFAULT_WITNESS_CAP), source
-    if not check.builds:  # chybe builds no operator
+    if not check.builds:  # chybe builds no operator, and r reads no --lambda, --nu or --construction
         r = _chybe_r(args, structure, check)
-        return check.report(structure, r, DEFAULT_WITNESS_CAP), source
+        return check.report(structure, r, DEFAULT_WITNESS_CAP), {}
     if args.construction not in check.builds:
         needs = "--construction or --operator" if takes_operator and not args.construction else None
         raise HomybError(f"--check {name} needs {needs or check.needs}")

@@ -330,6 +330,10 @@ class Matrix:
     def is_zero(self) -> bool:
         return not any(self._rows)
 
+    def term_count(self) -> int:
+        """The number of stored terms, summed over every entry; read without decoding."""
+        return sum(map(len, self._rows))
+
     # -- arithmetic -------------------------------------------------------------
 
     def _check(self, other: "Matrix", same_shape: bool) -> None:

@@ -11,6 +11,11 @@ comes from `tensor.product_difference`: both sides are added into one packed
 term map per entry and only the entries that do not cancel are read back as
 Scalars, so a pass builds no Scalar.  The classical condition on r is one
 such column, from the Lie bracket and r⊗r = `kron(r, r)` with legs 2, 3 flipped.
+
+hybe and the system conditions twist their operators' spare legs: on `kron`
+and `leg13` legs for a monomial alpha (no more terms than rows), else by
+multiplying alpha into the n²×n² operators, embedded on identity-padded legs.
+The residual, so every witness and its order, is the same either way.
 """
 
 from __future__ import annotations
@@ -141,6 +146,11 @@ def _operator_on_square(b, alpha: Matrix) -> Matrix:
     return b
 
 
+def _monomial(alpha: Matrix) -> bool:
+    """No more terms than rows, as a permutation times monomials has: then alpha twists on `kron` legs."""
+    return alpha.term_count() <= alpha.rows
+
+
 def commutes_with_alpha(
     b: Matrix, alpha: Matrix, *, witness_cap: int | None = DEFAULT_WITNESS_CAP
 ) -> VerificationReport:
@@ -157,15 +167,24 @@ def hybe_holds(
     """The braid-form twisted Yang-Baxter identity on the tensor cube.
 
     Checks (α⊗B)(B⊗α)(α⊗B) = (B⊗α)(α⊗B)(B⊗α) as an exact n³×n³ identity.
-    With P = (α⊗B)(B⊗α) the two sides are P(α⊗B) and (B⊗α)P, so P is the
-    only product built.
+    On a monomial alpha, with P = (α⊗B)(B⊗α), the two sides are P(α⊗B) and
+    (B⊗α)P.  On any other they are C²³·(G¹²·B²³) and B¹²·(H²³·D¹²) on
+    identity-padded legs, with D = (α⊗I)B, C = B(I⊗α), G = D(α⊗I) and
+    H = (I⊗α)C, so no cube entry carries alpha.
     """
     started = time.perf_counter()
     b = _operator_on_square(b, alpha)
-    ab = kron(alpha, b)
-    ba = kron(b, alpha)
-    p = ab @ ba
-    return _report("hybe", product_difference(p, ab, ba, p), witness_cap, started)
+    if _monomial(alpha):
+        ab, ba = kron(alpha, b), kron(b, alpha)
+        p = ab @ ba
+        residual = product_difference(p, ab, ba, p)
+    else:
+        ident = Matrix.identity(alpha.rows, alpha.params)
+        a1, a2 = kron(alpha, ident), kron(ident, alpha)
+        d, c = a1 @ b, b @ a2
+        residual = product_difference(kron(ident, c), kron(d @ a1, ident) @ kron(ident, b),
+                                      kron(b, ident), kron(ident, a2 @ c) @ kron(d, ident))
+    return _report("hybe", residual, witness_cap, started)
 
 
 def inverse_holds(
@@ -185,10 +204,11 @@ def inverse_holds(
     return combine("inverse", parts, started, witness_cap=witness_cap)
 
 
-def _commutator(r12: Matrix, s13: Matrix, t23: Matrix) -> Matrix:
-    """[R,S,T] from its embeddings, as R¹²·(S¹³T²³) − T²³·(S¹³R¹²): as many products
-    as from the left, but on a dense alpha about a fifth fewer pairs of terms."""
-    return product_difference(r12, s13 @ t23, t23, s13 @ r12)
+def _commutator(r12: Matrix, s13: Matrix, t23: Matrix, t23_: Matrix, s13_: Matrix,
+                r12_: Matrix) -> Matrix:
+    """[R,S,T] = R¹²·(S¹³T²³) − T²³·(S¹³R¹²), each side from its own three embeddings:
+    as many products as from the left, but on a dense alpha about a fifth fewer pairs of terms."""
+    return product_difference(r12, s13 @ t23, t23_, s13_ @ r12_)
 
 
 def yb_commutator(
@@ -211,7 +231,8 @@ def yb_commutator(
         raise DimensionError("commutator operand sizes do not match dims")
     if (alpha_first.rows, alpha_mid.rows, alpha_third.rows) != (n, n2, n3):
         raise DimensionError("twist map sizes do not match dims")
-    return _commutator(leg12(r, alpha_third), leg13(s, alpha_mid, n, n3), leg23(t, alpha_first))
+    legs = (leg12(r, alpha_third), leg13(s, alpha_mid, n, n3), leg23(t, alpha_first))
+    return _commutator(*legs, *legs[::-1])
 
 
 def system_holds(
@@ -220,23 +241,35 @@ def system_holds(
     """The four commutator conditions [W,W,W]=[Z,Z,Z]=[W,X,X]=[X,X,Z]=0.
 
     All three operators act on the same twisted space (the constructions here
-    only produce that case, with V = V').  Evaluated in the order of `triples`,
-    each condition shares one of the nine leg embeddings with the next, so
-    each is built once, dropped after its last use, and at most three are held.
+    only produce that case, with V = V').  On a monomial alpha both sides of
+    [R,S,T] share the `leg12`, `leg13` and `leg23` embeddings, alpha on the
+    spare leg; on any other, [R,S,T] = R¹²·(S″¹³T′²³) − T²³·(S‴¹³R′¹²) on
+    identity-padded legs, with S″ = (I⊗α)S(α⊗I), S‴ = (α⊗I)S(I⊗α),
+    T′ = (α⊗I)T and R′ = (I⊗α)R.  In the order of `triples` the conditions
+    share embeddings; each is built once and dropped after its last use.
     """
     started = time.perf_counter()
     w, z, x = _as_matrix(w), _as_matrix(z), _as_matrix(x)
     n = alpha.rows
     triples = {"[Z,Z,Z]": (z, z, z), "[X,X,Z]": (x, x, z), "[W,X,X]": (w, x, x), "[W,W,W]": (w, w, w)}
-    embed = (lambda op: leg12(op, alpha), lambda op: leg13(op, alpha, n, n), lambda op: leg23(op, alpha))
-    uses = Counter((leg, id(op)) for ops in triples.values() for leg, op in enumerate(ops))
+    if _monomial(alpha):
+        r, s, t = (lambda op: leg12(op, alpha), lambda op: leg13(op, alpha, n, n), lambda op: leg23(op, alpha))
+        embed = (r, s, t, t, s, r)
+    else:
+        ident = Matrix.identity(n, alpha.params)
+        a1, a2 = kron(alpha, ident), kron(ident, alpha)
+        embed = (lambda op: leg12(op, ident), lambda op: leg13(a2 @ op @ a1, ident, n, n),
+                 lambda op: leg23(a1 @ op, ident), lambda op: leg23(op, ident),
+                 lambda op: leg13(a1 @ op @ a2, ident, n, n), lambda op: leg12(a2 @ op, ident))
+    slots = {name: list(zip(embed, ops + ops[::-1])) for name, ops in triples.items()}
+    uses = Counter((leg, id(op)) for pairs in slots.values() for leg, op in pairs)
     built, parts = {}, {}
-    for name, ops in triples.items():
+    for name, pairs in slots.items():
         legs = []
-        for leg, op in enumerate(ops):
+        for leg, op in pairs:
             key = (leg, id(op))
             uses[key] -= 1
-            legs.append(built.pop(key) if key in built else embed[leg](op))
+            legs.append(built.pop(key) if key in built else leg(op))
             if uses[key]:
                 built[key] = legs[-1]
         parts[name] = _report(name, _commutator(*legs), witness_cap, label=name)

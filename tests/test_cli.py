@@ -412,6 +412,17 @@ class TestVerify:
         if construction == "cor4.2":
             assert json.loads(op_path.read_text())["nu"] == recorded
 
+    def test_chybe_report_records_no_lambda_nu_or_construction(self, export, tmp_path, capsys):
+        # r = [x, y]⊗u is built from --x, --y, --u, --m and --n, so the arguments
+        # that build operators are not recorded as what chybe checked
+        report_path = tmp_path / "r.json"
+        assert main(["verify", export("ex4.3"), "--check", "chybe", "--x", "1,0,0", "--y", "0,1,0",
+                     "--u", "0,0,1", "--lambda", "5", "--construction", "thm4.1",
+                     "--json", str(report_path)]) == 0
+        meta = json.loads(report_path.read_text())["metadata"]
+        assert (meta["structure"], meta["parameters"]) == ("ex4.3", "lam,nu")
+        assert not {"lambda", "nu", "construction"} & meta.keys()
+
     def test_negative_twist_power_on_a_non_involutive_alpha_exits_two(
         self, export, tmp_path, capsys
     ):

@@ -11,8 +11,11 @@ from homyb import (
     Construction,
     ConstructionWarning,
     DimensionError,
+    HomAlgebra,
+    HomCoalgebra,
     HomLieAlgebra,
     Matrix,
+    ParamSet,
     Scalar,
     Witness,
     algebra_solution,
@@ -24,6 +27,7 @@ from homyb import (
     chybe_r,
     commutes_with_alpha,
     flip,
+    format_scalar,
     hybe_holds,
     inverse_holds,
     kron,
@@ -39,8 +43,10 @@ from homyb import (
     system_holds,
     tensor2,
     validate,
+    verify_entry,
     yb_commutator,
 )
+from homyb._record import replace
 from homyb.constructions import INVERSE, RECIPES, SYSTEMS
 from homyb.files import structure_from_dict
 from homyb.verify import _report
@@ -614,6 +620,106 @@ class TestFusedResidualsMatchTheFormulas:
         calls.clear()
         assert system_holds(w, z, x, c.alpha).holds
         assert len(calls) == 8
+
+
+PS1 = ParamSet(["t"])
+
+
+def laurent_matrix(rng, n, zeros):
+    """An n×n matrix over t: each entry zero with probability `zeros`, else one to three terms."""
+    def terms():
+        if rng.random() < zeros:
+            return {}
+        return {(rng.randint(-2, 2),): rng.choice((-2, -1, 1, 2, 3)) for _ in range(rng.randint(1, 3))}
+    return Matrix(n, n, PS1, [Scalar(PS1, terms()) for _ in range(n * n)])
+
+
+def kron_leg_witnesses(b, w, z, x, alpha):
+    """The hybe witnesses and the four system subreports' witnesses, from the kron-leg formulas."""
+    n = alpha.rows
+    ab, ba = kron(alpha, b), kron(b, alpha)
+    system = []
+    for name, (r, s, t) in system_commutators(w, z, x):
+        r12, s13, t23 = leg12(r, alpha), leg13(s, alpha, n, n), leg23(t, alpha)
+        system.append(unfused(r12 @ s13 @ t23 - t23 @ s13 @ r12, name))
+    return unfused(ab @ ba @ ab - ba @ ab @ ba), system
+
+
+def elementary(params, n, i, j, c):
+    """I + c·e_ij, the row operation that adds c times row j to row i."""
+    return Matrix.from_rows(params, [[Scalar.constant(params, (r == k) + c * ((r, k) == (i, j)))
+                                      for k in range(n)] for r in range(n)])
+
+
+def conjugated(entry, p, p_inv):
+    """The entry in the basis of P's columns: each map conjugated by P, and u sent to P⁻¹u."""
+    s = entry.structure
+    maps = {"alpha": p_inv @ s.alpha @ p}
+    if isinstance(s, HomCoalgebra):
+        maps.update(delta=kron(p_inv, p_inv) @ s.delta @ p, epsilon=s.epsilon @ p)
+    else:
+        product = "mu" if isinstance(s, HomAlgebra) else "bracket"
+        maps[product] = p_inv @ getattr(s, product) @ kron(p, p)
+        if isinstance(s, HomAlgebra):
+            maps["eta"] = p_inv @ s.eta
+    u = entry.u and tuple(format_scalar(c) for c in p_inv.apply(entry.u_vector()))
+    return replace(entry, structure=replace(s, **maps), u=u)
+
+
+class TestPaddedLegs:
+    # an alpha with more terms than rows is multiplied into the operators, which
+    # then embed on identity-padded legs; the residual is the kron-leg one, so
+    # the witnesses and their order are too
+    @pytest.mark.parametrize("n, seed", [(2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1)])
+    def test_padded_residuals_equal_the_kron_leg_residuals(self, n, seed):
+        rng = random.Random(100 * n + seed)
+        alpha = laurent_matrix(rng, n, zeros=0)
+        assert alpha.term_count() > n
+        b, w, z, x = (laurent_matrix(rng, n * n, zeros=0.75) for _ in range(4))
+        hybe, system = kron_leg_witnesses(b, w, z, x, alpha)
+        report = hybe_holds(b, alpha, witness_cap=None)
+        assert report.witnesses == hybe and not report.holds
+        report = system_holds(w, z, x, alpha, witness_cap=None)
+        assert [part.witnesses for part in report.subreports] == system
+        assert not report.holds
+
+    @pytest.mark.parametrize("alpha, products", [
+        ([["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]], (1, 8)),
+        ([["t", "0", "0"], ["0", "-2*t^-1", "0"], ["0", "0", "1/3"]], (1, 8)),
+        # D, C, G and H, then two cube products; S″, S‴, T′ and R′ for each of W, Z and X
+        ([["1", "t", "0"], ["0", "1", "0"], ["2", "0", "t^-1"]], (6, 26)),
+    ], ids=["permutation", "monomial-diagonal", "dense"])
+    def test_the_twist_alone_picks_the_legs(self, alpha, products, monkeypatch):
+        # a monomial alpha keeps the kron legs and their shared products
+        alpha = Matrix.from_rows(PS1, [[parse_scalar(e, PS1) for e in row] for row in alpha])
+        rng = random.Random(5)
+        b, w, z, x = (laurent_matrix(rng, 9, zeros=0.7) for _ in range(4))
+        hybe, system = kron_leg_witnesses(b, w, z, x, alpha)
+        calls = []
+        matmul = Matrix.__matmul__
+        monkeypatch.setattr(Matrix, "__matmul__", lambda a, c: calls.append(1) or matmul(a, c))
+        assert hybe_holds(b, alpha, witness_cap=None).witnesses == hybe
+        hybe_calls = len(calls)
+        report = system_holds(w, z, x, alpha, witness_cap=None)
+        assert (hybe_calls, len(calls) - hybe_calls) == products
+        assert [part.witnesses for part in report.subreports] == system
+
+    @pytest.mark.parametrize("entry_id", ["ex2.3", "ex2.5", "ex3.3", "ex3.5", "ex4.3"])
+    def test_verdicts_survive_a_change_of_basis(self, entry_id):
+        # P adds the last row to the first, then the first to the second: unimodular,
+        # and it takes each entry's alpha off monomial form, onto the padded legs
+        entry = catalog_get(entry_id)
+        kept = ("axioms", "alpha-commute", "hybe", "system")
+        entry = replace(entry, checks=tuple(c for c in entry.checks if c in kept))
+        n, params = entry.structure.dim, entry.structure.params
+        p = elementary(params, n, 1, 0, 1) @ elementary(params, n, 0, n - 1, 1)
+        p_inv = elementary(params, n, 0, n - 1, -1) @ elementary(params, n, 1, 0, -1)
+        assert p @ p_inv == Matrix.identity(n, params)
+        moved = conjugated(entry, p, p_inv)
+        assert moved.structure.alpha.term_count() > n
+        verdicts = [{r.check_name: r.holds for r in verify_entry(e).subreports} for e in (entry, moved)]
+        assert verdicts[1] == verdicts[0] == {c: c not in entry.expected_failures for c in entry.checks}
+        assert len(verdicts[0]) == (3 if isinstance(entry.structure, HomLieAlgebra) else 4)
 
 
 class TestErrorPaths:
