@@ -91,14 +91,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--check", required=True, choices=tuple(CHECKS))
     p.add_argument("--construction", choices=_CONSTRUCTIONS)
+    # no defaults here: a flag the check does not read is refused only if it was given
     p.add_argument("--operator", help="operator JSON file (alpha/hybe checks only)")
-    p.add_argument("--lambda", dest="lam", default="lam")
-    p.add_argument("--nu", default="nu")
+    p.add_argument("--lambda", dest="lam", help="lambda expression (default: lam)")
+    p.add_argument("--nu", help="nu expression (default: nu)")
     p.add_argument("--u", help="central element for thm4.1/cor4.2/chybe")
     p.add_argument("--x", help="first bracket argument for chybe")
     p.add_argument("--y", help="second bracket argument for chybe")
-    p.add_argument("--m", type=int, default=0, help="twist power on the bracket leg (chybe)")
-    p.add_argument("--n", type=int, default=0, help="twist power on the u leg (chybe)")
+    p.add_argument("--m", type=int, help="twist power on the bracket leg (chybe, default: 0)")
+    p.add_argument("--n", type=int, help="twist power on the u leg (chybe, default: 0)")
     p.add_argument("--json", dest="json_path")
     p.set_defaults(func=cmd_verify)
 
@@ -151,7 +152,11 @@ def _with_warnings(run):
 
 def _build(args, structure, lam, nu, unchecked, constructions):
     """The given constructions, built together on the structure with --u where it is Lie."""
-    lie = isinstance(structure, HomLieAlgebra) and RECIPES[constructions[0]].kind is HomLieAlgebra
+    lie = RECIPES[constructions[0]].kind is HomLieAlgebra
+    if args.u and not lie:
+        raise HomybError(f"--u is read only by the Lie constructions and --check chybe, "
+                         f"not by --construction {args.construction}")
+    lie = lie and isinstance(structure, HomLieAlgebra)
     u = _vector_arg(args.u, structure, "--u") if args.u and lie else None
     return build_many(structure, constructions, lam, nu, u=u, unchecked=unchecked)
 
@@ -196,7 +201,26 @@ def cmd_build(args) -> int:
     return 0
 
 
+# verify's flags that a check may read, and where argparse keeps each one
+_FLAGS = {"--construction": "construction", "--operator": "operator", "--lambda": "lam",
+          "--nu": "nu", "--u": "u", "--x": "x", "--y": "y", "--m": "m", "--n": "n"}
+
+
+def _refuse_unread(args) -> None:
+    """Exit 2 on a flag given to a check that does not read it, rather than ignore it;
+    then put in the defaults of the flags not given."""
+    for flag, dest in _FLAGS.items():
+        if getattr(args, dest) is not None and flag not in CHECKS[args.check].reads:
+            readers = [name for name, check in CHECKS.items() if flag in check.reads]
+            listed = " and ".join(filter(None, (", ".join(readers[:-1]), readers[-1])))
+            raise HomybError(f"{flag} is read only by --check {listed}, not by --check {args.check}")
+    for dest, default in (("lam", "lam"), ("nu", "nu"), ("m", 0), ("n", 0)):
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+
+
 def cmd_verify(args) -> int:
+    _refuse_unread(args)
     structure, lam, nu = _load(args, [args.u, args.x, args.y])
     report, source = _with_warnings(lambda: _run_check(args, structure, lam, nu))
     _print_report(report)
@@ -217,19 +241,17 @@ def _run_check(args, structure, lam, nu) -> tuple[VerificationReport, dict]:
     and what names the operator checked: the --operator file's header, else the arguments."""
     name, check = args.check, CHECKS[args.check]
     source = {"lambda": args.lam, "nu": args.nu, "construction": args.construction}
-    takes_operator = name in ("alpha", "hybe")
-    if args.operator and not takes_operator:
-        raise HomybError(f"--operator is read only by --check alpha and hybe, not by --check {name}")
     if args.operator:
         matrix, source = _operator_file(args, structure)
         structure = _extended(structure, matrix.params.names)
         if matrix.params != structure.params:
             matrix = matrix.extend(structure.params)
         return check.report(structure, (matrix,), DEFAULT_WITNESS_CAP), source
-    if not check.builds:  # chybe builds no operator, and r reads no --lambda, --nu or --construction
+    if not check.builds:  # chybe builds no operator, and reads no flag that names one
         r = _chybe_r(args, structure, check)
         return check.report(structure, r, DEFAULT_WITNESS_CAP), {}
     if args.construction not in check.builds:
+        takes_operator = "--operator" in check.reads
         needs = "--construction or --operator" if takes_operator and not args.construction else None
         raise HomybError(f"--check {name} needs {needs or check.needs}")
     ops = _build(args, structure, lam, nu, True, check.builds[args.construction])

@@ -467,28 +467,33 @@ class Check:
     chybe takes no name: it is given r from `chybe_r`.  `report(structure,
     built, cap)` decides the identity on what was built on the structure (alpha
     and hybe also take a bare operator matrix), with at most `cap` witnesses.
-    `needs` says what the check must be given, as the command line asks for it.
+    `needs` says what the check must be given, as the command line asks for it,
+    and `reads` names every command-line flag that the check reads.
     """
 
     builds: dict[str, tuple[Construction, ...]]
     needs: str
+    reads: tuple[str, ...]
     report: Callable[[HomStructure, Any, int | None], VerificationReport]
 
 
 _SINGLES = {c.value: (c,) for c in Construction if all(c not in t for t in SYSTEMS.values())}
 _PAIRS = {c.value: (RECIPES[c].inverts, c) for c in sorted(INVERSE.values(), key=lambda c: c.value)}
 
+# the flags that build operators; --u is read only by the Lie constructions
+_BUILDING = ("--construction", "--lambda", "--nu")
+
 # check name -> the check.  Each report looks its checker up in `verify` when it
 # runs, so a wrapper bound there in place of the checker is the one called.
 CHECKS: dict[str, Check] = {
-    "alpha": Check(_SINGLES, "a single-operator construction", lambda s, ops, cap:
-                   verify.commutes_with_alpha(ops[0], s.alpha, witness_cap=cap)),
-    "hybe": Check(_SINGLES, "a single-operator construction", lambda s, ops, cap:
-                  verify.hybe_holds(ops[0], s.alpha, witness_cap=cap)),
-    "inverse": Check(_PAIRS, "--construction among " + ", ".join(_PAIRS), lambda s, ops, cap:
-                     verify.inverse_holds(ops[0].matrix, ops[1].matrix, witness_cap=cap)),
-    "system": Check(SYSTEMS, "--construction " + " or ".join(SYSTEMS), lambda s, ops, cap:
-                    verify.system_holds(*ops, s.alpha, witness_cap=cap)),
-    "chybe": Check({}, "--x, --y and --u", lambda s, r, cap:
-                   verify.chybe_holds(r, s, witness_cap=cap)),
+    "alpha": Check(_SINGLES, "a single-operator construction", (*_BUILDING, "--u", "--operator"),
+                   lambda s, ops, cap: verify.commutes_with_alpha(ops[0], s.alpha, witness_cap=cap)),
+    "hybe": Check(_SINGLES, "a single-operator construction", (*_BUILDING, "--u", "--operator"),
+                  lambda s, ops, cap: verify.hybe_holds(ops[0], s.alpha, witness_cap=cap)),
+    "inverse": Check(_PAIRS, "--construction among " + ", ".join(_PAIRS), (*_BUILDING, "--u"),
+                     lambda s, ops, cap: verify.inverse_holds(ops[0].matrix, ops[1].matrix, witness_cap=cap)),
+    "system": Check(SYSTEMS, "--construction " + " or ".join(SYSTEMS), _BUILDING,
+                    lambda s, ops, cap: verify.system_holds(*ops, s.alpha, witness_cap=cap)),
+    "chybe": Check({}, "--x, --y and --u", ("--x", "--y", "--u", "--m", "--n"),
+                   lambda s, r, cap: verify.chybe_holds(r, s, witness_cap=cap)),
 }

@@ -4,7 +4,7 @@ A Matrix keeps one term map per row and never stores a zero, so every kernel
 (products, sums, Kronecker products, comparisons) walks the nonzero terms
 only.  It is homyb's one linear-algebra path: structure maps, operators,
 axioms and identities are all expressions in `kron`, `flip`, `leg13`, `@`,
-`+` and `product_difference`; the coordinate-vector helpers at the end only
+`+`, `product_difference` and `permute_rows`; the coordinate-vector helpers at the end only
 build inputs such as basis vectors and u⊗v.
 
 Storage.  A row is not a list of Scalars but one flat term map
@@ -51,7 +51,8 @@ constructor and `from_rows`, which `from_cols` transposes into -- are checked
 to lie over the matrix ParamSet and are encoded there.  One decoder,
 `_entries`, groups a row's terms by column and turns them into Scalars; every
 read goes through it: `[i, j]`, `column`, `data`, `nonzero`, `map` and
-`repr`.  `apply` goes through `@`.  Each matrix operation is one kernel call
+`repr`.  `apply` goes through `@`, and `permute_rows` moves stored rows
+without reading them.  Each matrix operation is one kernel call
 over all of its rows: `_accumulate` for `@`, `+`, `−` and
 `product_difference(a, b, c, d)`, which adds both products of a·b − c·d into
 one term map per row, the second negated, so a residual that vanishes holds
@@ -483,6 +484,15 @@ def flip(n: int, m: int, params: ParamSet) -> Matrix:
     # row j·n + i holds the single 1 that picks coordinate i·m + j
     rows = [{i * m + j: 1} for j in range(m) for i in range(n)]
     return Matrix._new(n * m, n * m, params, rows, 0, _width(0, n * m))
+
+
+def permute_rows(m: Matrix, order: Sequence[int]) -> Matrix:
+    """The matrix whose row i is row order[i] of m: the stored rows are moved,
+    never copied or changed, so a permutation of rows costs no arithmetic."""
+    if sorted(order) != list(range(m.rows)):
+        raise DimensionError(f"row order must permute the {m.rows} rows")
+    rows = m._rows
+    return Matrix._new(m.rows, m.cols, m.params, [rows[i] for i in order], m._bound, m._w)
 
 
 def leg12(r: Matrix, alpha_third: Matrix) -> Matrix:

@@ -12,22 +12,24 @@ term map per entry and only the entries that do not cancel are read back as
 Scalars, so a pass builds no Scalar.  The classical condition on r is one
 such column, from the Lie bracket and r⊗r = `kron(r, r)` with legs 2, 3 flipped.
 
-hybe and the system conditions twist their operators' spare legs: on `kron`
-and `leg13` legs for a monomial alpha (no more terms than rows), else by
-multiplying alpha into the n²×n² operators, embedded on identity-padded legs.
-The residual, so every witness and its order, is the same either way.
+hybe and, on a monomial alpha, each system condition are braid words of
+`_braid`; [R,S,T] is P₁₃ times the word of τR, τS, τT, with τ and P₁₃ row
+orders.  On any other alpha, α is multiplied into the n²×n² operators on
+identity-padded legs, where the system keeps the commutator form.  The
+residual, so every witness and its order, is the same either way.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from ._record import record
 from .errors import DimensionError
 from .scalar import Scalar
-from .tensor import Matrix, flip, kron, leg12, leg13, leg23, product_difference
+from .tensor import Matrix, flip, kron, leg12, leg13, leg23, permute_rows, product_difference
 
 if TYPE_CHECKING:  # pragma: no cover
     from .structures import HomLieAlgebra
@@ -161,30 +163,50 @@ def commutes_with_alpha(
     return _report("alpha-commute", product_difference(aa, b, b, aa), witness_cap, started)
 
 
+def _kron_legs(alpha: Matrix, b: Matrix) -> tuple[Matrix, Matrix]:
+    return kron(alpha, b), kron(b, alpha)
+
+
+def _braid(b1: Matrix, b2: Matrix, b3: Matrix, alpha: Matrix, legs=None) -> Matrix:
+    """The residual (α⊗b1)(b2⊗α)(α⊗b3) − (b3⊗α)(α⊗b2)(b1⊗α) of the braid word.
+
+    On a monomial alpha its factors are `kron` legs, `legs(b)` = (α⊗b, b⊗α)
+    once per distinct operator, and the middle product is shared when b1 is
+    b2 or b2 is b3.  On any other alpha it is C²³·(G¹²·b3²³) − b3¹²·(H²³·D¹²)
+    on identity-padded legs, with C = b1(I⊗α), G = (α⊗I)b2(α⊗I),
+    H = (I⊗α)b2(I⊗α) and D = (α⊗I)b1.
+    """
+    if not _monomial(alpha):
+        ident = Matrix.identity(alpha.rows, alpha.params)
+        a1, a2 = kron(alpha, ident), kron(ident, alpha)
+        d, c = a1 @ b1, b1 @ a2
+        g, h = (d, c) if b2 is b1 else (a1 @ b2, b2 @ a2)
+        return product_difference(kron(ident, c), kron(g @ a1, ident) @ kron(ident, b3),
+                                  kron(b3, ident), kron(ident, a2 @ h) @ kron(d, ident))
+    legs = legs or partial(_kron_legs, alpha)
+    l1, r1 = legs(b1)
+    l3, r3 = (l1, r1) if b3 is b1 else legs(b3)
+    if b1 is b2:
+        m = l1 @ r1
+        return product_difference(m, l3, r3, m)
+    if b2 is b3:
+        m = r3 @ l3
+        return product_difference(l1, m, m, r1)
+    l2, r2 = legs(b2)
+    return product_difference(l1 @ r2, l3, r3 @ l2, r1)
+
+
 def hybe_holds(
     b: Matrix, alpha: Matrix, *, witness_cap: int | None = DEFAULT_WITNESS_CAP
 ) -> VerificationReport:
     """The braid-form twisted Yang-Baxter identity on the tensor cube.
 
-    Checks (α⊗B)(B⊗α)(α⊗B) = (B⊗α)(α⊗B)(B⊗α) as an exact n³×n³ identity.
-    On a monomial alpha, with P = (α⊗B)(B⊗α), the two sides are P(α⊗B) and
-    (B⊗α)P.  On any other they are C²³·(G¹²·B²³) and B¹²·(H²³·D¹²) on
-    identity-padded legs, with D = (α⊗I)B, C = B(I⊗α), G = D(α⊗I) and
-    H = (I⊗α)C, so no cube entry carries alpha.
+    Checks (α⊗B)(B⊗α)(α⊗B) = (B⊗α)(α⊗B)(B⊗α), the `_braid` word of B, B, B,
+    as an exact n³×n³ identity.
     """
     started = time.perf_counter()
     b = _operator_on_square(b, alpha)
-    if _monomial(alpha):
-        ab, ba = kron(alpha, b), kron(b, alpha)
-        p = ab @ ba
-        residual = product_difference(p, ab, ba, p)
-    else:
-        ident = Matrix.identity(alpha.rows, alpha.params)
-        a1, a2 = kron(alpha, ident), kron(ident, alpha)
-        d, c = a1 @ b, b @ a2
-        residual = product_difference(kron(ident, c), kron(d @ a1, ident) @ kron(ident, b),
-                                      kron(b, ident), kron(ident, a2 @ c) @ kron(d, ident))
-    return _report("hybe", residual, witness_cap, started)
+    return _report("hybe", _braid(b, b, b, alpha), witness_cap, started)
 
 
 def inverse_holds(
@@ -235,44 +257,60 @@ def yb_commutator(
     return _commutator(*legs, *legs[::-1])
 
 
+def _built_once(requests: Iterable[tuple]) -> Callable:
+    """`get(build, op)` = build(op), made at its first request and dropped after
+    the last of its requests, which are the (build, op) pairs of `requests`."""
+    uses, built = Counter((build, id(op)) for build, op in requests), {}
+
+    def get(build, op):
+        key = (build, id(op))
+        value = built.pop(key) if key in built else build(op)
+        uses[key] -= 1
+        if uses[key]:
+            built[key] = value
+        return value
+    return get
+
+
 def system_holds(
     w, z, x, alpha: Matrix, *, witness_cap: int | None = DEFAULT_WITNESS_CAP
 ) -> VerificationReport:
     """The four commutator conditions [W,W,W]=[Z,Z,Z]=[W,X,X]=[X,X,Z]=0.
 
-    All three operators act on the same twisted space (the constructions here
-    only produce that case, with V = V').  On a monomial alpha both sides of
-    [R,S,T] share the `leg12`, `leg13` and `leg23` embeddings, alpha on the
-    spare leg; on any other, [R,S,T] = R¹²·(S″¹³T′²³) − T²³·(S‴¹³R′¹²) on
-    identity-padded legs, with S″ = (I⊗α)S(α⊗I), S‴ = (α⊗I)S(I⊗α),
-    T′ = (α⊗I)T and R′ = (I⊗α)R.  In the order of `triples` the conditions
-    share embeddings; each is built once and dropped after its last use.
+    All three operators act on the same twisted space.  On a monomial alpha
+    [R,S,T] = P₁₃·`_braid`(τR, τS, τT); on any other it is
+    R¹²·(S″¹³T′²³) − T²³·(S‴¹³R′¹²) on identity-padded legs, with
+    S″ = (I⊗α)S(α⊗I), S‴ = (α⊗I)S(I⊗α), T′ = (α⊗I)T and R′ = (I⊗α)R.  In
+    the order of `triples` the conditions share their legs; each is built
+    once and dropped after its last use.
     """
     started = time.perf_counter()
     w, z, x = _as_matrix(w), _as_matrix(z), _as_matrix(x)
     n = alpha.rows
     triples = {"[Z,Z,Z]": (z, z, z), "[X,X,Z]": (x, x, z), "[W,X,X]": (w, x, x), "[W,W,W]": (w, w, w)}
     if _monomial(alpha):
-        r, s, t = (lambda op: leg12(op, alpha), lambda op: leg13(op, alpha, n, n), lambda op: leg23(op, alpha))
-        embed = (r, s, t, t, s, r)
+        tau = [j * n + i for i in range(n) for j in range(n)]
+        p13 = [(k * n + j) * n + i for i in range(n) for j in range(n) for k in range(n)]
+        flipped = {id(op): permute_rows(op, tau) for op in (w, z, x)}
+        words = {name: [flipped[id(op)] for op in ops] for name, ops in triples.items()}
+
+        pair = partial(_kron_legs, alpha)
+        get = _built_once((pair, b) for bs in words.values() for b in {id(b): b for b in bs}.values())
+
+        def residual(name):
+            return permute_rows(_braid(*words[name], alpha, partial(get, pair)), p13)
     else:
         ident = Matrix.identity(n, alpha.params)
         a1, a2 = kron(alpha, ident), kron(ident, alpha)
         embed = (lambda op: leg12(op, ident), lambda op: leg13(a2 @ op @ a1, ident, n, n),
                  lambda op: leg23(a1 @ op, ident), lambda op: leg23(op, ident),
                  lambda op: leg13(a1 @ op @ a2, ident, n, n), lambda op: leg12(a2 @ op, ident))
-    slots = {name: list(zip(embed, ops + ops[::-1])) for name, ops in triples.items()}
-    uses = Counter((leg, id(op)) for pairs in slots.values() for leg, op in pairs)
-    built, parts = {}, {}
-    for name, pairs in slots.items():
-        legs = []
-        for leg, op in pairs:
-            key = (leg, id(op))
-            uses[key] -= 1
-            legs.append(built.pop(key) if key in built else leg(op))
-            if uses[key]:
-                built[key] = legs[-1]
-        parts[name] = _report(name, _commutator(*legs), witness_cap, label=name)
+        slots = {name: list(zip(embed, ops + ops[::-1])) for name, ops in triples.items()}
+        get = _built_once(request for pairs in slots.values() for request in pairs)
+
+        def residual(name):
+            return _commutator(*(get(leg, op) for leg, op in slots[name]))
+    parts = {name: _report(name, residual(name), witness_cap, label=name) for name in triples}
     canonical = [parts[name] for name in ("[W,W,W]", "[Z,Z,Z]", "[W,X,X]", "[X,X,Z]")]
     return combine("system", canonical, started, witness_cap=witness_cap)
 

@@ -6,7 +6,8 @@ import time
 import pytest
 
 from homyb import catalog_get, validate, verify_entry
-from homyb.cli import main
+from homyb.cli import _FLAGS, main
+from homyb.constructions import CHECKS
 from homyb.files import report_to_dict, structure_from_dict, structure_to_dict
 
 
@@ -413,15 +414,41 @@ class TestVerify:
             assert json.loads(op_path.read_text())["nu"] == recorded
 
     def test_chybe_report_records_no_lambda_nu_or_construction(self, export, tmp_path, capsys):
-        # r = [x, y]⊗u is built from --x, --y, --u, --m and --n, so the arguments
-        # that build operators are not recorded as what chybe checked
+        # r = [x, y]⊗u is built from --x, --y, --u, --m and --n, so the defaults
+        # of the arguments that build operators are not recorded as what chybe checked
         report_path = tmp_path / "r.json"
         assert main(["verify", export("ex4.3"), "--check", "chybe", "--x", "1,0,0", "--y", "0,1,0",
-                     "--u", "0,0,1", "--lambda", "5", "--construction", "thm4.1",
-                     "--json", str(report_path)]) == 0
+                     "--u", "0,0,1", "--json", str(report_path)]) == 0
         meta = json.loads(report_path.read_text())["metadata"]
         assert (meta["structure"], meta["parameters"]) == ("ex4.3", "lam,nu")
         assert not {"lambda", "nu", "construction"} & meta.keys()
+
+    @pytest.mark.parametrize("entry_id, argv, message", [
+        ("ex4.3", ["--check", "chybe", "--x", "1,0,0", "--y", "0,1,0", "--u", "0,0,1",
+                   "--lambda", "5", "--construction", "thm4.1"],
+         "--construction is read only by --check alpha, hybe, inverse and system, not by --check chybe"),
+        ("ex2.3", ["--check", "hybe", "--construction", "thm2.1", "--x", "1,0,0", "--m", "3"],
+         "--x is read only by --check chybe, not by --check hybe"),
+        ("ex2.3", ["--check", "system", "--construction", "thm5.2", "--u", "1,0,0"],
+         "--u is read only by --check alpha, hybe, inverse and chybe, not by --check system"),
+        ("ex2.3", ["--check", "hybe", "--construction", "thm2.1", "--u", "1,0,0"],
+         "--u is read only by the Lie constructions and --check chybe, not by --construction thm2.1"),
+    ], ids=["chybe-construction", "hybe-x", "system-u", "algebra-u"])
+    def test_a_flag_the_check_does_not_read_exits_two(self, export, capsys, entry_id, argv, message):
+        # the check would run without the flag, so it is refused rather than ignored
+        assert main(["verify", export(entry_id), *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("check", CHECKS)
+    def test_every_flag_is_refused_where_its_check_does_not_read_it(self, export, capsys, check):
+        # a flag given at its default value is still given, and refused
+        values = {"--construction": "thm2.1", "--operator": "op.json", "--m": "0", "--n": "0"}
+        unread = [flag for flag in _FLAGS if flag not in CHECKS[check].reads]
+        assert unread
+        for flag in unread:
+            argv = ["verify", export("ex2.3"), "--check", check, flag, values.get(flag, "lam")]
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: {flag} is read only by --check ")
 
     def test_negative_twist_power_on_a_non_involutive_alpha_exits_two(
         self, export, tmp_path, capsys

@@ -3,8 +3,11 @@
 import random
 import re
 import warnings
+from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 import homyb.verify
 from homyb import (
@@ -49,7 +52,8 @@ from homyb import (
 from homyb._record import replace
 from homyb.constructions import INVERSE, RECIPES, SYSTEMS
 from homyb.files import structure_from_dict
-from homyb.verify import _report
+from homyb.tensor import permute_rows
+from homyb.verify import _braid, _report
 from conftest import PS2, random_assignment, structure
 
 
@@ -330,9 +334,9 @@ class TestCommutatorAndSystems:
         )
 
     def test_each_leg_embedding_is_built_once(self, ex23, monkeypatch):
-        # the four conditions share their embeddings: nine distinct ones for W, Z
-        # and X, three when one operator stands for all three; sharing them
-        # changes no subreport of the failing triple above
+        # the four conditions share their legs α⊗τX and τX⊗α: six kron embeddings
+        # for W, Z and X, two when one operator stands for all three, and no leg13;
+        # sharing them changes no subreport of the failing triple above
         a, lam, nu = ex23.structure, ex23.lam(), ex23.nu()
         w, z, _ = (op.matrix for op in build_many(a, SYSTEMS["thm5.2"], lam, nu))
         x = build(a, Construction.ALG21, lam, nu).matrix
@@ -342,18 +346,27 @@ class TestCommutatorAndSystems:
                            label=name).witnesses)
             for name, (r, s, t) in system_commutators(w, z, x)
         ]
-        legs = ("leg12", "leg13", "leg23")
         calls = []
-        for leg in legs:
-            embed = getattr(homyb.verify, leg)
-            monkeypatch.setattr(homyb.verify, leg, lambda op, *rest, leg=leg, embed=embed: (
-                calls.append((leg, id(op))) or embed(op, *rest)))
+        kron_ = homyb.verify.kron
+        monkeypatch.setattr(homyb.verify, "kron", lambda p, q: calls.append((p, q)) or kron_(p, q))
+        for leg in ("leg12", "leg13", "leg23"):
+            monkeypatch.setattr(homyb.verify, leg, lambda *args, leg=leg: pytest.fail(f"{leg} called"))
+        tau = flip(n, n, a.params)
+
+        def embedded(ops):
+            # which of `ops` the embeddings flip: each flipped operator once on each side
+            lefts = [q for p, q in calls if p is alpha]
+            rights = [p for p, q in calls if q is alpha]
+            assert len(calls) == 2 * len(ops) == len(lefts) + len(rights)
+            assert sorted(map(id, lefts)) == sorted(map(id, rights))
+            return sorted(next(i for i, op in enumerate(ops) if tau @ op == b) for b in lefts)
+
         report = system_holds(w, z, x, alpha, witness_cap=None)
-        assert sorted(calls) == sorted((leg, id(op)) for leg in legs for op in (w, z, x))
+        assert embedded((w, z, x)) == [0, 1, 2]
         assert [(p.check_name, p.witnesses) for p in report.subreports] == expected
         calls.clear()
         assert system_holds(w, w, w, alpha).holds
-        assert sorted(calls) == [(leg, id(w)) for leg in legs]
+        assert embedded((w,)) == [0]
 
     def test_identity_system(self):
         i2 = Matrix.identity(2, PS2)
@@ -600,9 +613,9 @@ class TestFusedResidualsMatchTheFormulas:
         assert {n for _, n in checks} == {3, 4}
         assert set(counts.values()) == {0}, counts
 
-    def test_hybe_shares_its_middle_product_and_system_its_two_per_commutator(
-        self, ex33, monkeypatch
-    ):
+    def test_hybe_and_each_system_condition_share_their_middle_product(self, ex33, monkeypatch):
+        # hybe's P = (α⊗B)(B⊗α), and in each condition the product of the two
+        # neighbouring legs of the same flipped operator: one `@` each
         c = ex33.structure
         lam, nu = ex33.lam(), ex33.nu()
         b = build(c, Construction.COALG31, lam, nu).matrix
@@ -619,7 +632,7 @@ class TestFusedResidualsMatchTheFormulas:
         assert len(calls) == 1
         calls.clear()
         assert system_holds(w, z, x, c.alpha).holds
-        assert len(calls) == 8
+        assert len(calls) == 4
 
 
 PS1 = ParamSet(["t"])
@@ -684,13 +697,13 @@ class TestPaddedLegs:
         assert not report.holds
 
     @pytest.mark.parametrize("alpha, products", [
-        ([["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]], (1, 8)),
-        ([["t", "0", "0"], ["0", "-2*t^-1", "0"], ["0", "0", "1/3"]], (1, 8)),
+        ([["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]], (1, 4)),
+        ([["t", "0", "0"], ["0", "-2*t^-1", "0"], ["0", "0", "1/3"]], (1, 4)),
         # D, C, G and H, then two cube products; S″, S‴, T′ and R′ for each of W, Z and X
         ([["1", "t", "0"], ["0", "1", "0"], ["2", "0", "t^-1"]], (6, 26)),
     ], ids=["permutation", "monomial-diagonal", "dense"])
     def test_the_twist_alone_picks_the_legs(self, alpha, products, monkeypatch):
-        # a monomial alpha keeps the kron legs and their shared products
+        # a monomial alpha keeps the kron legs and their shared middle products
         alpha = Matrix.from_rows(PS1, [[parse_scalar(e, PS1) for e in row] for row in alpha])
         rng = random.Random(5)
         b, w, z, x = (laurent_matrix(rng, 9, zeros=0.7) for _ in range(4))
@@ -720,6 +733,45 @@ class TestPaddedLegs:
         verdicts = [{r.check_name: r.holds for r in verify_entry(e).subreports} for e in (entry, moved)]
         assert verdicts[1] == verdicts[0] == {c: c not in entry.expected_failures for c in entry.checks}
         assert len(verdicts[0]) == (3 if isinstance(entry.structure, HomLieAlgebra) else 4)
+
+
+def monomial_twists():
+    """A permutation of three coordinates times monomials in t."""
+    coefficient = st.sampled_from((-2, -1, 1, 2, 3, Fraction(1, 3)))
+    entries = st.lists(st.tuples(st.integers(-2, 2), coefficient), min_size=3, max_size=3)
+    return st.builds(
+        lambda perm, mono: Matrix(3, 3, PS1, [
+            Scalar(PS1, {(mono[i][0],): mono[i][1]} if perm[i] == j else {})
+            for i in range(3) for j in range(3)]),
+        st.permutations(range(3)), entries)
+
+
+class TestBraidWords:
+    # on a monomial alpha, [R,S,T] = P₁₃·braid(τR, τS, τT); the left-associated
+    # R-form of `yb_commutator` is the oracle, witness for witness
+    # a smaller seed draws unrelated matrices, not smaller ones, so shrinking would only cost time
+    @settings(max_examples=15, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(st.integers(0, 2 ** 32), monomial_twists())
+    def test_flipped_braid_words_equal_the_commutators(self, seed, alpha):
+        rng = random.Random(seed)
+        w, z, x = (laurent_matrix(rng, 9, zeros=0.7) for _ in range(3))
+
+        def oracle(name, r, s, t):
+            return _report(name, yb_commutator(r, s, t, (3, 3, 3), alpha, alpha, alpha), None,
+                           label=name).witnesses
+
+        # [X,X,Z] has R is S, [W,X,X] has S is T, and [W,W,W] and [Z,Z,Z] all three
+        report = system_holds(w, z, x, alpha, witness_cap=None)
+        expected = [oracle(name, *ops) for name, ops in system_commutators(w, z, x)]
+        assert [part.witnesses for part in report.subreports] == expected
+        assert expected[2] and expected[3]
+        # and three distinct operators, which no system condition has
+        tau = [j * 3 + i for i in range(3) for j in range(3)]
+        p13 = [(k * 3 + j) * 3 + i for i in range(3) for j in range(3) for k in range(3)]
+        braid = _braid(*(permute_rows(op, tau) for op in (w, z, x)), alpha)
+        distinct = oracle("[W,Z,X]", w, z, x)
+        assert distinct and _report("[W,Z,X]", permute_rows(braid, p13), None,
+                                    label="[W,Z,X]").witnesses == distinct
 
 
 class TestErrorPaths:
