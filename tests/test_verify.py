@@ -747,9 +747,9 @@ def monomial_twists():
 
 
 class TestBraidWords:
-    # on a monomial alpha, [R,S,T] = P₁₃·braid(τR, τS, τT); the left-associated
-    # R-form of `yb_commutator` is the oracle, witness for witness
-    # a smaller seed draws unrelated matrices, not smaller ones, so shrinking would only cost time
+    # on a monomial alpha, [R,S,T] = P₁₃·braid(τR, τS, τT); the left-associated R-form
+    # of `yb_commutator` is the oracle, witness for witness.  A smaller seed draws
+    # unrelated matrices, not smaller ones, so shrinking would only cost time.
     @settings(max_examples=15, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(st.integers(0, 2 ** 32), monomial_twists())
     def test_flipped_braid_words_equal_the_commutators(self, seed, alpha):
