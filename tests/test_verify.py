@@ -613,7 +613,7 @@ class TestFusedResidualsMatchTheFormulas:
         assert {n for _, n in checks} == {3, 4}
         assert set(counts.values()) == {0}, counts
 
-    def test_hybe_and_each_system_condition_share_their_middle_product(self, ex33, monkeypatch):
+    def test_hybe_shares_its_middle_product_and_system_each_of_its_conditions(self, ex33, monkeypatch):
         # hybe's P = (α⊗B)(B⊗α), and in each condition the product of the two
         # neighbouring legs of the same flipped operator: one `@` each
         c = ex33.structure
