@@ -204,16 +204,23 @@ def cmd_build(args) -> int:
 # verify's flags that a check may read, and where argparse keeps each one
 _FLAGS = {"--construction": "construction", "--operator": "operator", "--lambda": "lam",
           "--nu": "nu", "--u": "u", "--x": "x", "--y": "y", "--m": "m", "--n": "n"}
+# the flags an operator is built from, which nothing reads beside --operator
+_BUILT_FROM = ("--construction", "--lambda", "--nu", "--u")
 
 
 def _refuse_unread(args) -> None:
     """Exit 2 on a flag given to a check that does not read it, rather than ignore it;
     then put in the defaults of the flags not given."""
+    reads = CHECKS[args.check].reads
     for flag, dest in _FLAGS.items():
-        if getattr(args, dest) is not None and flag not in CHECKS[args.check].reads:
+        if getattr(args, dest) is None:
+            continue
+        if flag not in reads:
             readers = [name for name, check in CHECKS.items() if flag in check.reads]
             listed = " and ".join(filter(None, (", ".join(readers[:-1]), readers[-1])))
             raise HomybError(f"{flag} is read only by --check {listed}, not by --check {args.check}")
+        if flag in _BUILT_FROM and args.operator and "--operator" in reads:
+            raise HomybError(f"{flag} is not read beside --operator, whose file names the operator it holds")
     for dest, default in (("lam", "lam"), ("nu", "nu"), ("m", 0), ("n", 0)):
         if getattr(args, dest) is None:
             setattr(args, dest, default)

@@ -12,19 +12,17 @@ term map per entry and only the entries that do not cancel are read back as
 Scalars, so a pass builds no Scalar.  The classical condition on r is one
 such column, from the Lie bracket and r⊗r = `kron(r, r)` with legs 2, 3 flipped.
 
-hybe and, on a monomial alpha, each system condition are braid words of
-`_braid`; [R,S,T] is P₁₃ times the word of τR, τS, τT, with τ and P₁₃ row
-orders.  On any other alpha, α is multiplied into the n²×n² operators on
-identity-padded legs, where the system keeps the commutator form.  The
-residual, so every witness and its order, is the same either way.
+hybe and each system condition are braid words of `_braid`; [R,S,T] is P₁₃
+times the word of τR, τS, τT, with τ and P₁₃ row orders.  A monomial alpha
+twists on `kron` legs; any other is multiplied into the n²×n² operators, on
+identity-padded legs in the commutator form.  The residual, so every witness
+and its order, is the same either way.
 """
 
 from __future__ import annotations
 
 import time
-from collections import Counter
-from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._record import record
 from .errors import DimensionError
@@ -163,37 +161,54 @@ def commutes_with_alpha(
     return _report("alpha-commute", product_difference(aa, b, b, aa), witness_cap, started)
 
 
-def _kron_legs(alpha: Matrix, b: Matrix) -> tuple[Matrix, Matrix]:
-    return kron(alpha, b), kron(b, alpha)
+def _row_orders(n: int) -> tuple[list[int], list[int]]:
+    """τ, the swap of V⊗V, and P₁₃, the swap of the outer legs of V⊗V⊗V, as row orders."""
+    r = range(n)
+    return [j * n + i for i in r for j in r], [(k * n + j) * n + i for i in r for j in r for k in r]
 
 
-def _braid(b1: Matrix, b2: Matrix, b3: Matrix, alpha: Matrix, legs=None) -> Matrix:
+def _braid(b1: Matrix, b2: Matrix, b3: Matrix, alpha: Matrix, made: dict | None = None) -> Matrix:
     """The residual (α⊗b1)(b2⊗α)(α⊗b3) − (b3⊗α)(α⊗b2)(b1⊗α) of the braid word.
 
-    On a monomial alpha its factors are `kron` legs, `legs(b)` = (α⊗b, b⊗α)
-    once per distinct operator, and the middle product is shared when b1 is
-    b2 or b2 is b3.  On any other alpha it is C²³·(G¹²·b3²³) − b3¹²·(H²³·D¹²)
-    on identity-padded legs, with C = b1(I⊗α), G = (α⊗I)b2(α⊗I),
-    H = (I⊗α)b2(I⊗α) and D = (α⊗I)b1.
+    `made` maps id(b) to the factors built from b, so that the words of one
+    check build them once.  On a monomial alpha they are the `kron` legs α⊗b
+    and b⊗α, and the middle product is shared when b1 is b2 or b2 is b3.  On
+    any other alpha the word is P₁₃·[τb1, τb2, τb3], with [R,S,T] written
+    R¹²·(S″¹³T′²³) − T²³·(S‴¹³R′¹²) on identity-padded legs, where
+    S″ = (I⊗α)S(α⊗I), S‴ = (α⊗I)S(I⊗α), T′ = (α⊗I)T and R′ = (I⊗α)R.
     """
-    if not _monomial(alpha):
-        ident = Matrix.identity(alpha.rows, alpha.params)
-        a1, a2 = kron(alpha, ident), kron(ident, alpha)
-        d, c = a1 @ b1, b1 @ a2
-        g, h = (d, c) if b2 is b1 else (a1 @ b2, b2 @ a2)
-        return product_difference(kron(ident, c), kron(g @ a1, ident) @ kron(ident, b3),
-                                  kron(b3, ident), kron(ident, a2 @ h) @ kron(d, ident))
-    legs = legs or partial(_kron_legs, alpha)
-    l1, r1 = legs(b1)
-    l3, r3 = (l1, r1) if b3 is b1 else legs(b3)
-    if b1 is b2:
-        m = l1 @ r1
-        return product_difference(m, l3, r3, m)
-    if b2 is b3:
-        m = r3 @ l3
-        return product_difference(l1, m, m, r1)
-    l2, r2 = legs(b2)
-    return product_difference(l1 @ r2, l3, r3 @ l2, r1)
+    made = {} if made is None else made
+
+    def factors(b, build):
+        if id(b) not in made:
+            made[id(b)] = build(b)
+        return made[id(b)]
+
+    if _monomial(alpha):
+        def legs(b):
+            return factors(b, lambda b: (kron(alpha, b), kron(b, alpha)))
+        (l1, r1), (l3, r3) = legs(b1), legs(b3)
+        if b1 is b2:
+            m = l1 @ r1
+            return product_difference(m, l3, r3, m)
+        if b2 is b3:
+            m = r3 @ l3
+            return product_difference(l1, m, m, r1)
+        l2, r2 = legs(b2)
+        return product_difference(l1 @ r2, l3, r3 @ l2, r1)
+    n = alpha.rows
+    ident = Matrix.identity(n, alpha.params)
+    a1, a2 = kron(alpha, ident), kron(ident, alpha)
+    tau, p13 = _row_orders(n)
+
+    def padded(b):  # R, R′, S″, S‴, T and T′ of R = S = T = τb, each on its padded legs
+        t = permute_rows(b, tau)
+        left, right = a1 @ t, a2 @ t
+        return (kron(t, ident), kron(right, ident), leg13(right @ a1, ident, n, n),
+                leg13(left @ a2, ident, n, n), kron(ident, t), kron(ident, left))
+    f1, f2, f3 = (factors(b, padded) for b in (b1, b2, b3))
+    (r12, r12_), (s13, s13_), (t23, t23_) = f1[:2], f2[2:4], f3[4:]
+    return permute_rows(product_difference(r12, s13 @ t23_, t23, s13_ @ r12_), p13)
 
 
 def hybe_holds(
@@ -226,13 +241,6 @@ def inverse_holds(
     return combine("inverse", parts, started, witness_cap=witness_cap)
 
 
-def _commutator(r12: Matrix, s13: Matrix, t23: Matrix, t23_: Matrix, s13_: Matrix,
-                r12_: Matrix) -> Matrix:
-    """[R,S,T] = R¹²·(S¹³T²³) − T²³·(S¹³R¹²), each side from its own three embeddings:
-    as many products as from the left, but on a dense alpha about a fifth fewer pairs of terms."""
-    return product_difference(r12, s13 @ t23, t23_, s13_ @ r12_)
-
-
 def yb_commutator(
     r: Matrix,
     s: Matrix,
@@ -253,23 +261,8 @@ def yb_commutator(
         raise DimensionError("commutator operand sizes do not match dims")
     if (alpha_first.rows, alpha_mid.rows, alpha_third.rows) != (n, n2, n3):
         raise DimensionError("twist map sizes do not match dims")
-    legs = (leg12(r, alpha_third), leg13(s, alpha_mid, n, n3), leg23(t, alpha_first))
-    return _commutator(*legs, *legs[::-1])
-
-
-def _built_once(requests: Iterable[tuple]) -> Callable:
-    """`get(build, op)` = build(op), made at its first request and dropped after
-    the last of its requests, which are the (build, op) pairs of `requests`."""
-    uses, built = Counter((build, id(op)) for build, op in requests), {}
-
-    def get(build, op):
-        key = (build, id(op))
-        value = built.pop(key) if key in built else build(op)
-        uses[key] -= 1
-        if uses[key]:
-            built[key] = value
-        return value
-    return get
+    r12, s13, t23 = leg12(r, alpha_third), leg13(s, alpha_mid, n, n3), leg23(t, alpha_first)
+    return product_difference(r12, s13 @ t23, t23, s13 @ r12)
 
 
 def system_holds(
@@ -277,40 +270,24 @@ def system_holds(
 ) -> VerificationReport:
     """The four commutator conditions [W,W,W]=[Z,Z,Z]=[W,X,X]=[X,X,Z]=0.
 
-    All three operators act on the same twisted space.  On a monomial alpha
-    [R,S,T] = P₁₃·`_braid`(τR, τS, τT); on any other it is
-    R¹²·(S″¹³T′²³) − T²³·(S‴¹³R′¹²) on identity-padded legs, with
-    S″ = (I⊗α)S(α⊗I), S‴ = (α⊗I)S(I⊗α), T′ = (α⊗I)T and R′ = (I⊗α)R.  In
-    the order of `triples` the conditions share their legs; each is built
-    once and dropped after its last use.
+    All three operators act on the same twisted space.  Each condition is
+    [R,S,T] = P₁₃·`_braid`(τR, τS, τT), with τ and P₁₃ row orders, on either
+    kind of alpha.  The words run in the order [Z,Z,Z], [X,X,Z], [W,X,X],
+    [W,W,W] and share the factors `_braid` makes from each flipped operator,
+    which are dropped after its last word.
     """
     started = time.perf_counter()
     w, z, x = _as_matrix(w), _as_matrix(z), _as_matrix(x)
-    n = alpha.rows
-    triples = {"[Z,Z,Z]": (z, z, z), "[X,X,Z]": (x, x, z), "[W,X,X]": (w, x, x), "[W,W,W]": (w, w, w)}
-    if _monomial(alpha):
-        tau = [j * n + i for i in range(n) for j in range(n)]
-        p13 = [(k * n + j) * n + i for i in range(n) for j in range(n) for k in range(n)]
-        flipped = {id(op): permute_rows(op, tau) for op in (w, z, x)}
-        words = {name: [flipped[id(op)] for op in ops] for name, ops in triples.items()}
-
-        pair = partial(_kron_legs, alpha)
-        get = _built_once((pair, b) for bs in words.values() for b in {id(b): b for b in bs}.values())
-
-        def residual(name):
-            return permute_rows(_braid(*words[name], alpha, partial(get, pair)), p13)
-    else:
-        ident = Matrix.identity(n, alpha.params)
-        a1, a2 = kron(alpha, ident), kron(ident, alpha)
-        embed = (lambda op: leg12(op, ident), lambda op: leg13(a2 @ op @ a1, ident, n, n),
-                 lambda op: leg23(a1 @ op, ident), lambda op: leg23(op, ident),
-                 lambda op: leg13(a1 @ op @ a2, ident, n, n), lambda op: leg12(a2 @ op, ident))
-        slots = {name: list(zip(embed, ops + ops[::-1])) for name, ops in triples.items()}
-        get = _built_once(request for pairs in slots.values() for request in pairs)
-
-        def residual(name):
-            return _commutator(*(get(leg, op) for leg, op in slots[name]))
-    parts = {name: _report(name, residual(name), witness_cap, label=name) for name in triples}
+    tau, p13 = _row_orders(alpha.rows)
+    flipped = {id(op): permute_rows(op, tau) for op in (w, z, x)}
+    words = {name: [flipped[id(op)] for op in ops] for name, ops in
+             (("[Z,Z,Z]", (z, z, z)), ("[X,X,Z]", (x, x, z)), ("[W,X,X]", (w, x, x)), ("[W,W,W]", (w, w, w)))}
+    last, made, parts = {id(b): name for name, word in words.items() for b in word}, {}, {}
+    for name, word in words.items():
+        parts[name] = _report(name, permute_rows(_braid(*word, alpha, made), p13), witness_cap, label=name)
+        for b in word:
+            if last[id(b)] == name:
+                made.pop(id(b), None)
     canonical = [parts[name] for name in ("[W,W,W]", "[Z,Z,Z]", "[W,X,X]", "[X,X,Z]")]
     return combine("system", canonical, started, witness_cap=witness_cap)
 

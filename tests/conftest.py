@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from homyb import Matrix, ParamSet, Scalar, catalog_get
+from homyb import HomAlgebra, HomCoalgebra, Matrix, ParamSet, Scalar, catalog_get, format_scalar, kron
+from homyb._record import replace
 from homyb.files import structure_from_dict
 
 
@@ -19,6 +20,37 @@ PS3 = ParamSet(["l", "lam", "nu"])
 def structure(cls: type, **doc):
     """A structure-file document, given all but its kind and dim, loaded as a file is."""
     return structure_from_dict({"kind": cls.kind, "dim": len(doc["basis"]), **doc})
+
+
+def elementary(params, n, i, j, c):
+    """I + c·e_ij, the row operation that adds c times row j to row i."""
+    return Matrix.from_rows(params, [[Scalar.constant(params, (r == k) + c * ((r, k) == (i, j)))
+                                      for k in range(n)] for r in range(n)])
+
+
+def conjugated(entry, p, p_inv):
+    """The entry in the basis of P's columns: each map conjugated by P, and u sent to P⁻¹u."""
+    s = entry.structure
+    maps = {"alpha": p_inv @ s.alpha @ p}
+    if isinstance(s, HomCoalgebra):
+        maps.update(delta=kron(p_inv, p_inv) @ s.delta @ p, epsilon=s.epsilon @ p)
+    else:
+        product = "mu" if isinstance(s, HomAlgebra) else "bracket"
+        maps[product] = p_inv @ getattr(s, product) @ kron(p, p)
+        if isinstance(s, HomAlgebra):
+            maps["eta"] = p_inv @ s.eta
+    u = entry.u and tuple(format_scalar(c) for c in p_inv.apply(entry.u_vector()))
+    return replace(entry, structure=replace(s, **maps), u=u)
+
+
+def in_skewed_basis(entry):
+    """The entry in the basis P that adds the last row to the first, then the first to the
+    second: unimodular, and it takes each catalog entry's alpha off monomial form."""
+    n, params = entry.structure.dim, entry.structure.params
+    p = elementary(params, n, 1, 0, 1) @ elementary(params, n, 0, n - 1, 1)
+    p_inv = elementary(params, n, 0, n - 1, -1) @ elementary(params, n, 1, 0, -1)
+    assert p @ p_inv == Matrix.identity(n, params)
+    return conjugated(entry, p, p_inv)
 
 
 # Every nonzero fraction in [-5, 5] with denominator at most 4, smallest first.

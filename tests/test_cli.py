@@ -175,17 +175,36 @@ class TestBuild:
             assert capsys.readouterr().out.splitlines() == [f"{name}: PASS"]
 
     def test_report_on_an_operator_file_takes_its_header(self, export, tmp_path, capsys):
-        # --construction, --lambda and --nu build nothing when --operator is given,
-        # so the report's metadata takes all three from the file's header
+        # nothing is built when --operator is given, so the report's metadata
+        # takes the construction, lambda and nu from the file's header
         op_path, report_path = tmp_path / "op.json", tmp_path / "report.json"
         structure = export("ex2.3")
         argv = ["--construction", "thm2.1", "--lambda", "2", "--nu", "lam", "--out", str(op_path)]
         assert main(["build", structure, *argv]) == 0
-        assert main(["verify", structure, "--operator", str(op_path), "--construction", "thm2.4",
-                     "--lambda", "3", "--check", "hybe", "--json", str(report_path)]) == 0
+        assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe",
+                     "--json", str(report_path)]) == 0
         meta = json.loads(report_path.read_text())["metadata"]
         assert meta == {"witness_count": "0", "structure": "ex2.3", "parameters": "l,lam,nu",
                         "lambda": "2", "nu": "lam", "construction": "thm2.1"}
+
+    @pytest.mark.parametrize("check", ["alpha", "hybe"])
+    @pytest.mark.parametrize("entry_id, flag, value", [
+        ("ex2.3", "--construction", "thm2.4"),
+        ("ex2.3", "--lambda", "3"),
+        ("ex2.3", "--nu", "5"),
+        ("ex4.3", "--u", "0,0,1"),
+    ])
+    def test_a_building_flag_beside_an_operator_file_exits_two(self, export, tmp_path, capsys,
+                                                               check, entry_id, flag, value):
+        # the operator comes from the file, so a flag that would build one is refused, not ignored
+        structure, op_path = export(entry_id), tmp_path / "op.json"
+        construction = {"ex2.3": "thm2.1", "ex4.3": "thm4.1"}[entry_id]
+        build = ["--construction", construction] + ["--u", "0,0,1"] * (entry_id == "ex4.3")
+        assert main(["build", structure, *build, "--out", str(op_path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", structure, "--operator", str(op_path), "--check", check, flag, value]) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} is not read beside --operator, "
+                                           f"whose file names the operator it holds\n")
 
     @pytest.mark.parametrize("key,value,message", [
         ("parameters", [1], "parameters: expected strings"),

@@ -6,7 +6,7 @@ import warnings
 from fractions import Fraction
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import homyb.verify
@@ -14,8 +14,6 @@ from homyb import (
     Construction,
     ConstructionWarning,
     DimensionError,
-    HomAlgebra,
-    HomCoalgebra,
     HomLieAlgebra,
     Matrix,
     ParamSet,
@@ -30,7 +28,6 @@ from homyb import (
     chybe_r,
     commutes_with_alpha,
     flip,
-    format_scalar,
     hybe_holds,
     inverse_holds,
     kron,
@@ -54,7 +51,7 @@ from homyb.constructions import INVERSE, RECIPES, SYSTEMS
 from homyb.files import structure_from_dict
 from homyb.tensor import permute_rows
 from homyb.verify import _braid, _report
-from conftest import PS2, random_assignment, structure
+from conftest import PS2, in_skewed_basis, random_assignment, structure
 
 
 def build_ex23_operator(ex23):
@@ -658,27 +655,6 @@ def kron_leg_witnesses(b, w, z, x, alpha):
     return unfused(ab @ ba @ ab - ba @ ab @ ba), system
 
 
-def elementary(params, n, i, j, c):
-    """I + c·e_ij, the row operation that adds c times row j to row i."""
-    return Matrix.from_rows(params, [[Scalar.constant(params, (r == k) + c * ((r, k) == (i, j)))
-                                      for k in range(n)] for r in range(n)])
-
-
-def conjugated(entry, p, p_inv):
-    """The entry in the basis of P's columns: each map conjugated by P, and u sent to P⁻¹u."""
-    s = entry.structure
-    maps = {"alpha": p_inv @ s.alpha @ p}
-    if isinstance(s, HomCoalgebra):
-        maps.update(delta=kron(p_inv, p_inv) @ s.delta @ p, epsilon=s.epsilon @ p)
-    else:
-        product = "mu" if isinstance(s, HomAlgebra) else "bracket"
-        maps[product] = p_inv @ getattr(s, product) @ kron(p, p)
-        if isinstance(s, HomAlgebra):
-            maps["eta"] = p_inv @ s.eta
-    u = entry.u and tuple(format_scalar(c) for c in p_inv.apply(entry.u_vector()))
-    return replace(entry, structure=replace(s, **maps), u=u)
-
-
 class TestPaddedLegs:
     # an alpha with more terms than rows is multiplied into the operators, which
     # then embed on identity-padded legs; the residual is the kron-leg one, so
@@ -699,8 +675,8 @@ class TestPaddedLegs:
     @pytest.mark.parametrize("alpha, products", [
         ([["0", "1", "0"], ["0", "0", "1"], ["1", "0", "0"]], (1, 4)),
         ([["t", "0", "0"], ["0", "-2*t^-1", "0"], ["0", "0", "1/3"]], (1, 4)),
-        # D, C, G and H, then two cube products; S″, S‴, T′ and R′ for each of W, Z and X
-        ([["1", "t", "0"], ["0", "1", "0"], ["2", "0", "t^-1"]], (6, 26)),
+        # (α⊗I)τB, (I⊗α)τB, S″ and S‴ of each operator, then two cube products per word
+        ([["1", "t", "0"], ["0", "1", "0"], ["2", "0", "t^-1"]], (6, 20)),
     ], ids=["permutation", "monomial-diagonal", "dense"])
     def test_the_twist_alone_picks_the_legs(self, alpha, products, monkeypatch):
         # a monomial alpha keeps the kron legs and their shared middle products
@@ -719,26 +695,23 @@ class TestPaddedLegs:
 
     @pytest.mark.parametrize("entry_id", ["ex2.3", "ex2.5", "ex3.3", "ex3.5", "ex4.3"])
     def test_verdicts_survive_a_change_of_basis(self, entry_id):
-        # P adds the last row to the first, then the first to the second: unimodular,
-        # and it takes each entry's alpha off monomial form, onto the padded legs
+        # `in_skewed_basis` takes each entry's alpha off monomial form, onto the padded legs
         entry = catalog_get(entry_id)
         kept = ("axioms", "alpha-commute", "hybe", "system")
         entry = replace(entry, checks=tuple(c for c in entry.checks if c in kept))
-        n, params = entry.structure.dim, entry.structure.params
-        p = elementary(params, n, 1, 0, 1) @ elementary(params, n, 0, n - 1, 1)
-        p_inv = elementary(params, n, 0, n - 1, -1) @ elementary(params, n, 1, 0, -1)
-        assert p @ p_inv == Matrix.identity(n, params)
-        moved = conjugated(entry, p, p_inv)
-        assert moved.structure.alpha.term_count() > n
+        moved = in_skewed_basis(entry)
+        assert moved.structure.alpha.term_count() > entry.structure.dim
         verdicts = [{r.check_name: r.holds for r in verify_entry(e).subreports} for e in (entry, moved)]
         assert verdicts[1] == verdicts[0] == {c: c not in entry.expected_failures for c in entry.checks}
         assert len(verdicts[0]) == (3 if isinstance(entry.structure, HomLieAlgebra) else 4)
 
 
+COEFFICIENT = st.sampled_from((-2, -1, 1, 2, 3, Fraction(1, 3)))
+
+
 def monomial_twists():
     """A permutation of three coordinates times monomials in t."""
-    coefficient = st.sampled_from((-2, -1, 1, 2, 3, Fraction(1, 3)))
-    entries = st.lists(st.tuples(st.integers(-2, 2), coefficient), min_size=3, max_size=3)
+    entries = st.lists(st.tuples(st.integers(-2, 2), COEFFICIENT), min_size=3, max_size=3)
     return st.builds(
         lambda perm, mono: Matrix(3, 3, PS1, [
             Scalar(PS1, {(mono[i][0],): mono[i][1]} if perm[i] == j else {})
@@ -746,12 +719,29 @@ def monomial_twists():
         st.permutations(range(3)), entries)
 
 
+def dense_twists():
+    """A monomial twist plus one more monomial: more terms than rows, so the words run on
+    identity-padded legs."""
+    def plus(alpha, i, j, e, c):
+        extra = Matrix(3, 3, PS1, [Scalar(PS1, {(e,): c} if (r, k) == (i, j) else {})
+                                   for r in range(3) for k in range(3)])
+        return alpha + extra
+    cell = st.integers(0, 2)
+    return st.builds(plus, monomial_twists(), cell, cell, st.integers(-2, 2), COEFFICIENT).filter(
+        lambda alpha: alpha.term_count() > 3)
+
+
+DENSE = Matrix.from_rows(PS1, [[parse_scalar(e, PS1) for e in row]
+                               for row in (["1", "t", "0"], ["0", "1", "0"], ["2", "0", "t^-1"])])
+
+
 class TestBraidWords:
-    # on a monomial alpha, [R,S,T] = P₁₃·braid(τR, τS, τT); the left-associated R-form
-    # of `yb_commutator` is the oracle, witness for witness.  A smaller seed draws
-    # unrelated matrices, not smaller ones, so shrinking would only cost time.
+    # on either kind of alpha, [R,S,T] = P₁₃·braid(τR, τS, τT); the left-associated
+    # R-form of `yb_commutator` is the oracle, witness for witness.  A smaller seed
+    # draws unrelated matrices, not smaller ones, so shrinking would only cost time.
     @settings(max_examples=15, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
-    @given(st.integers(0, 2 ** 32), monomial_twists())
+    @given(st.integers(0, 2 ** 32), st.one_of(monomial_twists(), dense_twists()))
+    @example(0, DENSE)
     def test_flipped_braid_words_equal_the_commutators(self, seed, alpha):
         rng = random.Random(seed)
         w, z, x = (laurent_matrix(rng, 9, zeros=0.7) for _ in range(3))
