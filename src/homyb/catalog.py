@@ -1,7 +1,8 @@
 """Built-in example structures with their published operator tables.
 
-Printed tables are stored verbatim, typos included, and compared against the
-regenerated operators; the comparison never patches anything.  Rows known to
+Printed tables are stored verbatim, typos included, read into a d²×d² matrix
+and compared against the regenerated operator by one difference, which
+decodes nothing where they match; nothing is ever patched.  Rows known to
 deviate from the closed-form operator are recorded per entry, so the catalog
 doubles as an errata record: `verify-all` treats a deviation as expected
 exactly when it is documented.
@@ -47,7 +48,7 @@ from .errors import ConstructionWarning, StructureError, UnknownEntryError
 from .files import _parse_at, _read_json, structure_from_dict
 from .scalar import Scalar, parse_scalar
 from .structures import HomLieAlgebra, HomStructure, validate
-from .tensor import Vector
+from .tensor import Matrix, Vector, _packed
 from .verify import DEFAULT_WITNESS_CAP, VerificationReport, Witness, combine
 # not called here; perfbench/test_perfbench.py::test_tracer_counts_and_restores reads it
 from .verify import hybe_holds  # noqa: F401
@@ -204,16 +205,22 @@ def build_operator(entry: CatalogEntry) -> SolutionOperator:
         return build(entry.structure, entry.variant, entry.lam(), entry.nu(), u=entry.u_vector())
 
 
-def _printed_coords(entry: CatalogEntry, summands: list[tuple[str, str, str]],
-                    parsed: dict[str, Scalar]) -> Vector:
-    """The printed column's coordinates; `parsed` holds each distinct expression, parsed once."""
-    structure = entry.structure
-    d = structure.dim
-    out = [Scalar.zero(structure.params)] * (d * d)
-    for p_name, q_name, expr in summands:
-        k = structure.basis_index(p_name) * d + structure.basis_index(q_name)
-        out[k] += _parse_at(expr, structure.params, f"{entry.id} table", parsed)
-    return tuple(out)
+def _printed_matrix(entry: CatalogEntry) -> Matrix:
+    """The printed table as a d²×d² matrix, column i·d + j the image of e_i⊗e_j; each
+    distinct expression is parsed once per call."""
+    structure, parsed, where = entry.structure, {}, f"{entry.id} table"
+    d, index, params = structure.dim, {name: i for i, name in enumerate(structure.basis)}, structure.params
+    rows: list[dict[int, Scalar]] = [{} for _ in range(d * d)]
+    for (a, b), summands in entry.expected_table.items():
+        for p, q, expr in summands:
+            row, j, value = rows[index[p] * d + index[q]], index[a] * d + index[b], _parse_at(expr, params, where, parsed)
+            row[j] = row[j] + value if j in row else value
+    return Matrix._new(d * d, d * d, params, *_packed(rows, d * d))
+
+
+def _mismatched_columns(op: SolutionOperator, printed: Matrix) -> set[int]:
+    """The columns where the operator and the printed table differ; a match decodes nothing."""
+    return {j for _, j, _ in (op.matrix - printed).nonzero()}
 
 
 def compare_table(
@@ -227,18 +234,11 @@ def compare_table(
     if entry.expected_table is None:
         raise UnknownEntryError(f"catalog entry {entry.id} has no printed table")
     op = op if op is not None else build_operator(entry)
-    structure = entry.structure
-    d = structure.dim
-    data = op.matrix.data  # decoded once; column c is data[c::d²]
-    rows: list[TableComparison] = []
-    parsed: dict[str, Scalar] = {}
-    for i in range(d):
-        for j in range(d):
-            pair = (structure.basis[i], structure.basis[j])
-            expected = _printed_coords(entry, entry.expected_table[pair], parsed)
-            computed = tuple(data[i * d + j::d * d])
-            rows.append(TableComparison(i, j, *pair, expected, computed, expected == computed))
-    return rows
+    printed, basis, d = _printed_matrix(entry), entry.structure.basis, entry.structure.dim
+    mismatched = _mismatched_columns(op, printed)
+    data, expected = op.matrix.data, printed.data  # column c is data[c::d²]
+    return [TableComparison(c // d, c % d, basis[c // d], basis[c % d], tuple(expected[c::d * d]),
+                            tuple(data[c::d * d]), c not in mismatched) for c in range(d * d)]
 
 
 def mismatched_pairs(rows: Sequence[TableComparison]) -> set[tuple[str, str]]:
@@ -293,18 +293,15 @@ class _Run:
         """Deviations from the printed table, against the documented ones."""
         started = time.perf_counter()
         entry, structure = self.entry, self.structure
-        actual = mismatched_pairs(compare_table(entry, self.build((self.variant,), structure)[0]))
+        op, basis, d = self.build((self.variant,), structure)[0], structure.basis, structure.dim
+        actual = {(basis[c // d], basis[c % d]) for c in _mismatched_columns(op, _printed_matrix(entry))}
         documented = set(entry.documented_mismatches)
         unexpected = sorted(actual ^ documented)
         witnesses = []
-        d = structure.dim
         for a, b in unexpected:
-            i = structure.basis_index(a)
-            j = structure.basis_index(b)
             tag = "undocumented mismatch" if (a, b) in actual else "documented row now matches"
-            witnesses.append(
-                Witness(i * d + j, 0, Scalar.one(structure.params), f"B({a}⊗{b}): {tag}")
-            )
+            k = structure.basis_index(a) * d + structure.basis_index(b)
+            witnesses.append(Witness(k, 0, Scalar.one(structure.params), f"B({a}⊗{b}): {tag}"))
         return VerificationReport(
             check_name="table",
             holds=not unexpected,

@@ -15,7 +15,7 @@ whether T is flipped and which construction it inverts.  `build` and
 `build_many` checks every construction's preconditions before it builds
 anything, the axioms by the verdict the structure keeps (`structures.verdict`),
 then builds the legs L, R and T once (T flipped only if a recipe asks for it)
-and scales them for each construction.
+and sums them for each construction in one `tensor.combination` call.
 
 The matrix is dim²×dim²: column (i·dim + j) holds the coordinates of the image
 of e_i⊗e_j.  Builders are deterministic and make no claims -- the identities
@@ -42,7 +42,7 @@ from .structures import (
     is_central,
     verdict,
 )
-from .tensor import Matrix, Vector, flip, kron, tensor2
+from .tensor import Matrix, Vector, combination, flip, kron, tensor2
 from .verify import VerificationReport
 
 # chybe_r applies the twist |m| + |n| times; larger powers are refused
@@ -205,18 +205,11 @@ def _kind_legs(structure: HomStructure, u: Vector | None) -> tuple[Matrix, Matri
     return left, right, kron(alpha, alpha)
 
 
-def _two_term_operator(
-    legs: tuple[Matrix, Matrix, Matrix],
-    coefficients: tuple[Scalar | None, Scalar | None, Scalar],
-) -> Matrix:
-    """The matrix of B = first·L + second·R − twist·T, for legs (L, R, T)."""
-    left, right, twisted = legs
-    first, second, twist = coefficients
-    out = twisted.scale(-twist)
-    for coeff, leg in ((first, left), (second, right)):
-        if coeff is not None:
-            out = out + leg.scale(coeff)
-    return out
+def _two_term_operator(legs: tuple[Matrix, ...], coefficients: tuple[Scalar | None, ...]) -> Matrix:
+    """The matrix of B = first·L + second·R − twist·T, for legs (L, R, T), in one kernel call."""
+    (left, right, twisted), (first, second, twist) = legs, coefficients
+    return combination([(c, leg) for c, leg in ((-twist, twisted), (first, left), (second, right))
+                        if c is not None])
 
 
 def build_many(

@@ -4,8 +4,8 @@ A Matrix keeps one term map per row and never stores a zero, so every kernel
 (products, sums, Kronecker products, comparisons) walks the nonzero terms
 only.  It is homyb's one linear-algebra path: structure maps, operators,
 axioms and identities are all expressions in `kron`, `flip`, `leg13`, `@`,
-`+`, `product_difference` and `permute_rows`; the coordinate-vector helpers at the end only
-build inputs such as basis vectors and u⊗v.
+`combination`, `product_difference` and `permute_rows`; the coordinate-vector
+helpers at the end only build inputs such as basis vectors and u⊗v.
 
 Storage.  A row is not a list of Scalars but one flat term map
 {key: coefficient} holding every term of every entry in the row.  The key of
@@ -52,12 +52,14 @@ to lie over the matrix ParamSet and are encoded there.  One decoder,
 `_entries`, groups a row's terms by column and turns them into Scalars; every
 read goes through it: `[i, j]`, `column`, `data`, `nonzero`, `map` and
 `repr`.  `apply` goes through `@`, and `permute_rows` moves stored rows
-without reading them.  Each matrix operation is one kernel call
-over all of its rows: `_accumulate` for `@`, `+`, `−` and
+without reading them.  Each matrix operation is one kernel call over all
+of its rows.  `_accumulate` serves `@`; `combination([(c, M), …])`, Σ c·M,
+whose cases are `+`, `−`, negation, `scale` and every built operator; and
 `product_difference(a, b, c, d)`, which adds both products of a·b − c·d into
 one term map per row, the second negated, so a residual that vanishes holds
-neither product whole; `_products`, the same loop without the column
-lookup, for `kron`, `leg13` and `scale`.
+neither product whole.  It stores a row whose terms all cancel as a fresh {}.
+`_products`, the same loop without the column lookup, serves `kron` and
+`leg13`.
 
 Matrices act on coordinate columns, and composition f∘g is the product F·G.
 Tensor legs use the flat-index convention: the basis vector e_i⊗e_j of V⊗W
@@ -67,7 +69,7 @@ way, so e_i⊗e_j⊗e_k of V⊗W⊗U sits at (i·m + j)·p + k with p = dim U.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionError, ParamMismatchError
@@ -75,6 +77,7 @@ from .scalar import Fraction, ParamSet, Scalar
 
 Vector = tuple[Scalar, ...]
 Terms = dict[int, "int | Fraction"]
+Job = tuple[Terms, Terms, Sequence[Terms], bool]  # (acc, row, right rows, negate)
 
 _MIN_WIDTH = 8
 
@@ -125,13 +128,15 @@ def _pack(s: Scalar, width: int) -> Terms:
     return {_encode(exps, width) << width: c for exps, c in s.terms.items()}
 
 
-def _accumulate(jobs: Iterable[tuple[Terms, Terms, Sequence[Terms], bool]], mask: int) -> None:
-    """For each job (acc, row, right, negate), add row × right, or its negation, into acc.
+def _accumulate(rows: list[Terms], jobs: Iterable[Job], mask: int) -> list[Terms]:
+    """For each job (acc, row, right, negate), add row × right, or its negation, into
+    acc, one of `rows`; returns the rows, each empty one as a fresh {}, since a
+    dict whose terms all cancelled keeps its grown table.
 
     A term k1 of the row lies in column k = k1 & mask and meets every term k2
     of right row k at key k1 − k + k2, so the products of every output entry
     are summed term by term without building a Scalar.  With mask 0 and
-    right = ({0: 1},) the row is added as it is.
+    right = (factor,) the row is added times the packed Scalar `factor`.
     """
     for acc, row, right, negate in jobs:
         for k1, c1 in row.items():
@@ -151,6 +156,7 @@ def _accumulate(jobs: Iterable[tuple[Terms, Terms, Sequence[Terms], bool]], mask
                 if c.__class__ is not int and c.denominator == 1:
                     c = c.numerator
                 acc[key] = c
+    return [acc or {} for acc in rows]
 
 
 def _products(pairs: Iterable[tuple[Terms, Terms]]) -> list[Terms]:
@@ -345,35 +351,17 @@ class Matrix:
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
 
-    def _merge(self, other: "Matrix", negate: bool) -> "Matrix":
-        """self + other, or self - other when `negate`."""
-        self._check(other, same_shape=True)
-        bound = max(self._bound, other._bound)
-        width = _width(bound, self.cols, self, other)
-        rows = [dict(row) for row in self._rows_at(width)]
-        _accumulate(zip(rows, other._rows_at(width), repeat(({0: 1},)), repeat(negate)), 0)
-        return Matrix._new(self.rows, self.cols, self.params, rows, bound, width)
-
     def __add__(self, other: "Matrix") -> "Matrix":
-        return self._merge(other, negate=False)
+        return combination([(1, self), (1, other)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self._merge(other, negate=True)
+        return combination([(1, self), (-1, other)])
 
     def __neg__(self) -> "Matrix":
-        rows = [{k: -c for k, c in row.items()} for row in self._rows]
-        return Matrix._new(self.rows, self.cols, self.params, rows, self._bound, self._w)
+        return combination([(-1, self)])
 
     def scale(self, c: Scalar | int | Fraction) -> "Matrix":
-        if not isinstance(c, Scalar):
-            c = Scalar.constant(self.params, c)
-        elif c.params != self.params:
-            raise ParamMismatchError("scaling factor over a different parameter set")
-        bound = self._bound + _bound([c]) if c.terms else 0
-        width = _width(bound, self.cols, self)
-        factor = _pack(c, width)
-        rows = _products((row, factor) for row in self._rows_at(width))
-        return Matrix._new(self.rows, self.cols, self.params, rows, bound, width)
+        return combination([(c, self)])
 
     def _check_product(self, other: "Matrix") -> None:
         self._check(other, same_shape=False)
@@ -388,7 +376,7 @@ class Matrix:
         width = _width(bound, other.cols, self, other)
         rows: list[Terms] = [{} for _ in range(self.rows)]
         right = repeat(other._rows_at(width))
-        _accumulate(zip(rows, self._rows_at(width), right, repeat(False)), (1 << width) - 1)
+        rows = _accumulate(rows, zip(rows, self._rows_at(width), right, repeat(False)), (1 << width) - 1)
         return Matrix._new(self.rows, other.cols, self.params, rows, bound, width)
 
     def apply(self, vec: Sequence[Scalar]) -> Vector:
@@ -453,8 +441,30 @@ def product_difference(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
     rows: list[Terms] = [{} for _ in range(a.rows)]
     jobs = (job for acc, row_a, row_c in zip(rows, a._rows_at(width), c._rows_at(width))
             for job in ((acc, row_a, b_rows, False), (acc, row_c, d_rows, True)))
-    _accumulate(jobs, (1 << width) - 1)
-    return Matrix._new(a.rows, b.cols, a.params, rows, bound, width)
+    return Matrix._new(a.rows, b.cols, a.params, _accumulate(rows, jobs, (1 << width) - 1), bound, width)
+
+
+def combination(terms: Sequence[tuple[Scalar | int | Fraction, Matrix]]) -> Matrix:
+    """Σ c·M over the non-empty (c, M) pairs, matrices of one shape, in one kernel call.
+
+    Each row of M meets the packed terms of c as a one-column right factor, as
+    `+` adds a row; the bound is the largest bound(c) + bound(M) of a nonzero c.
+    """
+    first, legs = terms[0][1], []
+    for c, m in terms:
+        first._check(m, same_shape=True)
+        if not isinstance(c, Scalar):
+            c = Scalar.constant(first.params, c)
+        elif c.params != first.params:
+            raise ParamMismatchError("scaling factor over a different parameter set")
+        if c.terms:
+            legs.append((c, m))
+    bound = max((m._bound + _bound([c]) for c, m in legs), default=0)
+    width = _width(bound, first.cols, *(m for _, m in legs))
+    rows: list[Terms] = [{} for _ in range(first.rows)]
+    factors = [((_pack(c, width),), m._rows_at(width)) for c, m in legs]
+    jobs = chain.from_iterable(zip(rows, m_rows, repeat(right), repeat(False)) for right, m_rows in factors)
+    return Matrix._new(first.rows, first.cols, first.params, _accumulate(rows, jobs, 0), bound, width)
 
 
 # -- tensor helpers -------------------------------------------------------------

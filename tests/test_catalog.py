@@ -25,7 +25,7 @@ from homyb import (
     verify_entry,
 )
 from homyb._record import replace
-from homyb.catalog import _CHECKS, _IDS, CatalogEntry, all_as_expected, build_operator
+from homyb.catalog import _CHECKS, _IDS, CatalogEntry, _Run, all_as_expected, build_operator
 from homyb.cli import main
 from homyb.files import _matrix_strings, dump_json, structure_from_dict, structure_to_dict
 from conftest import PS2, scalars
@@ -216,8 +216,12 @@ class TestCompareTable:
         assert first == second
 
 
+TABLED = [entry_id for entry_id in _IDS if catalog_get(entry_id).expected_table is not None]
+
+
+@pytest.mark.filterwarnings("ignore:u is not alpha-invariant")
 class TestTableCheck:
-    """The table check against an entry whose documented mismatches are edited."""
+    """The table check against an entry whose documented mismatches or operator are edited."""
 
     @staticmethod
     def table(entry, documented):
@@ -239,6 +243,40 @@ class TestTableCheck:
         assert not report.holds
         assert witnesses == [(0, 0, "1", "B(1⊗1): documented row now matches")]
         assert report.metadata["documented"] == "(1,1), (a2,a), (a2,a2)"
+
+    @pytest.mark.parametrize("entry_id", TABLED)
+    def test_the_check_finds_the_pairs_the_comparison_does(self, entry_id):
+        entry = catalog_get(entry_id)
+        expected = sorted(mismatched_pairs(compare_table(entry)))
+        report = _Run(entry, None).table()
+        assert report.metadata["mismatches"] == (", ".join(f"({a},{b})" for a, b in expected) or "none")
+
+    @pytest.mark.parametrize("entry_id", TABLED)
+    def test_one_changed_entry_is_exactly_one_undocumented_mismatch(self, entry_id, monkeypatch):
+        entry = catalog_get(entry_id)
+        op, s = build_operator(entry), entry.structure
+        d, basis = s.dim, s.basis
+        # the first column whose printed row matches, with one entry moved off it
+        c = next(c for c in range(d * d) if (basis[c // d], basis[c % d]) not in entry.documented_mismatches)
+        bump = Matrix.from_rows(s.params, [[parse_scalar("lam^3" if (i, j) == (d - 1, c) else "0", s.params)
+                                           for j in range(d * d)] for i in range(d * d)])
+        changed = replace(op, matrix=op.matrix + bump)
+        monkeypatch.setattr(homyb.catalog, "build_many", lambda *args, **kwargs: [changed])
+        report = _Run(entry, None).table()
+        pair = (basis[c // d], basis[c % d])
+        assert not report.holds
+        assert [(w.row, w.col, str(w.residual), w.label) for w in report.witnesses] == [
+            (c, 0, "1", f"B({pair[0]}⊗{pair[1]}): undocumented mismatch")]
+        assert mismatched_pairs(compare_table(entry, changed)) == set(entry.documented_mismatches) | {pair}
+
+    @pytest.mark.parametrize("entry_id", ["ex2.3", "ex4.3"])
+    def test_a_table_that_matches_decodes_nothing(self, entry_id, monkeypatch):
+        run = _Run(catalog_get(entry_id), None)
+        run.build((run.variant,), run.structure)
+        decoded = []
+        entries = Matrix._entries
+        monkeypatch.setattr(Matrix, "_entries", lambda m, row: decoded.append(row) or entries(m, row))
+        assert run.table().holds and decoded == []
 
     def test_an_entry_without_a_printed_table_is_refused(self, ex25_verbatim):
         with pytest.raises(UnknownEntryError, match="ex2.5-verbatim has no printed table"):
@@ -436,4 +474,15 @@ class TestParseOnce:
         for _ in range(2):  # nothing is remembered from one call to the next
             parses.clear()
             compare_table(entry, op)
+            assert sorted(parses) == sorted(set(printed)) and len(printed) > len(parses)
+
+    @pytest.mark.parametrize("entry_id", ["ex2.5", "ex3.5"])
+    def test_the_table_check_parses_each_printed_expression_once(self, entry_id, parses):
+        entry = catalog_get(entry_id)
+        printed = [expr for summands in entry.expected_table.values() for *_, expr in summands]
+        for _ in range(2):  # nothing is remembered from one run to the next
+            run = _Run(entry, None)  # reads λ, ν and u
+            run.build((run.variant,), run.structure)
+            parses.clear()
+            run.table()
             assert sorted(parses) == sorted(set(printed)) and len(printed) > len(parses)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,8 @@ from homyb import (
     product_difference,
     tensor2,
 )
-from conftest import PS2, PS3, is_canonical, random_assignment, scalars, square_matrices
+from homyb.tensor import _bound, combination
+from conftest import COEFFICIENTS, PS2, PS3, is_canonical, random_assignment, scalars, square_matrices
 
 
 def S(text, params=PS3):
@@ -586,6 +588,65 @@ class TestPackedExactness:
             m = Matrix.from_rows(PS2, [[s, S("lam + 1", PS2)]])
             assert kron(m, m)[0, 0] == s * s
             assert m[0, 0] == s and str(m[0, 0]) == text
+
+
+# a coefficient past the 8-bit floor's |e| ≤ 127 makes Σ c·M wider than its legs
+WIDE_COEFFICIENTS = ["lam^200", "nu^-7", "2/3*lam^200*nu^-7 - 3/2"]
+
+
+def coefficients():
+    """Ints, fractions that make whole products with the drawn entries, zero, and wide monomials."""
+    return st.one_of(st.sampled_from([0, 1, -1, *COEFFICIENTS[:12]]), st.just(Scalar.zero(PS2)),
+                     st.sampled_from(WIDE_COEFFICIENTS).map(lambda text: S(text, PS2)), wide_scalars())
+
+
+def as_scalar(c):
+    return c if isinstance(c, Scalar) else Scalar.constant(PS2, c)
+
+
+class TestCombination:
+    """Σ c·M in one kernel call, against the same sum entry by entry in Scalars."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), dims, dims, st.integers(1, 4), st.booleans())
+    def test_matches_the_sum_entry_by_entry(self, data, rows, cols, count, cancel):
+        legs = [(data.draw(coefficients()), data.draw(sparse_matrices(rows, cols))) for _ in range(count)]
+        if cancel:  # a leg and its negation: their terms cancel, down to empty rows
+            c, m = legs[0]
+            legs.insert(data.draw(st.integers(0, count)), (-c, m))
+        got = combination(legs)
+        zero = Scalar.zero(PS2)
+        assert dense(got) == [[sum((as_scalar(c) * m[i, j] for c, m in legs), zero) for j in range(cols)]
+                              for i in range(rows)]
+        assert is_stored_form(got)
+        assert all(sys.getsizeof(row) == sys.getsizeof({}) for row in got._rows if not row)
+        assert got._bound <= max((m._bound + _bound([as_scalar(c)]) for c, m in legs), default=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data(), dims, dims)
+    def test_a_leg_and_its_negation_leave_fresh_empty_rows(self, data, rows, cols):
+        c = data.draw(coefficients().filter(lambda c: as_scalar(c).terms))
+        m = data.draw(sparse_matrices(rows, cols).filter(lambda m: not m.is_zero()))
+        got = combination([(c, m), (-c, m)])
+        assert got.is_zero() and all(sys.getsizeof(row) == sys.getsizeof({}) for row in got._rows)
+
+    @pytest.mark.parametrize("text", WIDE_COEFFICIENTS)
+    def test_a_wide_coefficient_widens_the_slot(self, text):
+        c, m = S(text, PS2), mat([["lam^100*nu^-100", "1/2"], ["0", "-nu^127 + lam"]], PS2)
+        got = combination([(c, m), (1, m)])
+        assert m._w == 8 and got._w > 8
+        assert dense(got) == [[c * x + x for x in row] for row in dense(m)]
+
+    @settings(max_examples=30)
+    @given(st.data(), dims, dims, dims, dims)
+    def test_mixed_shapes_are_refused(self, data, r1, c1, r2, c2):
+        a, b = data.draw(sparse_matrices(r1, c1)), data.draw(sparse_matrices(r2, c2))
+        if (r1, c1) == (r2, c2):
+            assert combination([(1, a), (1, b)]) == a + b
+        else:
+            for legs in ([(1, a), (1, b)], [(0, a), (S("lam", PS2), b)], [(1, a), (1, a), (-1, b)]):
+                with pytest.raises(DimensionError, match="shape mismatch"):
+                    combination(legs)
 
 
 # -- packed storage at the slot floor -------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -152,6 +153,13 @@ class TestHybe:
             (w.row, w.col) == (2, 2) and w.residual == parse_scalar("l - l^2", params)
             for w in report.witnesses
         )
+
+    def test_a_passing_residual_stores_each_row_as_a_fresh_empty_dict(self, ex25):
+        # every row of the cube cancels; an emptied dict would keep the table it grew to
+        b = build(ex25.structure, ex25.variant, ex25.lam(), ex25.nu()).matrix
+        residual = _braid(b, b, b, ex25.structure.alpha)
+        assert residual.is_zero() and residual.rows == 64
+        assert all(sys.getsizeof(row) == sys.getsizeof({}) for row in residual._rows)
 
     def test_3dim_algebra_operator_symbolically(self, ex23):
         op = build_ex23_operator(ex23)

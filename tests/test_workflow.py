@@ -65,3 +65,24 @@ def test_no_source_module_imports_a_name_it_does_not_use():
                 used |= {item.value for item in node.value.elts}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert not unused
+
+
+def test_every_private_function_and_class_is_named_elsewhere():
+    # a refactor that takes a helper's last caller leaves the helper behind, unread;
+    # a name counts where code reads it, imports it or spells it in a string
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "homyb").glob("*.py"))}
+    named: dict[str, set] = {}
+    for module, tree in trees.items():
+        for index, top in enumerate(tree.body):
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute)
+                        else node.name if isinstance(node, ast.alias)
+                        else node.value if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                        else None)
+                named.setdefault(name, set()).add((module, index))
+    unread = [f"{module}:{top.lineno} {top.name}" for module, tree in trees.items()
+              for index, top in enumerate(tree.body)
+              if isinstance(top, ast.FunctionDef | ast.ClassDef) and top.name.startswith("_")
+              and not top.name.startswith("__") and not named.get(top.name, set()) - {(module, index)}]
+    assert len(trees) > 5 and not unread
