@@ -213,7 +213,8 @@ def _printed_matrix(entry: CatalogEntry) -> Matrix:
     rows: list[dict[int, Scalar]] = [{} for _ in range(d * d)]
     for (a, b), summands in entry.expected_table.items():
         for p, q, expr in summands:
-            row, j, value = rows[index[p] * d + index[q]], index[a] * d + index[b], _parse_at(expr, params, where, parsed)
+            row, j = rows[index[p] * d + index[q]], index[a] * d + index[b]
+            value = _parse_at(expr, params, where, parsed)
             row[j] = row[j] + value if j in row else value
     return Matrix._new(d * d, d * d, params, *_packed(rows, d * d))
 

@@ -130,8 +130,7 @@ def _pack(s: Scalar, width: int) -> Terms:
 
 def _accumulate(rows: list[Terms], jobs: Iterable[Job], mask: int) -> list[Terms]:
     """For each job (acc, row, right, negate), add row × right, or its negation, into
-    acc, one of `rows`; returns the rows, each empty one as a fresh {}, since a
-    dict whose terms all cancelled keeps its grown table.
+    acc, one of `rows`; returns the rows, each emptied dict (it keeps its table) as {}.
 
     A term k1 of the row lies in column k = k1 & mask and meets every term k2
     of right row k at key k1 − k + k2, so the products of every output entry
@@ -445,10 +444,10 @@ def product_difference(a: Matrix, b: Matrix, c: Matrix, d: Matrix) -> Matrix:
 
 
 def combination(terms: Sequence[tuple[Scalar | int | Fraction, Matrix]]) -> Matrix:
-    """Σ c·M over the non-empty (c, M) pairs, matrices of one shape, in one kernel call.
+    """Σ c·M over a non-empty list of (c, M), matrices of one shape, in one kernel call.
 
-    Each row of M meets the packed terms of c as a one-column right factor, as
-    `+` adds a row; the bound is the largest bound(c) + bound(M) of a nonzero c.
+    Each row of M meets the packed terms of c as a one-column right factor, at
+    mask 0; the bound is the largest bound(c) + bound(M) over the nonzero c.
     """
     first, legs = terms[0][1], []
     for c, m in terms:

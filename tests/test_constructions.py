@@ -6,6 +6,7 @@ import pytest
 
 import homyb.constructions
 import homyb.structures
+import homyb.tensor
 from homyb import (
     Construction,
     ConstructionWarning,
@@ -369,6 +370,23 @@ def test_build_many_checks_every_construction_before_it_builds(ex23, ex43, monke
     with pytest.raises(PreconditionError, match="lambda = 1 \\+ lam is not an invertible"):
         build_many(a, (_C.ALG21, _C.ALG_INV22), lam + 1, nu)
     assert calls["kron"] == 0  # thm2.1 is not built before cor2.2 is refused
+
+
+@pytest.mark.parametrize("entry_id", ["ex2.3", "ex3.5", "ex4.3"])
+def test_each_operator_is_summed_in_one_kernel_call(entry_id, monkeypatch):
+    entry = catalog_get(entry_id)
+    s, lam, nu = entry.structure, entry.lam(), entry.nu()
+    legs = homyb.constructions._kind_legs(s, entry.u_vector())
+    want = homyb.constructions._two_term_operator(legs, (lam, nu, lam * nu))
+    calls = []
+    for name in ("_accumulate", "_products"):
+        def counted(*args, _name=name, _original=getattr(homyb.tensor, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(homyb.tensor, name, counted)
+    got = homyb.constructions._two_term_operator(legs, (lam, nu, lam * nu))
+    assert calls == ["_accumulate"]
+    assert got == want == legs[0].scale(lam) + legs[1].scale(nu) - legs[2].scale(lam * nu)
 
 
 # -- the axiom verdict a structure keeps -------------------------------------------

@@ -590,7 +590,7 @@ class TestPackedExactness:
             assert m[0, 0] == s and str(m[0, 0]) == text
 
 
-# a coefficient past the 8-bit floor's |e| ≤ 127 makes Σ c·M wider than its legs
+# on a leg of bound 127, the most an 8-bit slot holds, each coefficient makes Σ c·M wider
 WIDE_COEFFICIENTS = ["lam^200", "nu^-7", "2/3*lam^200*nu^-7 - 3/2"]
 
 
