@@ -1,11 +1,13 @@
 """Built-in example structures with their published operator tables.
 
 Printed tables are stored verbatim, typos included, read into a d²×d² matrix
-and compared against the regenerated operator by one difference, which
-decodes nothing where they match; nothing is ever patched.  Rows known to
-deviate from the closed-form operator are recorded per entry, so the catalog
-doubles as an errata record: `verify-all` treats a deviation as expected
-exactly when it is documented.
+once per entry and compared against the regenerated operator by one
+difference on every check, which decodes nothing where they match; nothing is
+ever patched.  Like that matrix, an entry's λ, ν, u and structure at
+`involutive_at` are derived when first asked for and kept with the entry.
+Rows known to deviate from the closed-form operator are recorded per entry,
+so the catalog doubles as an errata record: `verify-all` treats a deviation
+as expected exactly when it is documented.
 
 Each entry is a JSON document, `entries/<id>.json` next to this module, read
 when the entry is first asked for.  Its `structure` is a structure-file
@@ -79,15 +81,42 @@ class CatalogEntry:
     checks: tuple[str, ...] = ("axioms",)
 
     def lam(self) -> Scalar:
-        return parse_scalar("lam", self.structure.params)
+        return self._scalars[0]
 
     def nu(self) -> Scalar:
-        return parse_scalar("nu", self.structure.params)
+        return self._scalars[1]
 
     def u_vector(self) -> Vector | None:
-        if self.u is None:
-            return None
-        return tuple(parse_scalar(s, self.structure.params) for s in self.u)
+        return self._scalars[2]
+
+    # derived inputs, each made when first asked for and kept beside the fields; `replace` copies none
+
+    @cached_property
+    def _scalars(self) -> tuple[Scalar, Scalar, Vector | None]:
+        """λ, ν and u."""
+        params = self.structure.params
+        u = None if self.u is None else tuple(parse_scalar(s, params) for s in self.u)
+        return parse_scalar("lam", params), parse_scalar("nu", params), u
+
+    @cached_property
+    def involutive(self) -> HomStructure:
+        """The structure at `involutive_at`, where α is involutive; the entry's own without one."""
+        at = {k: Fraction(v) for k, v in self.involutive_at.items()}
+        return self.structure.substitute(at) if at else self.structure
+
+    @cached_property
+    def printed_matrix(self) -> Matrix:
+        """The printed table as a d²×d² matrix, column i·d + j the image of e_i⊗e_j; each
+        distinct expression is parsed once per entry."""
+        structure, parsed, where = self.structure, {}, f"{self.id} table"
+        d, index, params = structure.dim, {name: i for i, name in enumerate(structure.basis)}, structure.params
+        rows: list[dict[int, Scalar]] = [{} for _ in range(d * d)]
+        for (a, b), summands in self.expected_table.items():
+            for p, q, expr in summands:
+                row, j = rows[index[p] * d + index[q]], index[a] * d + index[b]
+                value = _parse_at(expr, params, where, parsed)
+                row[j] = row[j] + value if j in row else value
+        return Matrix._new(d * d, d * d, params, *_packed(rows, d * d))
 
     def expectations(self) -> dict[str, bool]:
         """check name -> expected verdict for everything verify_entry runs."""
@@ -173,7 +202,7 @@ def _resolved(entry: CatalogEntry) -> CatalogEntry:
 
 
 def _printed_table(table: list, basis: Sequence[str]) -> PrintedTable:
-    """The table by basis pair, its shape checked; the coefficients are parsed when compared."""
+    """The table by basis pair, its shape checked; the coefficients are parsed by `printed_matrix`."""
     rows = {(a, b): [tuple(s) for s in summands] for a, b, summands in table}
     if len(rows) != len(table) or set(rows) != {(a, b) for a in basis for b in basis}:
         raise StructureError("table: expected one [left, right, summands] row per pair of basis names")
@@ -205,20 +234,6 @@ def build_operator(entry: CatalogEntry) -> SolutionOperator:
         return build(entry.structure, entry.variant, entry.lam(), entry.nu(), u=entry.u_vector())
 
 
-def _printed_matrix(entry: CatalogEntry) -> Matrix:
-    """The printed table as a d²×d² matrix, column i·d + j the image of e_i⊗e_j; each
-    distinct expression is parsed once per call."""
-    structure, parsed, where = entry.structure, {}, f"{entry.id} table"
-    d, index, params = structure.dim, {name: i for i, name in enumerate(structure.basis)}, structure.params
-    rows: list[dict[int, Scalar]] = [{} for _ in range(d * d)]
-    for (a, b), summands in entry.expected_table.items():
-        for p, q, expr in summands:
-            row, j = rows[index[p] * d + index[q]], index[a] * d + index[b]
-            value = _parse_at(expr, params, where, parsed)
-            row[j] = row[j] + value if j in row else value
-    return Matrix._new(d * d, d * d, params, *_packed(rows, d * d))
-
-
 def _mismatched_columns(op: SolutionOperator, printed: Matrix) -> set[int]:
     """The columns where the operator and the printed table differ; a match decodes nothing."""
     return {j for _, j, _ in (op.matrix - printed).nonzero()}
@@ -235,7 +250,7 @@ def compare_table(
     if entry.expected_table is None:
         raise UnknownEntryError(f"catalog entry {entry.id} has no printed table")
     op = op if op is not None else build_operator(entry)
-    printed, basis, d = _printed_matrix(entry), entry.structure.basis, entry.structure.dim
+    printed, basis, d = entry.printed_matrix, entry.structure.basis, entry.structure.dim
     mismatched = _mismatched_columns(op, printed)
     data, expected = op.matrix.data, printed.data  # column c is data[c::d²]
     return [TableComparison(c // d, c % d, basis[c // d], basis[c % d], tuple(expected[c::d * d]),
@@ -259,12 +274,6 @@ class _Run:
         self.lam, self.nu = entry.lam(), entry.nu()
         self.u = entry.u_vector()
         self.ops: dict[tuple[bool, Construction, bool], SolutionOperator] = {}
-
-    @cached_property
-    def involutive(self) -> HomStructure:
-        """The structure at `involutive_at`, where α is involutive; the entry's own without one."""
-        at = {k: Fraction(v) for k, v in self.entry.involutive_at.items()}
-        return self.structure.substitute(at) if at else self.structure
 
     def build(self, constructions, structure, unchecked=False) -> list[SolutionOperator]:
         """The operators of `constructions` as built together on `structure`, each built once.
@@ -295,7 +304,7 @@ class _Run:
         started = time.perf_counter()
         entry, structure = self.entry, self.structure
         op, basis, d = self.build((self.variant,), structure)[0], structure.basis, structure.dim
-        actual = {(basis[c // d], basis[c % d]) for c in _mismatched_columns(op, _printed_matrix(entry))}
+        actual = {(basis[c // d], basis[c % d]) for c in _mismatched_columns(op, entry.printed_matrix)}
         documented = set(entry.documented_mismatches)
         unexpected = sorted(actual ^ documented)
         witnesses = []
@@ -326,11 +335,11 @@ _CHECKS: dict[str, Callable[[_Run], VerificationReport]] = {
     "alpha-commute": lambda run: run.check("alpha", run.variant.value),
     "hybe": lambda run: run.check("hybe", run.variant.value),
     "system": lambda run: run.check("system", _SYSTEM_OF[type(run.structure)]),
-    "inverse": lambda run: run.check("inverse", INVERSE[run.variant].value, run.involutive),
+    "inverse": lambda run: run.check("inverse", INVERSE[run.variant].value, run.entry.involutive),
     # the inverse law with α as it is, which fails where α is not involutive
     "inverse-symbolic": lambda run: run.check(
         "inverse", INVERSE[run.variant].value, unchecked=True),
-    "hybe-inverse": lambda run: run.check("hybe", INVERSE[run.variant].value, run.involutive),
+    "hybe-inverse": lambda run: run.check("hybe", INVERSE[run.variant].value, run.entry.involutive),
     "chybe": lambda run: run.check("chybe"),
 }
 

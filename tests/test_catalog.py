@@ -25,9 +25,9 @@ from homyb import (
     verify_entry,
 )
 from homyb._record import replace
-from homyb.catalog import _CHECKS, _IDS, CatalogEntry, _Run, all_as_expected, build_operator
+from homyb.catalog import _CHECKS, _IDS, _Run, all_as_expected, build_operator
 from homyb.cli import main
-from homyb.files import _matrix_strings, dump_json, structure_from_dict, structure_to_dict
+from homyb.files import _matrix_strings, dump_json, report_to_dict, structure_from_dict, structure_to_dict
 from conftest import PS2, scalars
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -225,7 +225,7 @@ class TestTableCheck:
 
     @staticmethod
     def table(entry, documented):
-        edited = CatalogEntry(**{**vars(entry), "documented_mismatches": frozenset(documented)})
+        edited = replace(entry, documented_mismatches=frozenset(documented))
         report = next(s for s in verify_entry(edited).subreports if s.check_name == "table")
         return report, [(w.row, w.col, str(w.residual), w.label) for w in report.witnesses]
 
@@ -359,6 +359,86 @@ class TestVerifyAll:
             assert [s.check_name for s in report.subreports] == list(entry.check_names())
 
 
+def _outcome(report) -> dict:
+    """The report as its document, with every `elapsed_ms` dropped."""
+    doc = {k: v for k, v in report_to_dict(report).items() if k != "elapsed_ms"}
+    return {**doc, "subreports": [_outcome(sub) for sub in report.subreports]}
+
+
+class TestDerivedInputs:
+    """λ, ν, u, the structure at `involutive_at` and the printed table's matrix, kept on the entry."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """name -> the first argument of each call of `validate`, `parse_scalar` or `substitute`."""
+        import homyb.files
+        import homyb.structures
+
+        seen = {"validate": [], "parse_scalar": [], "substitute": []}
+
+        def counting(name, original):
+            return lambda first, *args, **kwargs: seen[name].append(first) or original(first, *args, **kwargs)
+
+        validate_ = counting("validate", homyb.structures.validate)
+        parse = counting("parse_scalar", parse_scalar)
+        for module in (homyb.catalog, homyb.structures):
+            monkeypatch.setattr(module, "validate", validate_)
+        for module in (homyb.catalog, homyb.files):
+            monkeypatch.setattr(module, "parse_scalar", parse)
+        base = homyb.structures._StructureBase
+        monkeypatch.setattr(base, "substitute", counting("substitute", base.substitute))
+        return seen
+
+    def test_a_second_pass_derives_nothing_and_validates_only_the_axioms(self, calls, monkeypatch):
+        monkeypatch.setattr(homyb.catalog, "_CACHE", {})  # every entry and structure loaded afresh
+        entries = [catalog_get(eid) for eid in _IDS]
+        counts = []
+        for _ in range(2):
+            for seen in calls.values():
+                seen.clear()
+            assert all_as_expected(verify_all())
+            counts.append({name: len(seen) for name, seen in calls.items()})
+        assert counts == [{"validate": 10, "parse_scalar": 49, "substitute": 3},
+                          {"validate": 6, "parse_scalar": 0, "substitute": 0}]
+        # the axioms checks, on each entry's own structure
+        assert [id(s) for s in calls["validate"]] == [id(entry.structure) for entry in entries]
+
+    @pytest.mark.parametrize("entry_id, edit", [
+        ("ex2.3", "involutive_at"),
+        ("ex3.3", "table"),
+        ("ex2.5", "table"),
+    ])
+    def test_an_edited_entry_derives_its_own_inputs(self, entry_id, edit, tmp_path, monkeypatch):
+        original = catalog_get(entry_id)
+        before = _outcome(verify_entry(original))  # the original keeps its derived inputs
+        if edit == "involutive_at":  # α = diag(1, 1, -1), involutive too
+            changes = {"involutive_at": {"l": "-1"}}
+
+            def edit_document(doc):
+                doc["involutive_at"] = {"l": "-1"}
+        else:  # the first printed row that matches gains a summand lam^5·e_0⊗e_0, and is documented
+            pair = next(p for p in original.expected_table if p not in original.documented_mismatches)
+            summand = (*[original.structure.basis[0]] * 2, "lam^5")
+            table = dict(original.expected_table)
+            table[pair] = [*table[pair], summand]
+            changes = {"expected_table": table,
+                       "documented_mismatches": original.documented_mismatches | {pair}}
+
+            def edit_document(doc):
+                next(row for row in doc["table"] if tuple(row[:2]) == pair)[2].append(list(summand))
+                doc["documented_mismatches"] = [*doc.get("documented_mismatches", []), list(pair)]
+        edited = replace(original, **changes)
+        (tmp_path / f"{entry_id}.json").write_text(edited_ex23(edit_document, entry_id), encoding="utf-8")
+        monkeypatch.setattr(homyb.catalog, "_ENTRIES", tmp_path)
+        fresh = homyb.catalog._load(entry_id)
+        got = _outcome(verify_entry(edited))
+        assert got == _outcome(verify_entry(fresh)) and got != before
+        assert _outcome(verify_entry(original)) == before
+        assert edited.involutive == fresh.involutive and edited.printed_matrix == fresh.printed_matrix
+        assert (edited.involutive == original.involutive) == (edit != "involutive_at")
+        assert (edited.printed_matrix == original.printed_matrix) == (edit != "table")
+
+
 class TestExportRoundTrip:
     @pytest.mark.parametrize(
         "entry_id", ["ex2.3", "ex2.5", "ex2.5-verbatim", "ex3.3", "ex3.5", "ex4.3"]
@@ -468,21 +548,21 @@ class TestParseOnce:
 
     @pytest.mark.parametrize("entry_id", ["ex2.5", "ex3.5"])
     def test_compare_table_parses_each_printed_expression_once(self, entry_id, parses):
-        entry = catalog_get(entry_id)
+        entry = replace(catalog_get(entry_id))  # a copy that keeps no derived input yet
         op = build_operator(entry)
         printed = [expr for summands in entry.expected_table.values() for *_, expr in summands]
-        for _ in range(2):  # nothing is remembered from one call to the next
+        for distinct in (set(printed), set()):  # the entry keeps its table's matrix
             parses.clear()
             compare_table(entry, op)
-            assert sorted(parses) == sorted(set(printed)) and len(printed) > len(parses)
+            assert sorted(parses) == sorted(distinct) and len(printed) > len(parses)
 
     @pytest.mark.parametrize("entry_id", ["ex2.5", "ex3.5"])
     def test_the_table_check_parses_each_printed_expression_once(self, entry_id, parses):
-        entry = catalog_get(entry_id)
+        entry = replace(catalog_get(entry_id))  # a copy that keeps no derived input yet
         printed = [expr for summands in entry.expected_table.values() for *_, expr in summands]
-        for _ in range(2):  # nothing is remembered from one run to the next
+        for distinct in (set(printed), set()):  # the entry keeps its table's matrix
             run = _Run(entry, None)  # reads λ, ν and u
             run.build((run.variant,), run.structure)
             parses.clear()
             run.table()
-            assert sorted(parses) == sorted(set(printed)) and len(printed) > len(parses)
+            assert sorted(parses) == sorted(distinct) and len(printed) > len(parses)

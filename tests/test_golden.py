@@ -42,6 +42,7 @@ from homyb import (
 )
 from homyb import files
 from homyb.cli import main
+from test_startup import _python
 
 FIXTURE = Path(__file__).with_name("golden.json")
 
@@ -115,6 +116,10 @@ def operator_digest(entry_id: str, name: str) -> str:
 def verify_all_digests(directory: Path) -> dict[str, str]:
     path = directory / "verify-all.json"
     assert main(["catalog", "verify-all", "--json", str(path)]) == 0
+    return document_digests(path)
+
+
+def document_digests(path: Path) -> dict[str, str]:
     doc = json.loads(path.read_text(encoding="utf-8"))
     return {"verify_all": digest(doc, sort_keys=True), "verify_all_ordered": digest(doc)}
 
@@ -217,6 +222,21 @@ def test_verify_all_document_is_unchanged(tmp_path, capsys):
     capsys.readouterr()
     golden = _golden()
     assert got == {key: golden[key] for key in got}
+
+
+def test_a_second_verify_all_in_one_process_writes_the_same_document(tmp_path):
+    """Two passes in a fresh interpreter, the second on the inputs the entries kept from the first,
+    each match the golden digests whatever order the tests run in."""
+    paths = [tmp_path / f"pass{i}.json" for i in (1, 2)]
+    code = ("import sys, homyb.cli; "
+            "print([homyb.cli.main(['catalog', 'verify-all', '--json', p]) for p in sys.argv[1:]])")
+    proc = _python("-c", code, *map(str, paths))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[0, 0]"
+    golden = _golden()
+    for path in paths:
+        got = document_digests(path)
+        assert got == {key: golden[key] for key in got}, path.name
 
 
 if __name__ == "__main__":
