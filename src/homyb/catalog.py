@@ -46,7 +46,7 @@ from .constructions import (
     build_many,
     chybe_r,
 )
-from .errors import ConstructionWarning, StructureError, UnknownEntryError
+from .errors import ConstructionWarning, HomybError, StructureError, UnknownEntryError
 from .files import _parse_at, _read_json, structure_from_dict
 from .scalar import Scalar, parse_scalar
 from .structures import HomLieAlgebra, HomStructure, validate
@@ -147,6 +147,27 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")  # an `involutive_at` v
 
 _CACHE: dict[str, CatalogEntry] = {}
 
+# each field's JSON type for `_typed`, then in words: str, [t] a list of t, (t, …) a list of exactly
+# these, {str: t} an object of t
+_TYPES = {
+    "description": (str, "a string"), "variant": (str, "a construction name"),
+    "notes": ([str], "a list of strings"), "u": ([str], "a list of coordinate expressions"),
+    "checks": ([str], "a list of names of checks"), "expected_failures": ([str], "a list of names of checks"),
+    "involutive_at": ({str: str}, "an object mapping parameter names to strings"),
+    "documented_mismatches": ([(str, str)], "a list of [left, right] basis name pairs"),
+    "table": ([(str, str, [(str, str, str)])], "a list of [left, right, [[p, q, coefficient], ...]] rows"),
+}
+
+
+def _typed(value, t) -> bool:
+    """Does the JSON value have the type `t` of `_TYPES`?  `true` is no string and `"abc"` no list."""
+    if isinstance(t, type):
+        return isinstance(value, t)
+    if isinstance(t, dict):
+        return isinstance(value, dict) and all(_typed(v, t[str]) for v in value.values())
+    return isinstance(value, list) and (all(_typed(v, t[0]) for v in value) if isinstance(t, list)
+                                        else len(value) == len(t) and all(map(_typed, value, t)))
+
 
 def _load(entry_id: str) -> CatalogEntry:
     """The entry in its document; a missing or malformed one raises StructureError naming it."""
@@ -154,6 +175,9 @@ def _load(entry_id: str) -> CatalogEntry:
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise StructureError(f"{path}: expected a JSON object")
+    for key, (t, expected) in _TYPES.items():
+        if key in doc and not _typed(doc[key], t):
+            raise StructureError(f"{path}: {key}: expected {expected}")
     try:
         structure, table = structure_from_dict(doc["structure"]), doc.get("table")
         return _resolved(CatalogEntry(
@@ -183,9 +207,10 @@ def _resolved(entry: CatalogEntry) -> CatalogEntry:
         ("checks", checks <= set(_CHECKS), f"a list of names among {', '.join(_CHECKS)}"),
         ("expected_failures", entry.expected_failures <= set(entry.check_names()), "names of its checks"),
         ("variant", variant is not None or checks <= {"axioms", "system", "chybe"}, "a construction"),
-        ("documented_mismatches", all(len(p) == 2 and {*p} <= {*s.basis} for p in pairs), "basis name pairs"),
+        ("documented_mismatches", all({*p} <= {*s.basis} for p in pairs), "basis name pairs"),
         ("u", entry.u is None or len(entry.u) == s.dim, f"{s.dim} coordinates"),
-        ("involutive_at", all(k in s.params and _RATIONAL.fullmatch(str(v))
+        ("table", entry.expected_table is not None or "table" not in checks, "a printed table to check"),
+        ("involutive_at", all(k in s.params and _RATIONAL.fullmatch(v)
                               for k, v in entry.involutive_at.items()), "parameter names mapped to n or n/d"),
         ("variant", variant is None or (variant.value in CHECKS["hybe"].builds
                                         and isinstance(s, RECIPES[variant].kind)),
@@ -206,7 +231,7 @@ def _printed_table(table: list, basis: Sequence[str]) -> PrintedTable:
     rows = {(a, b): [tuple(s) for s in summands] for a, b, summands in table}
     if len(rows) != len(table) or set(rows) != {(a, b) for a in basis for b in basis}:
         raise StructureError("table: expected one [left, right, summands] row per pair of basis names")
-    if any(len(s) != 3 or not {s[0], s[1]} <= set(basis) for summands in rows.values() for s in summands):
+    if any(not {s[0], s[1]} <= set(basis) for summands in rows.values() for s in summands):
         raise StructureError("table: expected each summand as [p, q, coefficient] with p, q basis names")
     return rows
 
@@ -268,11 +293,8 @@ class _Run:
     """One verify_entry call: its entry, witness cap and operators, each made once."""
 
     def __init__(self, entry: CatalogEntry, cap: int | None):
-        self.entry = entry
-        self.cap = cap
-        self.structure, self.variant = entry.structure, entry.variant
-        self.lam, self.nu = entry.lam(), entry.nu()
-        self.u = entry.u_vector()
+        self.entry, self.cap, self.structure, self.variant = entry, cap, entry.structure, entry.variant
+        self.lam, self.nu, self.u = entry.lam(), entry.nu(), entry.u_vector()
         self.ops: dict[tuple[bool, Construction, bool], SolutionOperator] = {}
 
     def build(self, constructions, structure, unchecked=False) -> list[SolutionOperator]:
@@ -352,15 +374,17 @@ def verify_entry(
     The report's subreports carry raw verdicts; compare them against
     `entry.expectations()` to decide whether the entry behaves as documented.
     """
-    started = time.perf_counter()
-    run = _Run(entry, witness_cap)
-    parts = []
+    started, parts = time.perf_counter(), []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConstructionWarning)
-        for check, name in zip(entry.checks, entry.check_names()):
-            report = _CHECKS[check](run)
-            report.check_name = name
-            parts.append(report)
+        try:
+            run = _Run(entry, witness_cap)
+            for check, name in zip(entry.checks, entry.check_names()):
+                report = _CHECKS[check](run)
+                report.check_name = name
+                parts.append(report)
+        except HomybError as exc:  # the document's λ, ν, u and preconditions are first read here
+            raise type(exc)(f"{_ENTRIES / f'{entry.id}.json'}: {exc}") from None
     report = combine(entry.id, parts, started, witness_cap=witness_cap)
     report.metadata["notes"] = " | ".join(entry.notes)
     return report

@@ -42,7 +42,7 @@ from .structures import (
     is_central,
     verdict,
 )
-from .tensor import Matrix, Vector, combination, flip, kron, tensor2
+from .tensor import Matrix, Vector, combination, kron, leg_order, permute_rows, tensor2
 from .verify import VerificationReport
 
 # chybe_r applies the twist |m| + |n| times; larger powers are refused
@@ -212,15 +212,8 @@ def _two_term_operator(legs: tuple[Matrix, ...], coefficients: tuple[Scalar | No
                         if c is not None])
 
 
-def build_many(
-    structure: HomStructure,
-    constructions: Sequence[Construction],
-    lam: Scalar,
-    nu: Scalar,
-    *,
-    u: Sequence[Scalar] | None = None,
-    unchecked: bool = False,
-) -> list[SolutionOperator]:
+def build_many(structure: HomStructure, constructions: Sequence[Construction], lam: Scalar, nu: Scalar, *,
+               u: Sequence[Scalar] | None = None, unchecked: bool = False) -> list[SolutionOperator]:
     """Operators built together: a system's triple, or a pair (B, its inverse).
 
     The structure is validated only if it keeps no verdict yet, and every
@@ -260,7 +253,8 @@ def build_many(
     central = _central_u(structure, u, constructions[0].value) if lie else None
     left, right, twisted = _kind_legs(structure, central)
     if any(recipe.flipped for recipe in recipes):
-        flipped = twisted @ flip(structure.dim, structure.dim, structure.params)
+        # T∘τ = τ∘T, as α⊗α commutes with the swap: T with its rows moved
+        flipped = permute_rows(twisted, leg_order((structure.dim,) * 2, (1, 0)))
     ops = []
     for c, recipe in zip(constructions, recipes):
         coefficients = tuple(
@@ -272,15 +266,8 @@ def build_many(
     return ops
 
 
-def build(
-    structure: HomStructure,
-    construction: Construction,
-    lam: Scalar,
-    nu: Scalar,
-    *,
-    u: Sequence[Scalar] | None = None,
-    unchecked: bool = False,
-) -> SolutionOperator:
+def build(structure: HomStructure, construction: Construction, lam: Scalar, nu: Scalar, *,
+          u: Sequence[Scalar] | None = None, unchecked: bool = False) -> SolutionOperator:
     """The operator of one construction; see `build_many` for the preconditions."""
     return build_many(structure, (construction,), lam, nu, u=u, unchecked=unchecked)[0]
 

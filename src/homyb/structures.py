@@ -213,16 +213,15 @@ def validate_hom_lie(
     """
     started = time.perf_counter()
     d, params, al, br = lie.dim, lie.params, lie.alpha, lie.bracket
-    # [x,y] + [y,x] = L(I + F); the Jacobi sum is X(I + P + P²) with
-    # X = L(α⊗L) and P the cyclic shift x⊗y⊗z ↦ y⊗z⊗x
+    # [x,y] + [y,x] = L(I + F); the Jacobi sum is X(I + P + P²) with X = L(α⊗L),
+    # P the cyclic shift x⊗y⊗z ↦ y⊗z⊗x, the swap of V and V⊗V, and P² that of V⊗V and V
     x = br @ kron(al, br)
-    cycle = flip(d, d * d, params)
     axioms = [
         ("HL1-antisym", 2, [
             (br, Matrix.identity(d * d, params), -br, flip(d, d, params), "HL1({t})->{c}"),
         ]),
         ("HL2-jacobi", 3, [
-            (x, Matrix.identity(d ** 3, params) + cycle, -x, cycle @ cycle, "HL2({t})->{c}"),
+            (x, Matrix.identity(d ** 3, params) + flip(d, d * d, params), -x, flip(d * d, d, params), "HL2({t})->{c}"),
         ]),
     ]
     if require_multiplicative:

@@ -65,11 +65,14 @@ Matrices act on coordinate columns, and composition f∘g is the product F·G.
 Tensor legs use the flat-index convention: the basis vector e_i⊗e_j of V⊗W
 (dim V = n, dim W = m) has index i·m + j, and triple products nest the same
 way, so e_i⊗e_j⊗e_k of V⊗W⊗U sits at (i·m + j)·p + k with p = dim U.
+`leg_order` is the one map from a permutation of legs to flat indices: the
+swap `flip` and every other permutation of legs are rows moved by its order.
 """
 
 from __future__ import annotations
 
 from itertools import chain, repeat
+from math import prod
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DimensionError, ParamMismatchError
@@ -487,12 +490,19 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return Matrix._new(a.rows * b.rows, a.cols * m, a.params, rows, bound, width)
 
 
+def leg_order(dims: Sequence[int], legs: Sequence[int]) -> list[int]:
+    """The row order that puts input leg legs[i] of V₀⊗V₁⊗… (dim Vₖ = dims[k]) in place i, so
+    `permute_rows(m, order)` is m followed by that leg permutation, made with no arithmetic."""
+    order = [0]
+    for k in legs:
+        stride = prod(dims[k + 1:])
+        order = [i + c * stride for i in order for c in range(dims[k])]
+    return order
+
+
 def flip(n: int, m: int, params: ParamSet) -> Matrix:
     """The tensor swap V⊗W → W⊗V on coordinates: e_i⊗e_j ↦ e_j⊗e_i."""
-    _check_shape(n, m)
-    # row j·n + i holds the single 1 that picks coordinate i·m + j
-    rows = [{i * m + j: 1} for j in range(m) for i in range(n)]
-    return Matrix._new(n * m, n * m, params, rows, 0, _width(0, n * m))
+    return permute_rows(Matrix.identity(n * m, params), leg_order((n, m), (1, 0)))
 
 
 def permute_rows(m: Matrix, order: Sequence[int]) -> Matrix:

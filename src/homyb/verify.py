@@ -10,10 +10,11 @@ Each matrix identity is written as X·Y = Z·W, and its residual X·Y − Z·W
 comes from `tensor.product_difference`: both sides are added into one packed
 term map per entry and only the entries that do not cancel are read back as
 Scalars, so a pass builds no Scalar.  The classical condition on r is one
-such column, from the Lie bracket and r⊗r = `kron(r, r)` with legs 2, 3 flipped.
+such column, from the Lie bracket and r⊗r = `kron(r, r)` with legs 2, 3 swapped.
 
 hybe and each system condition are braid words of `_braid`; [R,S,T] is P₁₃
-times the word of τR, τS, τT, with τ and P₁₃ row orders.  A monomial alpha
+times the word of τR, τS, τT, τ and P₁₃ being `tensor.leg_order` row orders,
+so no leg permutation is a matrix or a product.  A monomial alpha
 twists on `kron` legs; any other is multiplied into the n²×n² operators, on
 identity-padded legs in the commutator form.  The residual, so every witness
 and its order, is the same either way.
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from ._record import record
 from .errors import DimensionError
 from .scalar import Scalar
-from .tensor import Matrix, flip, kron, leg12, leg13, leg23, permute_rows, product_difference
+from .tensor import Matrix, kron, leg12, leg13, leg23, leg_order, permute_rows, product_difference
 
 if TYPE_CHECKING:  # pragma: no cover
     from .structures import HomLieAlgebra
@@ -80,14 +81,8 @@ class VerificationReport:
         return "; ".join(parts)
 
 
-def leaf_report(
-    name: str,
-    witnesses: Iterable[Witness],
-    *,
-    witness_cap: int | None = DEFAULT_WITNESS_CAP,
-    started: float | None = None,
-    **metadata: str,
-) -> VerificationReport:
+def leaf_report(name: str, witnesses: Iterable[Witness], *, witness_cap: int | None = DEFAULT_WITNESS_CAP,
+                started: float | None = None, **metadata: str) -> VerificationReport:
     """A report without subreports: it holds iff there is no witness.
 
     The metadata starts with `witness_count`, the number of witnesses before
@@ -112,12 +107,8 @@ def _report(name: str, residual: Matrix, cap: int | None, started: float | None 
     return leaf_report(name, witnesses, witness_cap=cap, started=started, **metadata)
 
 
-def combine(
-    name: str,
-    parts: list[VerificationReport],
-    started: float,
-    witness_cap: int | None = DEFAULT_WITNESS_CAP,
-) -> VerificationReport:
+def combine(name: str, parts: list[VerificationReport], started: float,
+            witness_cap: int | None = DEFAULT_WITNESS_CAP) -> VerificationReport:
     witnesses = [w for part in parts for w in part.witnesses]
     witnesses.sort(key=lambda w: (w.row, w.col, w.label))
     return VerificationReport(
@@ -161,12 +152,6 @@ def commutes_with_alpha(
     return _report("alpha-commute", product_difference(aa, b, b, aa), witness_cap, started)
 
 
-def _row_orders(n: int) -> tuple[list[int], list[int]]:
-    """τ, the swap of V⊗V, and P₁₃, the swap of the outer legs of V⊗V⊗V, as row orders."""
-    r = range(n)
-    return [j * n + i for i in r for j in r], [(k * n + j) * n + i for i in r for j in r for k in r]
-
-
 def _braid(b1: Matrix, b2: Matrix, b3: Matrix, alpha: Matrix, made: dict | None = None) -> Matrix:
     """The residual (α⊗b1)(b2⊗α)(α⊗b3) − (b3⊗α)(α⊗b2)(b1⊗α) of the braid word.
 
@@ -199,7 +184,7 @@ def _braid(b1: Matrix, b2: Matrix, b3: Matrix, alpha: Matrix, made: dict | None 
     n = alpha.rows
     ident = Matrix.identity(n, alpha.params)
     a1, a2 = kron(alpha, ident), kron(ident, alpha)
-    tau, p13 = _row_orders(n)
+    tau, p13 = leg_order((n, n), (1, 0)), leg_order((n, n, n), (2, 1, 0))
 
     def padded(b):  # R, R′, S″, S‴, T and T′ of R = S = T = τb, each on its padded legs
         t = permute_rows(b, tau)
@@ -228,8 +213,7 @@ def inverse_holds(
     b: Matrix, binv: Matrix, *, witness_cap: int | None = DEFAULT_WITNESS_CAP
 ) -> VerificationReport:
     """B·B⁻¹ = B⁻¹·B = identity, both directions exact."""
-    b = _as_matrix(b)
-    binv = _as_matrix(binv)
+    b, binv = _as_matrix(b), _as_matrix(binv)
     started = time.perf_counter()
     if b.rows != b.cols or binv.rows != binv.cols or b.rows != binv.rows:
         raise DimensionError("inverse check needs equal square matrices")
@@ -241,15 +225,8 @@ def inverse_holds(
     return combine("inverse", parts, started, witness_cap=witness_cap)
 
 
-def yb_commutator(
-    r: Matrix,
-    s: Matrix,
-    t: Matrix,
-    dims: tuple[int, int, int],
-    alpha_first: Matrix,
-    alpha_mid: Matrix,
-    alpha_third: Matrix,
-) -> Matrix:
+def yb_commutator(r: Matrix, s: Matrix, t: Matrix, dims: tuple[int, int, int],
+                  alpha_first: Matrix, alpha_mid: Matrix, alpha_third: Matrix) -> Matrix:
     """[R,S,T] = R¹²∘S¹³∘T²³ − T²³∘S¹³∘R¹² on V⊗V'⊗V''.
 
     R acts on V⊗V', S on V⊗V'', T on V'⊗V''; the spare leg of each embedding
@@ -278,7 +255,8 @@ def system_holds(
     """
     started = time.perf_counter()
     w, z, x = _as_matrix(w), _as_matrix(z), _as_matrix(x)
-    tau, p13 = _row_orders(alpha.rows)
+    n = alpha.rows
+    tau, p13 = leg_order((n, n), (1, 0)), leg_order((n, n, n), (2, 1, 0))
     flipped = {id(op): permute_rows(op, tau) for op in (w, z, x)}
     words = {name: [flipped[id(op)] for op in ops] for name, ops in
              (("[Z,Z,Z]", (z, z, z)), ("[X,X,Z]", (x, x, z)), ("[W,X,X]", (w, x, x)), ("[W,W,W]", (w, w, w)))}
@@ -311,9 +289,8 @@ def chybe_holds(
     aa = kron(alpha, alpha)
     column = Matrix.from_cols(params, [coords])
     rr = kron(column, column)
-    ident = Matrix.identity(n, params)
     # r⊗r has legs a_i⊗b_i⊗a_j⊗b_j; the outer terms read a_i⊗a_j⊗b_i⊗b_j, its middle legs swapped
-    swapped = kron(kron(ident, flip(n, n, params)), ident) @ rr
+    swapped = permute_rows(rr, leg_order((n,) * 4, (0, 2, 1, 3)))
     # α⊗L⊗α is L on the middle leg of the legs-1,3 operator α⊗α
     total = product_difference(kron(bracket, aa) + kron(aa, bracket), swapped, -leg13(aa, bracket, n, n), rr)
     return _report("chybe", total, witness_cap, started, typo_readings=CHYBE_READING)

@@ -126,13 +126,27 @@ class TestDocuments:
         (edited_ex23(lambda d: d.update(variant="cor2.2")),
          "variant: expected a construction with an inverse for the inverse checks"),
         (edited_ex23(lambda d: d.pop("u"), "ex4.3"), "u: expected a central element to build on"),
+        # each field has one JSON type, and nothing is coerced into it
+        (edited_ex23(lambda d: d["notes"].append(0)), "notes: expected a list of strings"),
+        (edited_ex23(lambda d: d.update(notes="abc")), "notes: expected a list of strings"),
+        (edited_ex23(lambda d: d.pop("table")), "table: expected a printed table to check"),
+        (edited_ex23(lambda d: d["u"].__setitem__(0, 0), "ex4.3"), "u: expected a list of coordinate expressions"),
+        (edited_ex23(lambda d: d.update(u="001"), "ex4.3"), "u: expected a list of coordinate expressions"),
+        (edited_ex23(lambda d: d.update(involutive_at=[["l", "1"]])),
+         "involutive_at: expected an object mapping"),
+        (edited_ex23(lambda d: d.update(involutive_at={"l": 1})), "involutive_at: expected an object mapping"),
+        (edited_ex23(lambda d: d.update(description=None)), "description: expected a string"),
+        (edited_ex23(lambda d: d["table"][0].__setitem__(2, {})),
+         "table: expected a list of [left, right, [[p, q, coefficient], ...]] rows"),
     ], ids=["missing", "not-json", "not-an-object", "no-structure", "bad-structure",
             "table-row-missing", "table-row-repeated", "unknown-basis-name", "two-element-summand",
             "unknown-check", "checks-not-a-list", "unknown-involutive-parameter",
             "involutive-value-not-a-number", "involutive-value-divides-by-zero", "no-variant",
             "mismatch-not-in-basis", "unknown-expected-failure", "short-u", "system-on-a-lie-entry",
             "chybe-on-an-algebra-entry", "system-member-variant", "variant-of-another-kind",
-            "inverse-check-without-an-inverse", "lie-entry-without-u"])
+            "inverse-check-without-an-inverse", "lie-entry-without-u", "note-not-a-string",
+            "notes-a-string", "table-check-without-a-table", "u-coordinate-not-a-string", "u-a-string",
+            "involutive-at-pairs", "involutive-value-a-number", "description-null", "summands-an-object"])
     def test_a_bad_document_exits_two_and_is_named(self, content, message, tmp_path, monkeypatch,
                                                    capsys):
         path = tmp_path / "ex2.3.json"
@@ -143,6 +157,23 @@ class TestDocuments:
         assert main(["catalog", "list"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and message in err
+
+    @pytest.mark.parametrize("edit, entry_id, message", [
+        (lambda d: d.pop("involutive_at"), "ex2.3", "alpha is not involutive"),
+        (lambda d: d["u"].__setitem__(0, "x"), "ex4.3", "unknown parameter 'x'"),
+        (lambda d: d["structure"]["parameters"].remove("lam"), "ex2.3", "unknown parameter 'lam'"),
+    ], ids=["not-involutive-there", "u-not-an-expression", "no-lam"])
+    def test_an_error_met_only_by_a_check_names_the_document(self, edit, entry_id, message, tmp_path,
+                                                             monkeypatch, capsys):
+        path = tmp_path / f"{entry_id}.json"
+        path.write_text(edited_ex23(edit, entry_id), encoding="utf-8")
+        monkeypatch.setattr(homyb.catalog, "_ENTRIES", tmp_path)
+        monkeypatch.setattr(homyb.catalog, "_IDS", (entry_id,))
+        monkeypatch.setattr(homyb.catalog, "_CACHE", {})
+        assert main(["catalog", "list"]) == 0  # λ, ν, u and α's involution are read by the checks
+        assert main(["catalog", "verify-all"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
 
     def test_every_document_is_package_data(self):
         tomllib = pytest.importorskip("tomllib")

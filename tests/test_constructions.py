@@ -389,6 +389,19 @@ def test_each_operator_is_summed_in_one_kernel_call(entry_id, monkeypatch):
     assert got == want == legs[0].scale(lam) + legs[1].scale(nu) - legs[2].scale(lam * nu)
 
 
+@pytest.mark.parametrize("entry_id, system", [("ex2.3", "thm5.2"), ("ex3.3", "thm5.3")])
+def test_a_system_triple_is_built_with_no_product(entry_id, system, monkeypatch):
+    # T∘τ is τ∘T, T with its rows moved, so the flipped twist term needs no `@`
+    entry = catalog_get(entry_id)
+    s, lam, nu = entry.structure, entry.lam(), entry.nu()
+    want = build_many(s, SYSTEMS[system], lam, nu)  # the structure keeps its axiom verdict
+    calls = []
+    matmul = homyb.tensor.Matrix.__matmul__
+    monkeypatch.setattr(homyb.tensor.Matrix, "__matmul__", lambda a, c: calls.append(1) or matmul(a, c))
+    assert build_many(s, SYSTEMS[system], lam, nu) == want
+    assert calls == []
+
+
 # -- the axiom verdict a structure keeps -------------------------------------------
 
 

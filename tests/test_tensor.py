@@ -4,6 +4,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,7 @@ from homyb import (
     product_difference,
     tensor2,
 )
-from homyb.tensor import _bound, combination
+from homyb.tensor import _bound, combination, leg_order, permute_rows
 from conftest import COEFFICIENTS, PS2, PS3, is_canonical, random_assignment, scalars, square_matrices
 
 
@@ -127,6 +128,38 @@ class TestFlip:
     def test_square_flip_is_an_involution(self, n):
         f = flip(n, n, PS2)
         assert f @ f == Matrix.identity(n * n, PS2)
+
+
+def adjacent_swaps(dims, legs, params):
+    """The permutation matrix of `legs` as a product of adjacent swaps I⊗flip⊗I, one per
+    inversion: the legs are bubbled into place from the left."""
+    places, perm = list(range(len(dims))), Matrix.identity(prod(dims), params)
+    for i, leg in enumerate(legs):
+        for j in reversed(range(i, places.index(leg))):  # swap places j and j + 1
+            d = [dims[k] for k in places]
+            swap = kron(kron(Matrix.identity(prod(d[:j]), params), flip(d[j], d[j + 1], params)),
+                        Matrix.identity(prod(d[j + 2:]), params))
+            perm, places[j:j + 2] = swap @ perm, [places[j + 1], places[j]]
+    return perm
+
+
+class TestLegOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    def test_agrees_with_the_kron_and_flip_permutation_matrix(self, data, dims):
+        legs = data.draw(st.permutations(range(len(dims))))
+        moved = permute_rows(Matrix.identity(prod(dims), PS2), leg_order(dims, legs))
+        assert moved == adjacent_swaps(dims, legs, PS2)
+
+    def test_the_outer_swap_of_a_cube(self):
+        # row (i, j, k) of P₁₃ picks coordinate (k, j, i)
+        assert leg_order((2, 3, 2), (2, 1, 0)) == [(k * 3 + j) * 2 + i for i in range(2) for j in range(3)
+                                                   for k in range(2)]
+
+    @pytest.mark.parametrize("legs", [(0, 0), (0,)], ids=["a-leg-twice", "a-leg-left-out"])
+    def test_the_order_of_no_permutation_of_the_legs_is_refused_where_it_is_used(self, legs):
+        with pytest.raises(DimensionError, match="must permute"):
+            permute_rows(Matrix.identity(4, PS2), leg_order((2, 2), legs))
 
 
 class TestLegEmbeddings:

@@ -387,6 +387,16 @@ class TestChybe:
         assert report.holds
         assert "typo_readings" in report.metadata
 
+    def test_the_middle_legs_are_swapped_with_no_product(self, ex43, monkeypatch):
+        # r⊗r's middle legs are swapped by moving its rows, not by the product (I⊗τ⊗I)·(r⊗r)
+        lie = ex43.structure
+        r = chybe_r(lie, lie.basis_vec(0), lie.basis_vec(1), ex43.u_vector(), 0, 0)
+        calls = []
+        matmul = Matrix.__matmul__
+        monkeypatch.setattr(Matrix, "__matmul__", lambda a, c: calls.append(1) or matmul(a, c))
+        assert chybe_holds(r, lie).holds
+        assert calls == []
+
     def test_zero_tensor_holds(self, ex43):
         lie = ex43.structure
         zero = tuple(Scalar.zero(lie.params) for _ in range(9))
