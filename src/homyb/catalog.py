@@ -3,8 +3,10 @@
 Printed tables are stored verbatim, typos included, read into a d²×d² matrix
 once per entry and compared against the regenerated operator by one
 difference on every check, which decodes nothing where they match; nothing is
-ever patched.  Like that matrix, an entry's λ, ν, u and structure at
-`involutive_at` are derived when first asked for and kept with the entry.
+ever patched.  Like that matrix, an entry's λ, ν, u, structure at
+`involutive_at` and the operators its checks build are derived when first
+asked for and kept with the entry, so a second `verify_all` builds nothing and
+re-runs every check on the kept operators.
 Rows known to deviate from the closed-form operator are recorded per entry,
 so the catalog doubles as an errata record: `verify-all` treats a deviation
 as expected exactly when it is documented.
@@ -17,7 +19,8 @@ user files.  Beside it are the entry's `description`, its construction
 (`variant`), the `checks` it runs (names of `_CHECKS`, in report order), the
 printed `table` as [left, right, [[p, q, coefficient], ...]] rows,
 `documented_mismatches`, `expected_failures`, `u`, `involutive_at` and
-`notes`.  To add an entry, write its document.
+`notes`.  An entry runs at least one check.  To add an entry, write its
+document.
 
 Basis names, tables and twist maps follow the published examples; the
 parameter printed as k is named `kk` here to avoid colliding with the ground
@@ -97,6 +100,12 @@ class CatalogEntry:
         params = self.structure.params
         u = None if self.u is None else tuple(parse_scalar(s, params) for s in self.u)
         return parse_scalar("lam", params), parse_scalar("nu", params), u
+
+    @cached_property
+    def _operators(self) -> dict[tuple[bool, Construction, bool], SolutionOperator]:
+        """The operators its checks build, by (built on its own structure, construction, built at ν = 1);
+        `_Run.build` fills it."""
+        return {}
 
     @cached_property
     def involutive(self) -> HomStructure:
@@ -204,6 +213,7 @@ def _resolved(entry: CatalogEntry) -> CatalogEntry:
     s, checks, pairs, variant = entry.structure, set(entry.checks), entry.documented_mismatches, entry.variant
     lie = isinstance(s, HomLieAlgebra)
     for key, ok, expected in (
+        ("checks", bool(checks), "at least one check"),
         ("checks", checks <= set(_CHECKS), f"a list of names among {', '.join(_CHECKS)}"),
         ("expected_failures", entry.expected_failures <= set(entry.check_names()), "names of its checks"),
         ("variant", variant is not None or checks <= {"axioms", "system", "chybe"}, "a construction"),
@@ -290,27 +300,27 @@ def mismatched_pairs(rows: Sequence[TableComparison]) -> set[tuple[str, str]]:
 
 
 class _Run:
-    """One verify_entry call: its entry, witness cap and operators, each made once."""
+    """One verify_entry call: its entry and witness cap; the operators it builds stay on the entry."""
 
     def __init__(self, entry: CatalogEntry, cap: int | None):
         self.entry, self.cap, self.structure, self.variant = entry, cap, entry.structure, entry.variant
         self.lam, self.nu, self.u = entry.lam(), entry.nu(), entry.u_vector()
-        self.ops: dict[tuple[bool, Construction, bool], SolutionOperator] = {}
 
     def build(self, constructions, structure, unchecked=False) -> list[SolutionOperator]:
-        """The operators of `constructions` as built together on `structure`, each built once.
+        """The operators of `constructions` as built together on `structure`, each built once per entry.
 
         An operator is kept under its structure, its construction and whether
         its set is built at ν = 1 (as `build_many` builds a set with a ν = 1
         member), so a Lie pair never takes the operator built alone at ν = nu.
         """
+        ops = self.entry._operators
         at_one = any(RECIPES[c].nu_is_one for c in constructions)
         key = {c: (structure is self.structure, c, at_one) for c in constructions}
-        missing = [c for c in constructions if key[c] not in self.ops]
+        missing = [c for c in constructions if key[c] not in ops]
         if missing:
             built = build_many(structure, missing, self.lam, self.nu, u=self.u, unchecked=unchecked)
-            self.ops.update((key[c], op) for c, op in zip(missing, built))
-        return [self.ops[key[c]] for c in constructions]
+            ops.update((key[c], op) for c, op in zip(missing, built))
+        return [ops[key[c]] for c in constructions]
 
     def check(self, name: str, given: str = "", structure=None, unchecked=False):
         """Row `name` of `CHECKS` on what it builds from `given` on `structure`, or the entry's."""

@@ -14,8 +14,9 @@ whether T is flipped and which construction it inverts.  `build` and
 `build_many` read it; the named builders are thin wrappers over `build`.
 `build_many` checks every construction's preconditions before it builds
 anything, the axioms by the verdict the structure keeps (`structures.verdict`),
-then builds the legs L, R and T once (T flipped only if a recipe asks for it)
-and sums them for each construction in one `tensor.combination` call.
+then builds the legs L, R and T once (T flipped only if a recipe asks for it),
+forms each distinct coefficient λᵃνᵇ once, and sums the legs for each
+construction in one `tensor.combination` call.
 
 The matrix is dim²×dim²: column (i·dim + j) holds the coordinates of the image
 of e_i⊗e_j.  Builders are deterministic and make no claims -- the identities
@@ -255,12 +256,11 @@ def build_many(structure: HomStructure, constructions: Sequence[Construction], l
     if any(recipe.flipped for recipe in recipes):
         # T∘τ = τ∘T, as α⊗α commutes with the swap: T with its rows moved
         flipped = permute_rows(twisted, leg_order((structure.dim,) * 2, (1, 0)))
+    coefficient = {p: lam ** p[0] * nu ** p[1] for p in set(powers)}  # each distinct λᵃνᵇ once
     ops = []
     for c, recipe in zip(constructions, recipes):
-        coefficients = tuple(
-            None if p is None else lam ** p[0] * nu ** p[1]
-            for p in (recipe.first, recipe.second, recipe.twist)
-        )
+        terms = (recipe.first, recipe.second, recipe.twist)
+        coefficients = tuple(None if p is None else coefficient[p] for p in terms)
         legs = (left, right, flipped if recipe.flipped else twisted)
         ops.append(SolutionOperator(_two_term_operator(legs, coefficients), c, lam, nu, structure))
     return ops

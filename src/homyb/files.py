@@ -257,7 +257,10 @@ def load_operator(path: str | Path) -> tuple[Matrix, dict]:
     dim = doc.get("dim")
     _require(_is_int(dim) and dim > 0, "dim: expected a positive integer")
     size = dim * dim
-    matrix = _string_matrix(doc, "matrix", size, size, params, {})
+    parsed: dict[str, Scalar] = {}
+    for key in ("lambda", "nu"):  # the header's λ and ν, as expressions over its parameters
+        _parse_at(doc.get(key), params, key, parsed)
+    matrix = _string_matrix(doc, "matrix", size, size, params, parsed)
     return matrix, doc
 
 

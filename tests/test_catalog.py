@@ -107,6 +107,7 @@ class TestDocuments:
         (edited_ex23(lambda d: d["table"][1][2][1].pop()), "[p, q, coefficient]"),
         (edited_ex23(lambda d: d["checks"].append("nope")), "checks: expected a list of names"),
         (edited_ex23(lambda d: d.update(checks="axioms")), "checks: expected a list of names"),
+        (edited_ex23(lambda d: d.update(checks=[])), "checks: expected at least one check"),
         (edited_ex23(lambda d: d.update(involutive_at={"zz": "1"})), "involutive_at: expected"),
         (edited_ex23(lambda d: d.update(involutive_at={"l": "x"})), "involutive_at: expected"),
         (edited_ex23(lambda d: d.update(involutive_at={"l": "1/0"})), "involutive_at: expected"),
@@ -140,7 +141,7 @@ class TestDocuments:
          "table: expected a list of [left, right, [[p, q, coefficient], ...]] rows"),
     ], ids=["missing", "not-json", "not-an-object", "no-structure", "bad-structure",
             "table-row-missing", "table-row-repeated", "unknown-basis-name", "two-element-summand",
-            "unknown-check", "checks-not-a-list", "unknown-involutive-parameter",
+            "unknown-check", "checks-not-a-list", "no-checks", "unknown-involutive-parameter",
             "involutive-value-not-a-number", "involutive-value-divides-by-zero", "no-variant",
             "mismatch-not-in-basis", "unknown-expected-failure", "short-u", "system-on-a-lie-entry",
             "chybe-on-an-algebra-entry", "system-member-variant", "variant-of-another-kind",
@@ -284,7 +285,7 @@ class TestTableCheck:
 
     @pytest.mark.parametrize("entry_id", TABLED)
     def test_one_changed_entry_is_exactly_one_undocumented_mismatch(self, entry_id, monkeypatch):
-        entry = catalog_get(entry_id)
+        entry = replace(catalog_get(entry_id))  # a copy that keeps no operator yet
         op, s = build_operator(entry), entry.structure
         d, basis = s.dim, s.basis
         # the first column whose printed row matches, with one entry moved off it
@@ -374,7 +375,7 @@ class TestVerifyAll:
         monkeypatch.setattr(homyb.catalog, "build_many", recording)
         for eid, _ in catalog_list():
             built.append([])
-            verify_entry(catalog_get(eid))
+            verify_entry(replace(catalog_get(eid)))  # a copy that keeps no operator yet
         for ops in built:
             keys = [(id(op.source), op.construction, str(op.nu)) for op in ops]
             assert len(keys) == len(set(keys))
@@ -468,6 +469,16 @@ class TestDerivedInputs:
         assert edited.involutive == fresh.involutive and edited.printed_matrix == fresh.printed_matrix
         assert (edited.involutive == original.involutive) == (edit != "involutive_at")
         assert (edited.printed_matrix == original.printed_matrix) == (edit != "table")
+
+    def test_a_replaced_entry_starts_with_no_kept_operators(self):
+        entry = catalog_get("ex4.3")
+        verify_entry(entry)
+        kept = dict(entry._operators)
+        copy = replace(entry)
+        assert kept and copy._operators == {}
+        verify_entry(copy)  # builds its own, equal to the original's
+        assert copy._operators == kept and entry._operators == kept
+        assert all(copy._operators[key] is not op for key, op in kept.items())
 
 
 class TestExportRoundTrip:

@@ -221,6 +221,31 @@ class TestBuild:
         assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("lambda", "x", "lambda: unknown parameter 'x'"),
+        ("lambda", None, "lambda: expected an expression string"),
+        ("nu", True, "nu: expected an expression string"),
+        ("nu", "lam +", "nu: unexpected end of input"),
+    ], ids=["unknown-parameter", "missing", "not-a-string", "not-an-expression"])
+    def test_operator_header_lambda_and_nu_are_expressions_over_its_parameters(
+        self, export, tmp_path, capsys, key, value, message
+    ):
+        # the report's metadata takes them from the header, so they are read as the matrix is
+        op_path = tmp_path / "op.json"
+        structure = export("ex2.3")
+        assert main(["build", structure, "--construction", "thm2.1", "--out", str(op_path)]) == 0
+        doc = json.loads(op_path.read_text())
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        op_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe",
+                     "--json", str(tmp_path / "report.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "report.json").exists()
+
     def test_operator_of_another_structure_exits_two(self, export, tmp_path, capsys):
         # same dimension, so only the header tells the two structures apart
         op_path = tmp_path / "op.json"

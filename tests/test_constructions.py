@@ -402,6 +402,22 @@ def test_a_system_triple_is_built_with_no_product(entry_id, system, monkeypatch)
     assert calls == []
 
 
+@pytest.mark.parametrize("entry_id, constructions, distinct", [
+    ("ex2.3", SYSTEMS["thm5.2"], 3),  # 9 coefficients among 1, λ and ν
+    ("ex3.3", SYSTEMS["thm5.3"], 3),
+    ("ex2.3", (_C.ALG21, _C.ALG_INV22), 4),  # 6 coefficients among λ, ν, 1/λ and 1/ν
+])
+def test_build_many_forms_each_distinct_coefficient_once(entry_id, constructions, distinct, monkeypatch):
+    entry = catalog_get(entry_id)
+    s, lam, nu = entry.involutive, entry.lam(), entry.nu()
+    want = build_many(s, constructions, lam, nu)  # the structure keeps its axiom verdict
+    calls = []  # the powers taken of λ and ν; a negative one then raises λ⁻¹ or ν⁻¹
+    power = Scalar.__pow__
+    monkeypatch.setattr(Scalar, "__pow__", lambda a, k: a in (lam, nu) and calls.append(k) or power(a, k))
+    assert build_many(s, constructions, lam, nu) == want
+    assert len(calls) == 2 * distinct  # λᵃ and νᵇ for each λᵃνᵇ
+
+
 # -- the axiom verdict a structure keeps -------------------------------------------
 
 

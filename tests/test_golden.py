@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+import homyb.catalog
 from homyb import (
     Construction,
     ConstructionWarning,
@@ -237,6 +238,22 @@ def test_a_second_verify_all_in_one_process_writes_the_same_document(tmp_path):
     for path in paths:
         got = document_digests(path)
         assert got == {key: golden[key] for key in got}, path.name
+
+
+def test_a_second_verify_all_builds_nothing_and_writes_the_same_document(tmp_path, capsys, monkeypatch):
+    """The second pass checks every identity on the operators each entry kept from the first."""
+    monkeypatch.setattr(homyb.catalog, "_CACHE", {})  # every entry loaded afresh
+    calls, build_many = [], homyb.catalog.build_many
+    monkeypatch.setattr(homyb.catalog, "build_many", lambda *args, **kwargs: calls.append(args[1])
+                        or build_many(*args, **kwargs))
+    golden, counts = _golden(), []
+    for _ in range(2):
+        calls.clear()
+        got = verify_all_digests(tmp_path)
+        counts.append((len(calls), sum(map(len, calls))))
+        assert got == {key: golden[key] for key in got}
+    capsys.readouterr()
+    assert counts == [(15, 27), (0, 0)]
 
 
 if __name__ == "__main__":
