@@ -6,7 +6,10 @@ difference on every check, which decodes nothing where they match; nothing is
 ever patched.  Like that matrix, an entry's λ, ν, u, structure at
 `involutive_at` and the operators its checks build are derived when first
 asked for and kept with the entry, so a second `verify_all` builds nothing and
-re-runs every check on the kept operators.
+re-runs every check on the kept operators.  Each check is a function of the
+entry and a witness cap, and every operator, `build_operator`'s too, comes
+from one kept build keyed by all that decides it (see `_built`), so the order
+of an entry's checks changes no verdict.
 Rows known to deviate from the closed-form operator are recorded per entry,
 so the catalog doubles as an errata record: `verify-all` treats a deviation
 as expected exactly when it is documented.
@@ -45,7 +48,6 @@ from .constructions import (
     SYSTEMS,
     Construction,
     SolutionOperator,
-    build,
     build_many,
     chybe_r,
 )
@@ -102,9 +104,8 @@ class CatalogEntry:
         return parse_scalar("lam", params), parse_scalar("nu", params), u
 
     @cached_property
-    def _operators(self) -> dict[tuple[bool, Construction, bool], SolutionOperator]:
-        """The operators its checks build, by (built on its own structure, construction, built at ν = 1);
-        `_Run.build` fills it."""
+    def _operators(self) -> dict[tuple[bool, Construction, bool, bool], SolutionOperator]:
+        """The operators its checks and `build_operator` build, each under the key `_built` gives it."""
         return {}
 
     @cached_property
@@ -262,11 +263,32 @@ def catalog_get(entry_id: str) -> CatalogEntry:
 # -- regeneration and comparison ---------------------------------------------------
 
 
+def _built(entry: CatalogEntry, constructions, structure, unchecked=False) -> list[SolutionOperator]:
+    """The operators of `constructions` as built together on `structure`, each built once per entry.
+
+    An operator is kept under whether it was built on the entry's own
+    structure, its construction, the ν its set is built at (1 where a member
+    is defined only there, else the entry's ν: the key holds which) and
+    whether its set skipped its preconditions (`unchecked`).  Missing
+    operators are built at that ν; an unchecked set may take an operator
+    kept from a checked build, never the reverse.
+    """
+    ops, own = entry._operators, structure is entry.structure
+    at_one = any(RECIPES[c].nu_is_one for c in constructions)
+    kept = {c: ops.get((own, c, at_one, False)) or ops.get((own, c, at_one, unchecked)) for c in constructions}
+    if missing := [c for c, op in kept.items() if op is None]:
+        nu = Scalar.one(structure.params) if at_one else entry.nu()
+        built = build_many(structure, missing, entry.lam(), nu, u=entry.u_vector(), unchecked=unchecked)
+        for c, op in zip(missing, built):
+            kept[c] = ops[own, c, at_one, unchecked] = op
+    return list(kept.values())
+
+
 def build_operator(entry: CatalogEntry) -> SolutionOperator:
-    """Run the entry's recipe (suppressing the documented hypothesis warnings)."""
+    """The entry's operator from its kept build (suppressing the documented hypothesis warnings)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConstructionWarning)
-        return build(entry.structure, entry.variant, entry.lam(), entry.nu(), u=entry.u_vector())
+        return _built(entry, (entry.variant,), entry.structure)[0]
 
 
 def _mismatched_columns(op: SolutionOperator, printed: Matrix) -> set[int]:
@@ -279,8 +301,8 @@ def compare_table(
 ) -> list[TableComparison]:
     """Compare the entry's operator column-by-column with the printed table.
 
-    The operator is regenerated unless it is given.  Mismatches are data, not
-    errors; nothing is patched.
+    The operator is read from the entry's kept build unless it is given.
+    Mismatches are data, not errors; nothing is patched.
     """
     if entry.expected_table is None:
         raise UnknownEntryError(f"catalog entry {entry.id} has no printed table")
@@ -299,80 +321,56 @@ def mismatched_pairs(rows: Sequence[TableComparison]) -> set[tuple[str, str]]:
 # -- full verification -----------------------------------------------------------
 
 
-class _Run:
-    """One verify_entry call: its entry and witness cap; the operators it builds stay on the entry."""
+def _check(entry: CatalogEntry, cap: int | None, name: str, given: str = "", structure=None, unchecked=False):
+    """Row `name` of `CHECKS` on what it builds from `given` on `structure`, or the entry's."""
+    check, structure = CHECKS[name], structure or entry.structure
+    if check.builds:
+        built = _built(entry, check.builds[given], structure, unchecked)
+    else:  # chybe builds no operator: r = [e_1, e_2] ⊗ u
+        built = chybe_r(structure, structure.basis_vec(0), structure.basis_vec(1), entry.u_vector(), 0, 0)
+    return check.report(structure, built, cap)
 
-    def __init__(self, entry: CatalogEntry, cap: int | None):
-        self.entry, self.cap, self.structure, self.variant = entry, cap, entry.structure, entry.variant
-        self.lam, self.nu, self.u = entry.lam(), entry.nu(), entry.u_vector()
 
-    def build(self, constructions, structure, unchecked=False) -> list[SolutionOperator]:
-        """The operators of `constructions` as built together on `structure`, each built once per entry.
-
-        An operator is kept under its structure, its construction and whether
-        its set is built at ν = 1 (as `build_many` builds a set with a ν = 1
-        member), so a Lie pair never takes the operator built alone at ν = nu.
-        """
-        ops = self.entry._operators
-        at_one = any(RECIPES[c].nu_is_one for c in constructions)
-        key = {c: (structure is self.structure, c, at_one) for c in constructions}
-        missing = [c for c in constructions if key[c] not in ops]
-        if missing:
-            built = build_many(structure, missing, self.lam, self.nu, u=self.u, unchecked=unchecked)
-            ops.update((key[c], op) for c, op in zip(missing, built))
-        return [ops[key[c]] for c in constructions]
-
-    def check(self, name: str, given: str = "", structure=None, unchecked=False):
-        """Row `name` of `CHECKS` on what it builds from `given` on `structure`, or the entry's."""
-        check, structure = CHECKS[name], structure or self.structure
-        if check.builds:
-            built = self.build(check.builds[given], structure, unchecked)
-        else:  # chybe builds no operator: r = [e_1, e_2] ⊗ u
-            built = chybe_r(structure, structure.basis_vec(0), structure.basis_vec(1), self.u, 0, 0)
-        return check.report(structure, built, self.cap)
-
-    def table(self) -> VerificationReport:
-        """Deviations from the printed table, against the documented ones."""
-        started = time.perf_counter()
-        entry, structure = self.entry, self.structure
-        op, basis, d = self.build((self.variant,), structure)[0], structure.basis, structure.dim
-        actual = {(basis[c // d], basis[c % d]) for c in _mismatched_columns(op, entry.printed_matrix)}
-        documented = set(entry.documented_mismatches)
-        unexpected = sorted(actual ^ documented)
-        witnesses = []
-        for a, b in unexpected:
-            tag = "undocumented mismatch" if (a, b) in actual else "documented row now matches"
-            k = structure.basis_index(a) * d + structure.basis_index(b)
-            witnesses.append(Witness(k, 0, Scalar.one(structure.params), f"B({a}⊗{b}): {tag}"))
-        return VerificationReport(
-            check_name="table",
-            holds=not unexpected,
-            witnesses=witnesses[:self.cap],
-            elapsed_ms=(time.perf_counter() - started) * 1000.0,
-            metadata={
-                "mismatches": ", ".join(f"({a},{b})" for a, b in sorted(actual)) or "none",
-                "documented": ", ".join(f"({a},{b})" for a, b in sorted(documented)) or "none",
-            },
-        )
+def _table(entry: CatalogEntry, cap: int | None) -> VerificationReport:
+    """Deviations from the printed table, against the documented ones."""
+    started, structure = time.perf_counter(), entry.structure
+    op, basis, d = build_operator(entry), structure.basis, structure.dim
+    actual = {(basis[c // d], basis[c % d]) for c in _mismatched_columns(op, entry.printed_matrix)}
+    documented = set(entry.documented_mismatches)
+    unexpected = sorted(actual ^ documented)
+    witnesses = []
+    for a, b in unexpected:
+        tag = "undocumented mismatch" if (a, b) in actual else "documented row now matches"
+        k = structure.basis_index(a) * d + structure.basis_index(b)
+        witnesses.append(Witness(k, 0, Scalar.one(structure.params), f"B({a}⊗{b}): {tag}"))
+    return VerificationReport(
+        check_name="table",
+        holds=not unexpected,
+        witnesses=witnesses[:cap],
+        elapsed_ms=(time.perf_counter() - started) * 1000.0,
+        metadata={
+            "mismatches": ", ".join(f"({a},{b})" for a, b in sorted(actual)) or "none",
+            "documented": ", ".join(f"({a},{b})" for a, b in sorted(documented)) or "none",
+        },
+    )
 
 
 # structure kind -> the name of its system
 _SYSTEM_OF = {RECIPES[t[0]].kind: name for name, t in SYSTEMS.items()}
 
-# check name, as an entry lists it -> the check: the run's own, or a row of `CHECKS`
-# on what it builds from the entry's construction
-_CHECKS: dict[str, Callable[[_Run], VerificationReport]] = {
-    "axioms": lambda run: validate(run.structure, isinstance(run.structure, HomLieAlgebra), witness_cap=run.cap),
-    "table": _Run.table,
-    "alpha-commute": lambda run: run.check("alpha", run.variant.value),
-    "hybe": lambda run: run.check("hybe", run.variant.value),
-    "system": lambda run: run.check("system", _SYSTEM_OF[type(run.structure)]),
-    "inverse": lambda run: run.check("inverse", INVERSE[run.variant].value, run.entry.involutive),
+# check name, as an entry lists it -> the check on the entry with a witness cap: its own,
+# or a row of `CHECKS` on what it builds from the entry's construction
+_CHECKS: dict[str, Callable[[CatalogEntry, int | None], VerificationReport]] = {
+    "axioms": lambda e, cap: validate(e.structure, isinstance(e.structure, HomLieAlgebra), witness_cap=cap),
+    "table": _table,
+    "alpha-commute": lambda e, cap: _check(e, cap, "alpha", e.variant.value),
+    "hybe": lambda e, cap: _check(e, cap, "hybe", e.variant.value),
+    "system": lambda e, cap: _check(e, cap, "system", _SYSTEM_OF[type(e.structure)]),
+    "inverse": lambda e, cap: _check(e, cap, "inverse", INVERSE[e.variant].value, e.involutive),
     # the inverse law with α as it is, which fails where α is not involutive
-    "inverse-symbolic": lambda run: run.check(
-        "inverse", INVERSE[run.variant].value, unchecked=True),
-    "hybe-inverse": lambda run: run.check("hybe", INVERSE[run.variant].value, run.entry.involutive),
-    "chybe": lambda run: run.check("chybe"),
+    "inverse-symbolic": lambda e, cap: _check(e, cap, "inverse", INVERSE[e.variant].value, unchecked=True),
+    "hybe-inverse": lambda e, cap: _check(e, cap, "hybe", INVERSE[e.variant].value, e.involutive),
+    "chybe": lambda e, cap: _check(e, cap, "chybe"),
 }
 
 
@@ -388,9 +386,9 @@ def verify_entry(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConstructionWarning)
         try:
-            run = _Run(entry, witness_cap)
+            entry.u_vector()  # λ, ν and u are read before the first check
             for check, name in zip(entry.checks, entry.check_names()):
-                report = _CHECKS[check](run)
+                report = _CHECKS[check](entry, witness_cap)
                 report.check_name = name
                 parts.append(report)
         except HomybError as exc:  # the document's λ, ν, u and preconditions are first read here

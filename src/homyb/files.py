@@ -3,7 +3,8 @@
 All scalar data travels as expression strings in the scalar mini-language, so
 files stay exact.  Shape problems raise StructureError with the offending key
 in the message; expression problems carry the key path and the parser's
-position.  Output is deterministic: fixed key order, no timestamps (elapsed_ms
+position.  A file read by `load_structure` or `load_operator` puts its path
+before either.  Output is deterministic: fixed key order, no timestamps (elapsed_ms
 is the one explicitly-labeled timing field, meant to be excluded from golden
 comparisons).
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .constructions import SolutionOperator
 from .errors import HomybError, ParseError, StructureError
@@ -179,8 +180,17 @@ def _read_json(path: str | Path) -> Any:
         raise StructureError(f"{path}: invalid JSON: nested too deeply") from None
 
 
+def _loaded(path: str | Path, parse: Callable[[Any], Any]) -> Any:
+    """`parse` of the file's document; a StructureError from parsing it names the file once."""
+    doc = _read_json(path)
+    try:
+        return parse(doc)
+    except StructureError as exc:
+        raise StructureError(f"{path}: {exc}") from None
+
+
 def load_structure(path: str | Path) -> HomStructure:
-    return structure_from_dict(_read_json(path))
+    return _loaded(path, structure_from_dict)
 
 
 def structure_to_dict(structure: HomStructure) -> dict:
@@ -251,7 +261,10 @@ def system_to_dict(triple: Sequence[SolutionOperator]) -> dict:
 
 def load_operator(path: str | Path) -> tuple[Matrix, dict]:
     """Read an operator file back as (matrix, metadata)."""
-    doc = _read_json(path)
+    return _loaded(path, _operator_from_dict)
+
+
+def _operator_from_dict(doc: Any) -> tuple[Matrix, dict]:
     params = _header(doc, "operator file")
     _require(doc.get("kind") == "operator", "kind: expected 'operator'")
     dim = doc.get("dim")

@@ -25,7 +25,7 @@ from homyb import (
     verify_entry,
 )
 from homyb._record import replace
-from homyb.catalog import _CHECKS, _IDS, _Run, all_as_expected, build_operator
+from homyb.catalog import _CHECKS, _IDS, _built, _table, all_as_expected, build_operator
 from homyb.cli import main
 from homyb.files import _matrix_strings, dump_json, report_to_dict, structure_from_dict, structure_to_dict
 from conftest import PS2, scalars
@@ -38,6 +38,14 @@ def edited_ex23(edit, entry_id: str = "ex2.3") -> str:
     doc = json.loads((homyb.catalog._ENTRIES / f"{entry_id}.json").read_text(encoding="utf-8"))
     edit(doc)
     return json.dumps(doc)
+
+
+def listed_first(first: str, second: str):
+    """An edit that lists check `first` before `second`, each in the place of one of the two."""
+    def edit(doc):
+        i, j = sorted(map(doc["checks"].index, (first, second)))
+        doc["checks"][i], doc["checks"][j] = first, second
+    return edit
 
 
 class TestLookup:
@@ -161,9 +169,12 @@ class TestDocuments:
 
     @pytest.mark.parametrize("edit, entry_id, message", [
         (lambda d: d.pop("involutive_at"), "ex2.3", "alpha is not involutive"),
+        # a checked inverse takes no pair built with its preconditions skipped
+        (lambda d: listed_first("inverse-symbolic", "inverse")(d) or d.pop("involutive_at"), "ex2.3",
+         "alpha is not involutive"),
         (lambda d: d["u"].__setitem__(0, "x"), "ex4.3", "unknown parameter 'x'"),
         (lambda d: d["structure"]["parameters"].remove("lam"), "ex2.3", "unknown parameter 'lam'"),
-    ], ids=["not-involutive-there", "u-not-an-expression", "no-lam"])
+    ], ids=["not-involutive-there", "not-involutive-unchecked-first", "u-not-an-expression", "no-lam"])
     def test_an_error_met_only_by_a_check_names_the_document(self, edit, entry_id, message, tmp_path,
                                                              monkeypatch, capsys):
         path = tmp_path / f"{entry_id}.json"
@@ -175,6 +186,18 @@ class TestDocuments:
         assert main(["catalog", "verify-all"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ") and message in err
+
+    @pytest.mark.parametrize("first, second", [("inverse", "hybe-inverse"), ("hybe-inverse", "inverse")])
+    def test_the_order_of_the_lie_inverse_checks_changes_no_verdict(self, first, second, tmp_path, monkeypatch,
+                                                                      capsys):
+        # the pair (thm4.1, cor4.2) is built at nu = 1 whichever of the two checks builds it first
+        (tmp_path / "ex4.3.json").write_text(edited_ex23(listed_first(first, second), "ex4.3"), encoding="utf-8")
+        monkeypatch.setattr(homyb.catalog, "_ENTRIES", tmp_path)
+        monkeypatch.setattr(homyb.catalog, "_IDS", ("ex4.3",))
+        monkeypatch.setattr(homyb.catalog, "_CACHE", {})
+        assert main(["catalog", "verify-all"]) == 0
+        out = capsys.readouterr().out
+        assert "  inverse: PASS (expected PASS)\n" in out and "  hybe-inverse: FAIL (expected FAIL)\n" in out
 
     def test_every_document_is_package_data(self):
         tomllib = pytest.importorskip("tomllib")
@@ -280,13 +303,13 @@ class TestTableCheck:
     def test_the_check_finds_the_pairs_the_comparison_does(self, entry_id):
         entry = catalog_get(entry_id)
         expected = sorted(mismatched_pairs(compare_table(entry)))
-        report = _Run(entry, None).table()
+        report = _table(entry, None)
         assert report.metadata["mismatches"] == (", ".join(f"({a},{b})" for a, b in expected) or "none")
 
     @pytest.mark.parametrize("entry_id", TABLED)
     def test_one_changed_entry_is_exactly_one_undocumented_mismatch(self, entry_id, monkeypatch):
         entry = replace(catalog_get(entry_id))  # a copy that keeps no operator yet
-        op, s = build_operator(entry), entry.structure
+        op, s = build_operator(replace(entry)), entry.structure  # built on a copy, so `entry` keeps none
         d, basis = s.dim, s.basis
         # the first column whose printed row matches, with one entry moved off it
         c = next(c for c in range(d * d) if (basis[c // d], basis[c % d]) not in entry.documented_mismatches)
@@ -294,7 +317,7 @@ class TestTableCheck:
                                            for j in range(d * d)] for i in range(d * d)])
         changed = replace(op, matrix=op.matrix + bump)
         monkeypatch.setattr(homyb.catalog, "build_many", lambda *args, **kwargs: [changed])
-        report = _Run(entry, None).table()
+        report = _table(entry, None)
         pair = (basis[c // d], basis[c % d])
         assert not report.holds
         assert [(w.row, w.col, str(w.residual), w.label) for w in report.witnesses] == [
@@ -303,12 +326,12 @@ class TestTableCheck:
 
     @pytest.mark.parametrize("entry_id", ["ex2.3", "ex4.3"])
     def test_a_table_that_matches_decodes_nothing(self, entry_id, monkeypatch):
-        run = _Run(catalog_get(entry_id), None)
-        run.build((run.variant,), run.structure)
+        entry = catalog_get(entry_id)
+        _built(entry, (entry.variant,), entry.structure)
         decoded = []
         entries = Matrix._entries
         monkeypatch.setattr(Matrix, "_entries", lambda m, row: decoded.append(row) or entries(m, row))
-        assert run.table().holds and decoded == []
+        assert _table(entry, None).holds and decoded == []
 
     def test_an_entry_without_a_printed_table_is_refused(self, ex25_verbatim):
         with pytest.raises(UnknownEntryError, match="ex2.5-verbatim has no printed table"):
@@ -603,8 +626,7 @@ class TestParseOnce:
         entry = replace(catalog_get(entry_id))  # a copy that keeps no derived input yet
         printed = [expr for summands in entry.expected_table.values() for *_, expr in summands]
         for distinct in (set(printed), set()):  # the entry keeps its table's matrix
-            run = _Run(entry, None)  # reads λ, ν and u
-            run.build((run.variant,), run.structure)
+            _built(entry, (entry.variant,), entry.structure)  # reads λ, ν and u
             parses.clear()
-            run.table()
+            _table(entry, None)
             assert sorted(parses) == sorted(distinct) and len(printed) > len(parses)

@@ -95,7 +95,7 @@ class TestAxioms:
         path = tmp_path / "params.json"
         path.write_text(json.dumps(doc))
         assert main(["axioms", str(path)]) == 2
-        assert capsys.readouterr().err.splitlines()[0] == f"error: {message}"
+        assert capsys.readouterr().err.splitlines()[0] == f"error: {path}: {message}"
 
     def test_missing_file_exits_two(self, capsys):
         assert main(["axioms", "/no/such/file.json"]) == 2
@@ -243,7 +243,7 @@ class TestBuild:
         capsys.readouterr()
         assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe",
                      "--json", str(tmp_path / "report.json")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert capsys.readouterr().err.startswith(f"error: {op_path}: {message}")
         assert not (tmp_path / "report.json").exists()
 
     def test_operator_of_another_structure_exits_two(self, export, tmp_path, capsys):
@@ -281,6 +281,18 @@ class TestBuild:
             f"structure {header['structure']!r} does not fit {structure}, a hom-algebra named 'ex2.3'\n"
         )
 
+    @pytest.mark.parametrize("broken", ["structure", "operator"])
+    def test_a_broken_file_is_named_among_the_two_read(self, export, tmp_path, capsys, broken):
+        op_path, structure = tmp_path / "op.json", export("ex2.3")
+        assert main(["build", structure, "--construction", "thm2.1", "--out", str(op_path)]) == 0
+        path, key = (tmp_path / "ex2.3.json", "alpha") if broken == "structure" else (op_path, "matrix")
+        doc = json.loads(path.read_text())
+        doc[key][0][0] = "lam +"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe"]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {key}[0][0]: unexpected end of input (at position 5)\n"
+
     def test_first_bad_cell_of_an_operator_table_is_named(self, export, tmp_path, capsys):
         # distinct expressions are parsed once per table; a bad one is still
         # reported at its first cell in row-major order
@@ -293,7 +305,7 @@ class TestBuild:
         op_path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe"]) == 2
-        assert capsys.readouterr().err == "error: matrix[1][4]: expected ')' (at position 7)\n"
+        assert capsys.readouterr().err == f"error: {op_path}: matrix[1][4]: expected ')' (at position 7)\n"
 
     @pytest.mark.parametrize("cell", [["1"], {"1": "1"}, 1, 0.5], ids=["array", "object", "int", "float"])
     def test_a_cell_that_is_not_a_string_is_named(self, export, tmp_path, capsys, cell):
@@ -307,7 +319,7 @@ class TestBuild:
         op_path.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe"]) == 2
-        assert capsys.readouterr().err == "error: matrix[8][7]: expected an expression string\n"
+        assert capsys.readouterr().err == f"error: {op_path}: matrix[8][7]: expected an expression string\n"
         for key, path in (("alpha", (2, 2)), ("unit", (2,)), ("mult", (2, 1, 0))):
             doc = json.loads(open(structure).read())
             *outer, last = path
@@ -319,7 +331,7 @@ class TestBuild:
             bad.write_text(json.dumps(doc))
             assert main(["axioms", str(bad)]) == 2
             where = "".join(f"[{index}]" for index in path)
-            assert capsys.readouterr().err == f"error: {key}{where}: expected an expression string\n"
+            assert capsys.readouterr().err == f"error: {bad}: {key}{where}: expected an expression string\n"
 
     def test_build_on_a_structure_failing_its_axioms_names_them(self, export, tmp_path, capsys):
         doc = json.loads(open(export("ex4.3")).read())

@@ -133,10 +133,11 @@ STRUCTURE_ACCEPTED = {
 }
 
 
-def names_a_field(doc: dict):
-    """Does an error message name a field of `doc`, as `error: key: ...` or `error: key[i]...: ...`?"""
+def names_a_field(doc: dict, path):
+    """Does an error message name the file at `path` and a field of `doc` in it, as
+    `error: path: key: ...` or `error: path: key[i]...: ...`?"""
     def named(err: str) -> bool:
-        match = re.match(r"error: (\w+)[\[:]", err)
+        match = re.match(rf"error: {re.escape(str(path))}: (\w+)[\[:]", err)
         return match is not None and match.group(1) in doc
     return named
 
@@ -148,7 +149,7 @@ def test_every_one_field_mutant_of_a_structure_file_is_refused_or_accepted(entry
     doc = entry_document(entry_id)["structure"]
     path = tmp_path / "structure.json"
     argv = [command, str(path), *VERIFY[entry_id] * (command == "verify")]
-    outcomes = sweep(path, json.dumps(doc), argv, names_a_field(doc))
+    outcomes = sweep(path, json.dumps(doc), argv, names_a_field(doc, path))
     assert accepted(outcomes) == STRUCTURE_ACCEPTED[entry_id]
 
 
@@ -158,7 +159,7 @@ def test_every_one_field_mutant_of_an_operator_file_is_refused_or_accepted(tmp_p
     with contextlib.redirect_stdout(io.StringIO()):
         assert homyb.cli.main(["build", str(structure), "--construction", "thm2.1", "--out", str(path)]) == 0
     doc = json.loads(path.read_text(encoding="utf-8"))
-    fields, argv = names_a_field(doc), ["verify", str(structure), "--operator", str(path), "--check", "hybe"]
+    fields, argv = names_a_field(doc, path), ["verify", str(structure), "--operator", str(path), "--check", "hybe"]
     # a header that names another structure or construction is refused naming the file
     outcomes = sweep(path, json.dumps(doc), argv, lambda err: fields(err) or err.startswith(f"error: {path}: "))
     assert accepted(outcomes) == {"format_version del"}
