@@ -55,7 +55,7 @@ from .errors import ConstructionWarning, HomybError, StructureError, UnknownEntr
 from .files import _parse_at, _read_json, structure_from_dict
 from .scalar import Scalar, parse_scalar
 from .structures import HomLieAlgebra, HomStructure, validate
-from .tensor import Matrix, Vector, _packed
+from .tensor import Matrix, Vector
 from .verify import DEFAULT_WITNESS_CAP, VerificationReport, Witness, combine
 # not called here; perfbench/test_perfbench.py::test_tracer_counts_and_restores reads it
 from .verify import hybe_holds  # noqa: F401
@@ -120,13 +120,12 @@ class CatalogEntry:
         distinct expression is parsed once per entry."""
         structure, parsed, where = self.structure, {}, f"{self.id} table"
         d, index, params = structure.dim, {name: i for i, name in enumerate(structure.basis)}, structure.params
-        rows: list[dict[int, Scalar]] = [{} for _ in range(d * d)]
+        rows = [[Scalar.zero(params)] * (d * d) for _ in range(d * d)]
         for (a, b), summands in self.expected_table.items():
             for p, q, expr in summands:
                 row, j = rows[index[p] * d + index[q]], index[a] * d + index[b]
-                value = _parse_at(expr, params, where, parsed)
-                row[j] = row[j] + value if j in row else value
-        return Matrix._new(d * d, d * d, params, *_packed(rows, d * d))
+                row[j] = row[j] + _parse_at(expr, params, where, parsed)
+        return Matrix.from_rows(params, rows)
 
     def expectations(self) -> dict[str, bool]:
         """check name -> expected verdict for everything verify_entry runs."""

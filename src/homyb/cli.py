@@ -104,11 +104,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("catalog", help="built-in example structures")
-    p.add_argument("action", choices=("list", "export", "verify-all"))
-    p.add_argument("id", nargs="?", help="entry id (for export)")
-    p.add_argument("--out")
-    p.add_argument("--json", dest="json_path")
     p.set_defaults(func=cmd_catalog)
+    actions = p.add_subparsers(dest="action", required=True)
+    actions.add_parser("list", help="list the entry ids with their descriptions")
+    p = actions.add_parser("export", help="write an entry's structure file")
+    p.add_argument("id", help="entry id")
+    p.add_argument("--out", help="output path (default: stdout)")
+    actions.add_parser("verify-all", help="run every entry's checks").add_argument("--json", dest="json_path")
 
     return parser
 
@@ -116,20 +118,19 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- helpers ---------------------------------------------------------------------
 
 
-def _extended(structure: HomStructure, names: list[str]) -> HomStructure:
-    """The structure over its own parameters followed by any new `names`."""
-    target = structure.params.union(names)
-    return structure if target == structure.params else structure.extend(target)
-
-
-def _load(args, vectors: list[str | None]) -> tuple[HomStructure, Scalar, Scalar]:
-    """The structure file over every parameter the expression arguments name, λ and ν."""
+def _load(args, vectors: list[str | None], operator: str | None = None):
+    """The structure file over every parameter the expression arguments name, then every one
+    of the `operator` file if given; λ; ν; and that file's matrix over them and its header."""
     structure = files.load_structure(args.file)
+    matrix, header = _operator_file(operator, args.file, structure) if operator else (None, None)
     # vector arguments are comma-separated expression lists: scan each component
     parts = [p for text in (args.lam, args.nu, *filter(None, vectors)) for p in text.split(",")]
-    structure = _extended(structure, [name for p in parts for name in expression_names(p)])
-    params = structure.params
-    return structure, parse_scalar(args.lam, params), parse_scalar(args.nu, params)
+    names = [name for p in parts for name in expression_names(p)] + list(matrix.params.names if matrix else ())
+    if (params := structure.params.union(names)) != structure.params:
+        structure = structure.extend(params)
+    if matrix and matrix.params != params:
+        matrix = matrix.extend(params)
+    return structure, parse_scalar(args.lam, params), parse_scalar(args.nu, params), (matrix, header)
 
 
 def _vector_arg(text: str, structure: HomStructure, what: str) -> tuple[Scalar, ...]:
@@ -182,6 +183,8 @@ def _print_report(report: VerificationReport, indent: int = 0) -> None:
 
 def cmd_axioms(args) -> int:
     structure = files.load_structure(args.file)
+    if args.require_multiplicative and not isinstance(structure, HomLieAlgebra):
+        raise HomybError(f"--require-multiplicative is read only for a hom-lie structure, not for {structure.kind}")
     report = validate(structure, args.require_multiplicative)
     _print_report(report)
     if args.json_path:
@@ -190,7 +193,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_build(args) -> int:
-    structure, lam, nu = _load(args, [args.u])
+    structure, lam, nu, _ = _load(args, [args.u])
     constructions = _CONSTRUCTIONS[args.construction]
     ops = _with_warnings(lambda: _build(args, structure, lam, nu, args.unchecked, constructions))
     if args.construction in SYSTEMS:
@@ -228,8 +231,8 @@ def _refuse_unread(args) -> None:
 
 def cmd_verify(args) -> int:
     _refuse_unread(args)
-    structure, lam, nu = _load(args, [args.u, args.x, args.y])
-    report, source = _with_warnings(lambda: _run_check(args, structure, lam, nu))
+    structure, lam, nu, operator = _load(args, [args.u, args.x, args.y], args.operator)
+    report, source = _with_warnings(lambda: _run_check(args, structure, lam, nu, operator))
     _print_report(report)
     if args.json_path:
         doc = files.report_to_dict(report)
@@ -243,17 +246,14 @@ def cmd_verify(args) -> int:
     return 0 if report.holds else 1
 
 
-def _run_check(args, structure, lam, nu) -> tuple[VerificationReport, dict]:
-    """The check of `CHECKS` that --check names, on what it builds from the arguments,
-    and what names the operator checked: the --operator file's header, else the arguments."""
+def _run_check(args, structure, lam, nu, operator) -> tuple[VerificationReport, dict]:
+    """The check of `CHECKS` that --check names, on the --operator matrix or on what it builds
+    from the arguments, and what names the operator checked: that file's header, else the arguments."""
     name, check = args.check, CHECKS[args.check]
     source = {"lambda": args.lam, "nu": args.nu, "construction": args.construction}
-    if args.operator:
-        matrix, source = _operator_file(args, structure)
-        structure = _extended(structure, matrix.params.names)
-        if matrix.params != structure.params:
-            matrix = matrix.extend(structure.params)
-        return check.report(structure, (matrix,), DEFAULT_WITNESS_CAP), source
+    matrix, header = operator
+    if matrix:
+        return check.report(structure, (matrix,), DEFAULT_WITNESS_CAP), header
     if not check.builds:  # chybe builds no operator, and reads no flag that names one
         r = _chybe_r(args, structure, check)
         return check.report(structure, r, DEFAULT_WITNESS_CAP), {}
@@ -267,16 +267,16 @@ def _run_check(args, structure, lam, nu) -> tuple[VerificationReport, dict]:
     return check.report(structure, ops, DEFAULT_WITNESS_CAP), source
 
 
-def _operator_file(args, structure):
-    """The --operator matrix and its header, which must name this structure and a
-    construction of its kind."""
-    matrix, doc = files.load_operator(args.operator)
+def _operator_file(path, file, structure):
+    """The matrix of the operator file at `path` and its header, which must name `structure`,
+    read from `file`, and a construction of its kind."""
+    matrix, doc = files.load_operator(path)
     built_on, construction = doc.get("structure"), doc.get("construction")
     fits = [n for n, (c,) in CHECKS["hybe"].builds.items() if RECIPES[c].kind is type(structure)]
     if built_on != structure.name or construction not in fits:
         raise HomybError(
-            f"{args.operator}: an operator of construction {construction!r} on structure "
-            f"{built_on!r} does not fit {args.file}, a {structure.kind} named {structure.name!r}"
+            f"{path}: an operator of construction {construction!r} on structure "
+            f"{built_on!r} does not fit {file}, a {structure.kind} named {structure.name!r}"
         )
     return matrix, doc
 
@@ -307,8 +307,6 @@ def cmd_catalog(args) -> int:
         return 0
 
     if args.action == "export":
-        if not args.id:
-            raise HomybError("catalog export needs an entry id")
         _write(files.structure_to_dict(cat.catalog_get(args.id).structure), args.out)
         return 0
 

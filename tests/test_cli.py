@@ -100,6 +100,15 @@ class TestAxioms:
     def test_missing_file_exits_two(self, capsys):
         assert main(["axioms", "/no/such/file.json"]) == 2
 
+    @pytest.mark.parametrize("entry_id", ["ex2.3", "ex3.3"])
+    def test_require_multiplicative_on_a_structure_that_is_not_lie_exits_two(self, export, capsys, entry_id):
+        # the flag is read only by the hom-lie axioms, so elsewhere it is refused, not ignored
+        structure = export(entry_id)
+        kind = catalog_get(entry_id).structure.kind
+        assert main(["axioms", structure, "--require-multiplicative"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --require-multiplicative is read only for a hom-lie structure, not for {kind}\n")
+
     def test_json_report(self, export, tmp_path, capsys):
         out = tmp_path / "report.json"
         assert main(["axioms", export("ex4.3"), "--json", str(out)]) == 0
@@ -186,6 +195,15 @@ class TestBuild:
         meta = json.loads(report_path.read_text())["metadata"]
         assert meta == {"witness_count": "0", "structure": "ex2.3", "parameters": "l,lam,nu",
                         "lambda": "2", "nu": "lam", "construction": "thm2.1"}
+
+    def test_report_on_an_operator_file_lists_its_parameters(self, export, tmp_path, capsys):
+        # the operator's own parameters join the structure's, and the report names every one checked
+        op_path, report_path = tmp_path / "op.json", tmp_path / "report.json"
+        structure = export("ex2.3")
+        assert main(["build", structure, "--construction", "thm2.1", "--lambda", "2*a", "--out", str(op_path)]) == 0
+        assert main(["verify", structure, "--operator", str(op_path), "--check", "hybe",
+                     "--json", str(report_path)]) == 0
+        assert json.loads(report_path.read_text())["metadata"]["parameters"] == "l,lam,nu,a"
 
     @pytest.mark.parametrize("check", ["alpha", "hybe"])
     @pytest.mark.parametrize("entry_id, flag, value", [
@@ -632,8 +650,28 @@ class TestCatalog:
         assert json.loads(out) == structure_to_dict(catalog_get("ex2.3").structure)
 
     def test_export_without_id_exits_two(self, capsys):
-        assert main(["catalog", "export"]) == 2
-        assert capsys.readouterr().err.splitlines()[0] == "error: catalog export needs an entry id"
+        with pytest.raises(SystemExit) as exc:
+            main(["catalog", "export"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: id" in capsys.readouterr().err
+
+    UNREAD = {  # an action's arguments -> the one it does not read
+        "verify-all ID": (["verify-all", "ex2.3"], "ex2.3"),
+        "verify-all --out": (["verify-all", "--out", "{file}"], "--out"),
+        "list ID": (["list", "ex2.3"], "ex2.3"),
+        "list --out": (["list", "--out", "{file}"], "--out"),
+        "export --json": (["export", "ex2.3", "--json", "{file}"], "--json"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNREAD))
+    def test_an_argument_the_action_does_not_read_exits_two(self, tmp_path, capsys, case):
+        # each action takes only its own arguments: one it would ignore is refused, and nothing is written
+        (argv, unread), path = self.UNREAD[case], tmp_path / "out.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["catalog", *(arg.format(file=path) for arg in argv)])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {unread}" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_export_axioms_round_trip(self, export):
         assert main(["axioms", export("ex4.3"), "--require-multiplicative"]) == 0

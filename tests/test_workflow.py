@@ -86,3 +86,20 @@ def test_every_private_function_and_class_is_named_elsewhere():
               if isinstance(top, ast.FunctionDef | ast.ClassDef) and top.name.startswith("_")
               and not top.name.startswith("__") and not named.get(top.name, set()) - {(module, index)}]
     assert len(trees) > 5 and not unread
+
+
+def test_only_tensor_reads_the_packed_row_format():
+    # a matrix made outside `tensor` goes through its constructor or `from_rows`, which check
+    # every entry; its private names and `Matrix._new`, which checks none, stay inside it
+    crossings = []
+    for path in sorted((ROOT / "src" / "homyb").glob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "tensor":
+                crossings += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and (
+                    (node.value.id, node.attr) == ("Matrix", "_new")
+                    or node.value.id == "tensor" and node.attr.startswith("_")):
+                crossings.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert not crossings
