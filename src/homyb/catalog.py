@@ -7,9 +7,10 @@ ever patched.  Like that matrix, an entry's λ, ν, u, structure at
 `involutive_at` and the operators its checks build are derived when first
 asked for and kept with the entry, so a second `verify_all` builds nothing and
 re-runs every check on the kept operators.  Each check is a function of the
-entry and a witness cap, and every operator, `build_operator`'s too, comes
-from one kept build keyed by all that decides it (see `_built`), so the order
-of an entry's checks changes no verdict.
+entry and a witness cap, and every operator, `build_operator`'s and so
+`compare_table`'s too, comes from `_built`, which keeps what each
+`build_many` call returned under all that varies between an entry's calls, so
+the order of an entry's checks changes no verdict.
 Rows known to deviate from the closed-form operator are recorded per entry,
 so the catalog doubles as an errata record: `verify-all` treats a deviation
 as expected exactly when it is documented.
@@ -104,8 +105,9 @@ class CatalogEntry:
         return parse_scalar("lam", params), parse_scalar("nu", params), u
 
     @cached_property
-    def _operators(self) -> dict[tuple[bool, Construction, bool, bool], SolutionOperator]:
-        """The operators its checks and `build_operator` build, each under the key `_built` gives it."""
+    def _operators(self) -> dict[tuple[bool, tuple[Construction, ...], bool], list[SolutionOperator]]:
+        """What each `build_many` call of `_built` returned, by whether it built on the entry's own
+        structure (else the involutive one), its constructions and whether it was `unchecked`."""
         return {}
 
     @cached_property
@@ -263,24 +265,12 @@ def catalog_get(entry_id: str) -> CatalogEntry:
 
 
 def _built(entry: CatalogEntry, constructions, structure, unchecked=False) -> list[SolutionOperator]:
-    """The operators of `constructions` as built together on `structure`, each built once per entry.
-
-    An operator is kept under whether it was built on the entry's own
-    structure, its construction, the ν its set is built at (1 where a member
-    is defined only there, else the entry's ν: the key holds which) and
-    whether its set skipped its preconditions (`unchecked`).  Missing
-    operators are built at that ν; an unchecked set may take an operator
-    kept from a checked build, never the reverse.
-    """
-    ops, own = entry._operators, structure is entry.structure
-    at_one = any(RECIPES[c].nu_is_one for c in constructions)
-    kept = {c: ops.get((own, c, at_one, False)) or ops.get((own, c, at_one, unchecked)) for c in constructions}
-    if missing := [c for c, op in kept.items() if op is None]:
-        nu = Scalar.one(structure.params) if at_one else entry.nu()
-        built = build_many(structure, missing, entry.lam(), nu, u=entry.u_vector(), unchecked=unchecked)
-        for c, op in zip(missing, built):
-            kept[c] = ops[own, c, at_one, unchecked] = op
-    return list(kept.values())
+    """`build_many` of `constructions` on `structure` at the entry's λ, ν and u, kept on the entry."""
+    key = (structure is entry.structure, tuple(constructions), unchecked)
+    if key not in entry._operators:
+        entry._operators[key] = build_many(structure, constructions, entry.lam(), entry.nu(),
+                                           u=entry.u_vector(), unchecked=unchecked)
+    return entry._operators[key]
 
 
 def build_operator(entry: CatalogEntry) -> SolutionOperator:
@@ -295,17 +285,14 @@ def _mismatched_columns(op: SolutionOperator, printed: Matrix) -> set[int]:
     return {j for _, j, _ in (op.matrix - printed).nonzero()}
 
 
-def compare_table(
-    entry: CatalogEntry, op: SolutionOperator | None = None
-) -> list[TableComparison]:
-    """Compare the entry's operator column-by-column with the printed table.
+def compare_table(entry: CatalogEntry) -> list[TableComparison]:
+    """Compare the entry's operator, from its kept build, column-by-column with the printed table.
 
-    The operator is read from the entry's kept build unless it is given.
     Mismatches are data, not errors; nothing is patched.
     """
     if entry.expected_table is None:
         raise UnknownEntryError(f"catalog entry {entry.id} has no printed table")
-    op = op if op is not None else build_operator(entry)
+    op = build_operator(entry)
     printed, basis, d = entry.printed_matrix, entry.structure.basis, entry.structure.dim
     mismatched = _mismatched_columns(op, printed)
     data, expected = op.matrix.data, printed.data  # column c is data[c::d²]

@@ -40,8 +40,9 @@ _CONSTRUCTIONS = dict(sorted(CHECKS["hybe"].builds.items())) | dict(sorted(SYSTE
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unread = _build_parser().parse_known_args(argv)
+    if unread:  # refused under the usage of the subcommand that ran
+        args.parser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe then fails here rather than at exit
@@ -63,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("axioms", help="validate the structure axioms of a file")
+    p = _leaf(sub, "axioms", "validate the structure axioms of a file", func=cmd_axioms)
     p.add_argument("file", help="structure JSON file")
     p.add_argument(
         "--require-multiplicative",
@@ -71,9 +72,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="for hom-lie structures, also require alpha([x,y]) = [alpha(x),alpha(y)]",
     )
     p.add_argument("--json", dest="json_path", help="also write the report as JSON")
-    p.set_defaults(func=cmd_axioms)
 
-    p = sub.add_parser("build", help="build an operator matrix and write it as JSON")
+    p = _leaf(sub, "build", "build an operator matrix and write it as JSON", func=cmd_build)
     p.add_argument("file")
     p.add_argument("--construction", required=True, choices=_CONSTRUCTIONS)
     p.add_argument("--lambda", dest="lam", default="lam", help="lambda expression (default: lam)")
@@ -85,9 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="downgrade violated preconditions (axioms, involutivity) to warnings",
     )
-    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("verify", help="run an exact identity check")
+    p = _leaf(sub, "verify", "run an exact identity check", func=cmd_verify)
     p.add_argument("file")
     p.add_argument("--check", required=True, choices=tuple(CHECKS))
     p.add_argument("--construction", choices=_CONSTRUCTIONS)
@@ -101,18 +100,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, help="twist power on the bracket leg (chybe, default: 0)")
     p.add_argument("--n", type=int, help="twist power on the u leg (chybe, default: 0)")
     p.add_argument("--json", dest="json_path")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("catalog", help="built-in example structures")
     p.set_defaults(func=cmd_catalog)
     actions = p.add_subparsers(dest="action", required=True)
-    actions.add_parser("list", help="list the entry ids with their descriptions")
-    p = actions.add_parser("export", help="write an entry's structure file")
+    _leaf(actions, "list", "list the entry ids with their descriptions")
+    p = _leaf(actions, "export", "write an entry's structure file")
     p.add_argument("id", help="entry id")
     p.add_argument("--out", help="output path (default: stdout)")
-    actions.add_parser("verify-all", help="run every entry's checks").add_argument("--json", dest="json_path")
+    _leaf(actions, "verify-all", "run every entry's checks").add_argument("--json", dest="json_path")
 
     return parser
+
+
+def _leaf(parsers, name: str, help: str, **defaults) -> argparse.ArgumentParser:
+    """A subcommand's parser, which records itself so that `main` refuses what it did not read."""
+    p = parsers.add_parser(name, help=help)
+    p.set_defaults(parser=p, **defaults)
+    return p
 
 
 # -- helpers ---------------------------------------------------------------------

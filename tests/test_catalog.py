@@ -322,7 +322,7 @@ class TestTableCheck:
         assert not report.holds
         assert [(w.row, w.col, str(w.residual), w.label) for w in report.witnesses] == [
             (c, 0, "1", f"B({pair[0]}⊗{pair[1]}): undocumented mismatch")]
-        assert mismatched_pairs(compare_table(entry, changed)) == set(entry.documented_mismatches) | {pair}
+        assert mismatched_pairs(compare_table(entry)) == set(entry.documented_mismatches) | {pair}
 
     @pytest.mark.parametrize("entry_id", ["ex2.3", "ex4.3"])
     def test_a_table_that_matches_decodes_nothing(self, entry_id, monkeypatch):
@@ -388,24 +388,26 @@ class TestVerifyAll:
         import homyb.catalog
 
         original = homyb.catalog.build_many
-        built = []  # holds every operator, so no structure's id is reused
+        calls = []  # holds every structure and operator, so no structure's id is reused
 
-        def recording(*args, **kwargs):
-            ops = original(*args, **kwargs)
-            built[-1].extend(ops)
+        def recording(structure, constructions, *args, unchecked=False, **kwargs):
+            ops = original(structure, constructions, *args, unchecked=unchecked, **kwargs)
+            calls[-1].append((structure, tuple(constructions), unchecked, ops))
             return ops
 
         monkeypatch.setattr(homyb.catalog, "build_many", recording)
         for eid, _ in catalog_list():
-            built.append([])
+            calls.append([])
             verify_entry(replace(catalog_get(eid)))  # a copy that keeps no operator yet
-        for ops in built:
-            keys = [(id(op.source), op.construction, str(op.nu)) for op in ops]
+        for entry_calls in calls:
+            keys = [(id(s), constructions, unchecked) for s, constructions, unchecked, _ in entry_calls]
             assert len(keys) == len(set(keys))
-        # the Lie pair is built at nu = 1, apart from the operator built alone
-        lie = [(op.construction.value, str(op.nu)) for op in built[-1]]
-        assert lie == [("thm4.1", "nu"), ("thm4.1", "1"), ("cor4.2", "1")]
-        assert sum(map(len, built)) == 27
+        # the Lie operator alone at the entry's nu, then each set holding cor4.2 at nu = 1
+        lie = [([c.value for c in constructions], [str(op.nu) for op in ops])
+               for _, constructions, _, ops in calls[-1]]
+        assert lie == [(["thm4.1"], ["nu"]), (["thm4.1", "cor4.2"], ["1", "1"]), (["cor4.2"], ["1"])]
+        every = [call for entry_calls in calls for call in entry_calls]
+        assert (len(every), sum(len(ops) for *_, ops in every)) == (16, 30)
 
     def test_check_names_match_expectations_keys(self):
         for eid, _ in catalog_list():
@@ -614,11 +616,11 @@ class TestParseOnce:
     @pytest.mark.parametrize("entry_id", ["ex2.5", "ex3.5"])
     def test_compare_table_parses_each_printed_expression_once(self, entry_id, parses):
         entry = replace(catalog_get(entry_id))  # a copy that keeps no derived input yet
-        op = build_operator(entry)
+        build_operator(entry)  # reads λ, ν and u
         printed = [expr for summands in entry.expected_table.values() for *_, expr in summands]
         for distinct in (set(printed), set()):  # the entry keeps its table's matrix
             parses.clear()
-            compare_table(entry, op)
+            compare_table(entry)
             assert sorted(parses) == sorted(distinct) and len(printed) > len(parses)
 
     @pytest.mark.parametrize("entry_id", ["ex2.5", "ex3.5"])

@@ -673,6 +673,18 @@ class TestCatalog:
         assert f"unrecognized arguments: {unread}" in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("argv, usage", [
+        (["catalog", "verify-all", "ex2.3"], "usage: homyb catalog verify-all "),
+        (["verify", "f.json", "--check", "hybe", "--bogus"], "usage: homyb verify "),
+        (["axioms", "f.json", "extra"], "usage: homyb axioms "),
+    ])
+    def test_an_unread_argument_shows_the_usage_of_the_subcommand_that_ran(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert err.startswith(usage) and f"error: unrecognized arguments: {argv[-1]}" in err
+
     def test_export_axioms_round_trip(self, export):
         assert main(["axioms", export("ex4.3"), "--require-multiplicative"]) == 0
 

@@ -11,9 +11,11 @@ import warnings
 
 import pytest
 
-from homyb import HomAlgebra, HomCoalgebra, Matrix, build, build_many, catalog_get, validate
+from homyb import HomAlgebra, build, build_many, catalog_get, validate
 from homyb.constructions import SYSTEMS, Construction
 from homyb.errors import ConstructionWarning
+
+from families import dual, transpose
 
 ENTRIES = ("ex2.3", "ex2.5", "ex2.5-verbatim", "ex3.3", "ex3.5")
 
@@ -24,19 +26,6 @@ DUAL_AXIOM = {"HA1-mult": "HC1-comult", "HA1-unit": "HC1-counit",
 # coalgebra construction at (λ, ν) -> the algebra construction whose transpose it is at (ν, λ)
 TRANSPOSE_OF = {"thm3.4": "thm2.1", "thm3.1": "thm2.4",
                 "cor3.2": "thm2.4-inverse", "thm3.4-inverse": "cor2.2"}
-
-
-def transpose(m: Matrix) -> Matrix:
-    return Matrix.from_rows(m.params, [m.column(j) for j in range(m.cols)])
-
-
-def dual(structure):
-    """The dual structure on the same basis: α transposed, μ ↔ Δ and η ↔ ε transposed."""
-    common = {"name": f"{structure.name}*", "basis": structure.basis, "params": structure.params,
-              "alpha": transpose(structure.alpha)}
-    if isinstance(structure, HomAlgebra):
-        return HomCoalgebra(**common, delta=transpose(structure.mu), epsilon=transpose(structure.eta))
-    return HomAlgebra(**common, mu=transpose(structure.delta), eta=transpose(structure.epsilon))
 
 
 def pair(entry_id):

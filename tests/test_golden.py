@@ -253,7 +253,7 @@ def test_a_second_verify_all_builds_nothing_and_writes_the_same_document(tmp_pat
         counts.append((len(calls), sum(map(len, calls))))
         assert got == {key: golden[key] for key in got}
     capsys.readouterr()
-    assert counts == [(15, 27), (0, 0)]
+    assert counts == [(16, 30), (0, 0)]
 
 
 if __name__ == "__main__":

@@ -103,3 +103,15 @@ def test_only_tensor_reads_the_packed_row_format():
                     or node.value.id == "tensor" and node.attr.startswith("_")):
                 crossings.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
     assert not crossings
+
+
+def test_only_build_many_chooses_the_nu_a_set_is_built_at():
+    # `build_many` builds any set holding a construction defined only at ν = 1 there; a caller
+    # that named `nu_is_one` would restate that rule beside it
+    namers = [f"{path.name}:{node.lineno}"
+              for path in sorted((ROOT / "src" / "homyb").glob("*.py")) if path.name != "constructions.py"
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Attribute) and node.attr == "nu_is_one"
+              or isinstance(node, ast.Name) and node.id == "nu_is_one"
+              or isinstance(node, ast.keyword) and node.arg == "nu_is_one"]
+    assert not namers
